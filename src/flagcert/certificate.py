@@ -16,8 +16,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import builtin
-from .counting import t_bip
-from .graphs import ClassTable, Color, ColoredGraph, Flag, canonical_form
+from .counting import subcube_count_table
+from .graphs import ClassTable, Color, ColoredGraph, Flag
 
 
 class SchemaError(ValueError):
@@ -200,7 +200,9 @@ def flag_product(f1: Flag, f2: Flag) -> ColoredGraph:
 
 @lru_cache(maxsize=None)
 def _expansion_cached(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
-    return {index: t_bip(p, table.representative(index)) for index in table.indices}
+    """``t_bip(p, representative)`` for every class, read off one count table."""
+    counts, maps = subcube_count_table(p, table.n, table.pairs)
+    return {e.index: Fraction(int(counts[e.code]), maps) for e in table.classes}
 
 
 def expand_in_classes(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
@@ -361,11 +363,8 @@ def verify_certificate(cert: Certificate, strict_base: bool = True) -> Verificat
             class_ok = False
             detail += f"; certificate lists {len(cert.classes)} classes"
         else:
-            group = table.group
             for index, rep in enumerate(cert.classes, start=1):
-                if canonical_form(rep, group) != canonical_form(
-                    table.representative(index), group
-                ):
+                if table.class_of(rep) != index:
                     class_ok = False
                     detail += f"; class {index} mismatch"
                     break
@@ -376,9 +375,9 @@ def verify_certificate(cert: Certificate, strict_base: bool = True) -> Verificat
         try:
             base_ok = True
             bad = []
+            expected = _expansion_cached(cert.target, table)
             for index in table.indices:
-                expected = t_bip(cert.target, table.representative(index))
-                if cert.base.get(index, Fraction(0)) != expected:
+                if cert.base.get(index, Fraction(0)) != expected[index]:
                     base_ok = False
                     bad.append(index)
             base_detail = (
@@ -451,6 +450,7 @@ def verify_certificate(cert: Certificate, strict_base: bool = True) -> Verificat
 # -- serialization -----------------------------------------------------------------
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_CLASS_KEY_RE = re.compile(r"[1-9][0-9]*")
 
 
 def format_rational(x: Fraction) -> str:
@@ -498,7 +498,7 @@ def _graph_from_obj(obj, path: str, roots: bool = False):
     required = ["n", "edges"] + (["roots"] if roots else [])
     _require_keys(obj, path, required)
     n = obj["n"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise SchemaError(f"{path}.n", "vertex count must be a nonnegative integer")
     if not isinstance(obj["edges"], list):
         raise SchemaError(f"{path}.edges", "expected a list")
@@ -509,8 +509,8 @@ def _graph_from_obj(obj, path: str, roots: bool = False):
         if (
             not isinstance(item, list)
             or len(item) != 3
-            or not isinstance(item[0], int)
-            or not isinstance(item[1], int)
+            or type(item[0]) is not int
+            or type(item[1]) is not int
         ):
             raise SchemaError(epath, "expected [u, v, colour]")
         u, v, cval = item
@@ -526,7 +526,7 @@ def _graph_from_obj(obj, path: str, roots: bool = False):
     if not roots:
         return graph
     rts = obj["roots"]
-    if not isinstance(rts, list) or not all(isinstance(r, int) for r in rts):
+    if not isinstance(rts, list) or not all(type(r) is int for r in rts):
         raise SchemaError(f"{path}.roots", "expected a list of vertex indices")
     if len(rts) > 2:
         raise SchemaError(f"{path}.roots", "at most two roots are supported")
@@ -568,10 +568,20 @@ def save_certificate(cert: Certificate) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: a key given twice is an error, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError("$", f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_certificate(text: str) -> Certificate:
     """Parse and validate certificate text; violations carry a path."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
     _require_keys(
@@ -587,7 +597,7 @@ def load_certificate(text: str) -> Certificate:
     if (
         not isinstance(parts, list)
         or len(parts) != 2
-        or not all(isinstance(p, int) and p > 0 for p in parts)
+        or not all(type(p) is int and p > 0 for p in parts)
     ):
         raise SchemaError("$.template.parts", "expected two positive part sizes")
 
@@ -601,12 +611,18 @@ def load_certificate(text: str) -> Certificate:
             _graph_from_obj(item, f"$.classes[{k}]")
             for k, item in enumerate(obj["classes"])
         )
+        for k, g in enumerate(classes):
+            if g.n != sum(parts):
+                raise SchemaError(
+                    f"$.classes[{k}].n",
+                    f"class graphs colour the template's {sum(parts)} vertices, got {g.n}",
+                )
 
     if not isinstance(obj["base"], dict):
         raise SchemaError("$.base", "expected an object")
     base = {}
     for key, value in obj["base"].items():
-        if not key.isdigit() or not 1 <= int(key) <= builtin.NUM_CLASSES:
+        if not _CLASS_KEY_RE.fullmatch(key) or int(key) > builtin.NUM_CLASSES:
             raise SchemaError(f"$.base.{key}", "key must be a class index 1..26")
         base[int(key)] = parse_rational(value, f"$.base.{key}")
         if base[int(key)] < 0:

@@ -1,13 +1,25 @@
 """Exact homomorphism counting and the density functionals built on it.
 
-All counts are exhaustive backtracking searches with early pruning; all
-densities are `fractions.Fraction` values and never touch floating point.
-Long searches poll an optional cooperative cancellation token.
+Two exact counters live here.  ``subcube_count_table`` counts a pattern in
+every colouring of a small labelled host at once: each injective map of the
+pattern's edges onto host pairs fixes the colours of the pairs it covers, so
+it matches exactly the colourings in one subcube, and adding the subcubes
+gives an integer table over all 2^pairs colourings.  The verifier, the
+classifier and the exhaustive sweep read expansions from these tables.
+Per-host counts (``hom_inj_count``, ``rooted_hom_inj_count``, ``t_bip``) are
+backtracking searches with early pruning; they serve the oracle's concrete
+hosts and are the independent reference for the tables in the tests.  Long
+searches poll an optional cooperative cancellation token.  All densities are
+`fractions.Fraction` values and never touch floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
+
+import numpy as np
 
 from .graphs import ClassTable, Color, ColoredGraph, Flag
 
@@ -197,6 +209,83 @@ def t_bip(h: ColoredGraph, j: ColoredGraph, cancel=None) -> Fraction:
     return Fraction(hom_inj_count(h, j, cancel=cancel), den)
 
 
+# -- subcube count tables -------------------------------------------------------
+
+_MAX_TABLE_PAIRS = 16
+_MAX_TABLE_N = 8
+
+
+@lru_cache(maxsize=None)
+def subcube_members(mask: int, bits: int) -> np.ndarray:
+    """Every ``x < 2**bits`` with ``x & mask == 0``, ascending and read-only.
+
+    Adding a value ``v`` inside ``mask`` gives the subcube of colourings whose
+    bits under ``mask`` read ``v``.
+    """
+    arr = np.zeros(1, dtype=np.int64)
+    for b in range(bits):
+        if not (mask >> b) & 1:
+            arr = np.concatenate([arr, arr + (1 << b)])
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=None)
+def _embeddings(
+    k: int, shape: tuple[tuple[int, int], ...], n: int, pairs: tuple[tuple[int, int], ...]
+):
+    """Injective maps of a k-vertex edge shape that send every edge onto a pair.
+
+    Returns (positions, free, inverse): positions[m, e] is the pair index
+    that map m gives edge e, and free[inverse[m]] lists the colourings that
+    are zero on every pair map m covers.  Shared by all colourings of a shape.
+    """
+    index = {}
+    for p, (u, v) in enumerate(pairs):
+        index[(u, v)] = index[(v, u)] = p
+    rows = []
+    for image in permutations(range(n), k):
+        row = [index.get((image[u], image[v])) for u, v in shape]
+        if None not in row:
+            rows.append(row)
+    positions = np.array(rows, dtype=np.int64).reshape(len(rows), len(shape))
+    # distinct edges land on distinct pairs, so each row sums to its mask
+    masks, inverse = np.unique(
+        (np.int64(1) << positions).sum(axis=1), return_inverse=True
+    )
+    free = np.array([subcube_members(int(m), len(pairs)) for m in masks])
+    return positions, free, inverse.reshape(-1)
+
+
+def subcube_count_table(
+    h: ColoredGraph, n: int, pairs: tuple[tuple[int, int], ...]
+) -> tuple[np.ndarray, int]:
+    """Colour-preserving injective counts of ``h`` in every colouring of a host.
+
+    The host has vertices 0..n-1 and the labelled pairs ``pairs``; colouring
+    ``x`` makes pair k blue when bit k of ``x`` is set and red otherwise.
+    Returns ``(table, maps)``: ``table[x]`` equals ``hom_inj_count(h, host_x)``
+    for each of the ``2**len(pairs)`` colourings, and ``maps`` counts the
+    injective maps sending every edge of ``h`` onto a host pair, the
+    denominator of ``t_bip``.  Raises ``ValueError`` when there are none.
+    """
+    if len(pairs) > _MAX_TABLE_PAIRS or n > _MAX_TABLE_N:
+        raise ValueError(
+            f"count tables are limited to {_MAX_TABLE_PAIRS} pairs on "
+            f"{_MAX_TABLE_N} vertices"
+        )
+    shape = tuple((u, v) for u, v, _ in h.edges)
+    positions, free, inverse = _embeddings(h.n, shape, n, tuple(pairs))
+    if not len(positions):
+        raise ValueError("pattern does not embed in the template")
+    blue = [e for e, (_, _, c) in enumerate(h.edges) if c is Color.BLUE]
+    values = (np.int64(1) << positions[:, blue]).sum(axis=1)
+    table = np.bincount(
+        (free[inverse] + values[:, None]).ravel(), minlength=1 << len(pairs)
+    )
+    return table, len(positions)
+
+
 def blow_up(g: ColoredGraph, size: int) -> ColoredGraph:
     """Replace each vertex by an independent set of ``size`` clones.
 
@@ -231,8 +320,6 @@ def blow_up(g: ColoredGraph, size: int) -> ColoredGraph:
 
 
 def _color_adjacency(g: ColoredGraph):
-    import numpy as np
-
     red = np.zeros((g.n, g.n), dtype=np.int64)
     blue = np.zeros((g.n, g.n), dtype=np.int64)
     for u, v, c in g.edges:

@@ -279,25 +279,42 @@ def enumerate_template_colorings(template: ColoredGraph) -> list[ColoredGraph]:
     return out
 
 
+def coloring_code(g: ColoredGraph, n: int, pairs: Sequence[tuple[int, int]]) -> Optional[int]:
+    """Colouring code of ``g`` over a template: bit k set when pair k is blue.
+
+    ``None`` unless ``g`` has ``n`` vertices and exactly the sorted ``pairs``.
+    """
+    if g.n != n or g.pairs() != tuple(pairs):
+        return None
+    return sum(1 << k for k, (_, _, c) in enumerate(g.edges) if c is Color.BLUE)
+
+
 class ClassEntry:
     """One isomorphism class: published index, representative, symmetries."""
 
-    __slots__ = ("index", "representative", "aut_count", "multiplicity")
+    __slots__ = ("index", "representative", "aut_count", "multiplicity", "code")
 
-    def __init__(self, index, representative, aut_count, multiplicity):
+    def __init__(self, index, representative, aut_count, multiplicity, code):
         self.index = index
         self.representative = representative
         self.aut_count = aut_count
         self.multiplicity = multiplicity
+        self.code = code
 
 
 class ClassTable:
-    """Isomorphism classes of template colourings, in a fixed reference order."""
+    """Isomorphism classes of template colourings, in a fixed reference order.
 
-    def __init__(self, classes: list[ClassEntry], lookup: dict, group):
+    ``lookup`` sends the colouring code (see ``coloring_code``) of every
+    classified colouring of the template's ``n`` vertices and ``pairs`` to
+    its class index.
+    """
+
+    def __init__(self, classes: list[ClassEntry], lookup: dict[int, int], n: int, pairs):
         self.classes = classes
         self.lookup = lookup
-        self.group = group
+        self.n = n
+        self.pairs = tuple(pairs)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -315,9 +332,9 @@ class ClassTable:
     def multiplicity(self, index: int) -> int:
         return self.classes[index - 1].multiplicity
 
-    def class_of(self, g: ColoredGraph) -> int:
-        """Class index of a colouring of the same template."""
-        return self.lookup[canonical_form(g, self.group)]
+    def class_of(self, g: ColoredGraph) -> Optional[int]:
+        """Class index of a colouring of the template; None for any other graph."""
+        return self.lookup.get(coloring_code(g, self.n, self.pairs))
 
     def swap_involution(self) -> dict[int, int]:
         """Index map induced by swapping every edge colour of a representative."""
@@ -327,6 +344,15 @@ class ClassTable:
         }
 
 
+def _act(action: Sequence[int], code: int) -> int:
+    """Image of a colouring code when pair k moves to position action[k]."""
+    image = 0
+    for k, p in enumerate(action):
+        if (code >> k) & 1:
+            image |= 1 << p
+    return image
+
+
 def classify(
     colorings: Sequence[ColoredGraph],
     group: Sequence[Sequence[int]],
@@ -334,38 +360,58 @@ def classify(
 ) -> ClassTable:
     """Partition colourings into isomorphism orbits, aligned to ``reference``.
 
-    ``reference`` fixes the published class order; every orbit must contain
-    exactly one reference representative.  Orbit sizes are cross-checked
-    against the orbit-stabilizer count |group| / aut.
+    Every colouring is read as a code over the pairs of the first one, and the
+    group acts on pair positions; two colourings are isomorphic when some
+    group element carries one code to the other.  ``reference`` fixes the
+    published class order; every orbit must contain exactly one reference
+    representative.  Orbit sizes are cross-checked against the
+    orbit-stabilizer count |group| / aut, where aut counts the group elements
+    fixing the representative's code.
     """
-    orbits: dict[CanonicalCode, list[ColoredGraph]] = {}
+    n, pairs = (colorings[0].n, colorings[0].pairs()) if colorings else (0, ())
+    position = {pair: k for k, pair in enumerate(pairs)}
+    try:  # where each group element sends each pair position
+        actions = [
+            [position[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+            for perm in group
+        ]
+    except KeyError:
+        raise ValueError("group elements must preserve the template pairs") from None
+
+    orbit_id: dict[int, int] = {}  # code -> least code of its orbit
+    members: dict[int, int] = {}  # orbit id -> colourings in that orbit
     for g in colorings:
-        orbits.setdefault(canonical_form(g, group), []).append(g)
+        code = coloring_code(g, n, pairs)
+        if code is None:
+            raise ValueError("colourings must share one vertex count and pair set")
+        if code not in orbit_id:
+            orbit = {code, *(_act(a, code) for a in actions)}
+            least = min(orbit)
+            for image in orbit:
+                orbit_id[image] = least
+        members[orbit_id[code]] = members.get(orbit_id[code], 0) + 1
 
-    ref_codes = {}
+    entries = []
+    ref_ids: dict[int, int] = {}  # orbit id -> reference position
     for pos, rep in enumerate(reference):
-        code = canonical_form(rep, group)
-        if code in ref_codes:
-            raise ValueError(f"reference representatives {ref_codes[code]} and {pos} are isomorphic")
-        ref_codes[code] = pos
-    if len(orbits) != len(reference):
+        code = coloring_code(rep, n, pairs)
+        if code not in orbit_id:
+            raise ValueError("reference representatives do not match the computed orbits")
+        oid = orbit_id[code]
+        if oid in ref_ids:
+            raise ValueError(f"reference representatives {ref_ids[oid]} and {pos} are isomorphic")
+        ref_ids[oid] = pos
+        aut = sum(1 for a in actions if _act(a, code) == code)
+        entries.append(ClassEntry(pos + 1, rep, aut, members[oid], code))
+    if len(members) != len(reference):
         raise ValueError(
-            f"found {len(orbits)} isomorphism classes, reference lists {len(reference)}"
+            f"found {len(members)} isomorphism classes, reference lists {len(reference)}"
         )
-    if set(orbits) != set(ref_codes):
-        raise ValueError("reference representatives do not match the computed orbits")
-
-    order = len(group)
-    entries: list[Optional[ClassEntry]] = [None] * len(reference)
-    lookup = {}
-    for code, members in orbits.items():
-        pos = ref_codes[code]
-        rep = reference[pos]
-        aut = automorphism_count(rep)
-        if len(members) * aut != order:
+    for e in entries:
+        if e.multiplicity * e.aut_count != len(actions):
             raise ValueError(
-                f"orbit of class {pos + 1}: size {len(members)} * aut {aut} != {order}"
+                f"orbit of class {e.index}: size {e.multiplicity} * aut {e.aut_count} "
+                f"!= {len(actions)}"
             )
-        entries[pos] = ClassEntry(pos + 1, rep, aut, len(members))
-        lookup[code] = pos + 1
-    return ClassTable(entries, lookup, list(group))
+    lookup = {code: ref_ids[oid] + 1 for code, oid in orbit_id.items()}
+    return ClassTable(entries, lookup, n, pairs)

@@ -12,12 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
 from . import builtin
-from .certificate import builtin_certificate, flag_product, format_rational
+from .certificate import (
+    builtin_certificate,
+    expand_in_classes,
+    flag_product,
+    format_rational,
+)
 from .counting import (
     alternating_hom_inj_from_matrices,
     d_density,
@@ -25,7 +29,8 @@ from .counting import (
     falling_factorial,
     hom_inj_count,
     rooted_hom_inj_count,
-    t_bip,
+    subcube_count_table,
+    subcube_members,
     t_inj,
 )
 from .graphs import Color, ColoredGraph
@@ -171,12 +176,9 @@ def check_identities(g: ColoredGraph) -> OracleReport:
 
     target = builtin.target()
     lhs = t_inj(target, g)
+    target_expansion = expand_in_classes(target, table)
     rhs = sum(
-        (
-            t_bip(target, table.representative(l)) * dvec[l]
-            for l in table.indices
-        ),
-        Fraction(0),
+        (target_expansion[l] * dvec[l] for l in table.indices), Fraction(0)
     )
     records.append(OracleRecord("double_count", name, lhs, rhs, lhs == rhs))
 
@@ -186,10 +188,7 @@ def check_identities(g: ColoredGraph) -> OracleReport:
             for j in range(i, 9):
                 product = flag_product(flags[i - 1], flags[j - 1])
                 lhs = t_inj(product, g)
-                expansion = {
-                    l: t_bip(product, table.representative(l))
-                    for l in table.indices
-                }
+                expansion = expand_in_classes(product, table)
                 rhs = sum(
                     (expansion[l] * dvec[l] for l in table.indices), Fraction(0)
                 )
@@ -302,12 +301,11 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
 # -- exhaustive sweep over every colouring of the 6-clique -------------------------
 #
 # All patterns involved are 6-vertex graphs, so on a 6-vertex host every
-# injective map is one of the 720 vertex bijections.  For each pattern and
-# each bijection, the colour constraints read a fixed subset of the host's
-# 15 pair-colour bits; the bijection therefore matches exactly the hosts in
-# one subcube of {0,1}^15.  Accumulating subcubes gives the exact count of
-# every pattern in all 32768 hosts at once, and every identity becomes an
-# integer identity between count tables.
+# injective map is one of the 720 vertex bijections, and each matches exactly
+# the hosts in one subcube of {0,1}^15.  ``subcube_count_table`` over the 15
+# pairs of the 6-clique therefore counts every pattern in all 32768 hosts at
+# once, and every identity becomes an integer identity between count tables.
+# Rooted counts pin two vertices, so they add their subcubes directly.
 
 
 @dataclass(frozen=True)
@@ -331,37 +329,18 @@ class SweepReport:
         }
 
 
-def _pattern_count_table(pattern: ColoredGraph, pair_index, spread_cache) -> np.ndarray:
-    """Counts of colour-preserving bijections into each of the 32768 hosts."""
-    assert pattern.n == 6
-    edges = [(u, v, 0 if c is Color.RED else 1) for u, v, c in pattern.edges]
-    weights: dict[tuple[int, int], int] = {}
-    for perm in permutations(range(6)):
-        mask = 0
-        val = 0
-        for u, v, bit in edges:
-            p = pair_index[perm[u]][perm[v]]
-            mask |= 1 << p
-            if bit:
-                val |= 1 << p
-        key = (mask, val)
-        weights[key] = weights.get(key, 0) + 1
-    counts = np.zeros(1 << 15, dtype=np.int32)
-    for (mask, val), w in weights.items():
-        counts[_spread(mask, spread_cache) + val] += w
-    return counts
+_K6_PAIRS = tuple(_pair_list(6))
 
 
-def _spread(mask: int, cache: dict) -> np.ndarray:
-    """All subset sums of the pair-bits outside ``mask``."""
-    arr = cache.get(mask)
-    if arr is None:
-        arr = np.zeros(1, dtype=np.int64)
-        for b in range(15):
-            if not (mask >> b) & 1:
-                arr = np.concatenate([arr, arr + (1 << b)])
-        cache[mask] = arr
-    return arr
+def _k6_counts(pattern: ColoredGraph) -> np.ndarray:
+    """Injective counts of a pattern in each of the 32768 6-clique hosts."""
+    return subcube_count_table(pattern, 6, _K6_PAIRS)[0]
+
+
+def _scaled_expansion(pattern: ColoredGraph, table) -> np.ndarray:
+    """The pattern's class expansion times 72, as integers in class order."""
+    expansion = expand_in_classes(pattern, table)
+    return np.array([int(72 * expansion[l]) for l in table.indices], dtype=np.int64)
 
 
 def exhaustive_k6_sweep() -> SweepReport:
@@ -370,18 +349,12 @@ def exhaustive_k6_sweep() -> SweepReport:
     table = builtin.class_table()
     cert = builtin_certificate()
     pair_index = [[0] * n for _ in range(n)]
-    for k, (u, v) in enumerate(_pair_list(n)):
+    for k, (u, v) in enumerate(_K6_PAIRS):
         pair_index[u][v] = k
         pair_index[v][u] = k
-    spread_cache: dict[int, np.ndarray] = {}
 
     mult = np.array([table.multiplicity(l) for l in table.indices], dtype=np.int64)
-    class_counts = np.stack(
-        [
-            _pattern_count_table(table.representative(l), pair_index, spread_cache)
-            for l in table.indices
-        ]
-    ).astype(np.int64)
+    class_counts = np.stack([_k6_counts(table.representative(l)) for l in table.indices])
     weighted = mult[:, None] * class_counts
 
     failures: dict[str, int] = {}
@@ -394,11 +367,8 @@ def exhaustive_k6_sweep() -> SweepReport:
 
     # (b) the target's expansion identity
     target = builtin.target()
-    target_counts = _pattern_count_table(target, pair_index, spread_cache).astype(np.int64)
-    w_target = np.array(
-        [int(72 * t_bip(target, table.representative(l))) for l in table.indices],
-        dtype=np.int64,
-    )
+    target_counts = _k6_counts(target)
+    w_target = _scaled_expansion(target, table)
     rhs = (w_target[:, None] * weighted).sum(axis=0)
     failures["double_count"] = int((72 * target_counts != rhs).sum())
     total_checks += rhs.size
@@ -411,14 +381,8 @@ def exhaustive_k6_sweep() -> SweepReport:
         for i in range(1, 9):
             for j in range(i, 9):
                 product = flag_product(flags[i - 1], flags[j - 1])
-                counts = _pattern_count_table(product, pair_index, spread_cache).astype(np.int64)
-                w = np.array(
-                    [
-                        int(72 * t_bip(product, table.representative(l)))
-                        for l in table.indices
-                    ],
-                    dtype=np.int64,
-                )
+                counts = _k6_counts(product)
+                w = _scaled_expansion(product, table)
                 bad = int((72 * counts != (w[:, None] * weighted).sum(axis=0)).sum())
                 orders = 1 if i == j else 2
                 expansion_failures += orders * bad
@@ -426,8 +390,14 @@ def exhaustive_k6_sweep() -> SweepReport:
     failures["expansions"] = expansion_failures
 
     # (d) the flagged inequality, via rooted count vectors
+    scaled_rows = [
+        [x * builtin.MATRIX_DENOMINATOR for x in row]
+        for row in cert.families[0].matrix.rows
+    ]
+    assert all(x.denominator == 1 for row in scaled_rows for x in row)
+    numerators = np.array([[int(x) for x in row] for row in scaled_rows], dtype=np.int64)
     root_pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    rooted = {}
+    quads = {}
     for fam, flags in families.items():
         x = np.zeros((8, len(root_pairs), 1 << 15), dtype=np.int16)
         for k, flag in enumerate(flags):
@@ -450,19 +420,13 @@ def exhaustive_k6_sweep() -> SweepReport:
                             mask |= 1 << p
                             if bit:
                                 valbits |= 1 << p
-                        x[k, pi][_spread(mask, spread_cache) + valbits] += 1
-        rooted[fam] = x.astype(np.int64)
-
-    scaled_rows = [
-        [x * builtin.MATRIX_DENOMINATOR for x in row]
-        for row in cert.families[0].matrix.rows
-    ]
-    assert all(x.denominator == 1 for row in scaled_rows for x in row)
-    numerators = np.array([[int(x) for x in row] for row in scaled_rows], dtype=np.int64)
-    quads = {
-        fam: np.einsum("ipm,ij,jpm->m", rooted[fam], numerators, rooted[fam])
-        for fam in families
-    }
+                        x[k, pi][subcube_members(mask, 15) + valbits] += 1
+        # one root pair at a time keeps the int64 copies small
+        quad = np.zeros(1 << 15, dtype=np.int64)
+        for pi in range(len(root_pairs)):
+            xp = x[:, pi].astype(np.int64)
+            quad += (xp * (numerators @ xp)).sum(axis=0)
+        quads[fam] = quad
 
     # scale the inequality by 720 * 384 to clear every denominator
     base_scaled = np.zeros(len(table.indices), dtype=np.int64)

@@ -1,5 +1,6 @@
 """Flag products, expansions, PSD checking, the coefficient engine, file I/O."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -28,6 +29,58 @@ from flagcert.graphs import Color
 from test_graphs import SWAP_INVOLUTION
 
 BOUND = Fraction(1, 64)
+
+
+def _edited(edit):
+    """Exported builtin certificate text after ``edit`` changes its JSON object."""
+    obj = json.loads(save_certificate(builtin_certificate()))
+    edit(obj)
+    return json.dumps(obj, indent=2)
+
+
+def _class_on_seven_vertices(obj):
+    obj["classes"][0]["n"] = 7
+    obj["classes"][0]["edges"][-1][1] = 6
+
+
+def _duplicate_bound():
+    text = save_certificate(builtin_certificate())
+    return text.rstrip()[:-1].rstrip() + ',\n  "bound": "1/2"\n}\n'
+
+
+def _duplicate_nested_key():
+    text = save_certificate(builtin_certificate())
+    return text.replace('"target": {\n    "n": 6,', '"target": {\n    "n": 6,\n    "n": 6,', 1)
+
+
+def _set_base_key(key):
+    def edit(obj):
+        obj["base"][key] = obj["base"].pop("4")
+
+    return edit
+
+
+# Texts the reader must refuse, with the path (or key) the error names.
+MALFORMED = {
+    "class_n7": (lambda: _edited(_class_on_seven_vertices), "$.classes[0].n"),
+    "duplicate_bound": (_duplicate_bound, "duplicate key 'bound'"),
+    "duplicate_nested_key": (_duplicate_nested_key, "duplicate key 'n'"),
+    "boolean_roots": (
+        lambda: _edited(lambda o: o["families"][0]["flags"][0].update(roots=[False, True])),
+        "$.families[0].flags[0].roots",
+    ),
+    "boolean_n": (lambda: _edited(lambda o: o["target"].update(n=True)), "$.target.n"),
+    "boolean_endpoint": (
+        lambda: _edited(lambda o: o["target"]["edges"][0].__setitem__(0, False)),
+        "$.target.edges[0]",
+    ),
+    "boolean_part": (
+        lambda: _edited(lambda o: o["template"].update(parts=[True, 3])),
+        "$.template.parts",
+    ),
+    "zero_padded_base_key": (lambda: _edited(_set_base_key("04")), "$.base.04"),
+    "superscript_base_key": (lambda: _edited(_set_base_key("\u00b2")), "$.base.\u00b2"),
+}
 
 
 def frac72(sparse):
@@ -430,3 +483,10 @@ class TestSerialization:
     def test_not_json_rejected(self):
         with pytest.raises(SchemaError):
             load_certificate("certificate { }")
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_malformed_text_rejected(self, kind):
+        make, where = MALFORMED[kind]
+        with pytest.raises(SchemaError) as err:
+            load_certificate(make())
+        assert where in str(err.value)

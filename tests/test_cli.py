@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
 from flagcert.cli import run
+
+from test_certificate import MALFORMED
 
 
 class TestVerify:
@@ -41,6 +45,18 @@ class TestVerify:
         err = capsys.readouterr().err
         assert status == 2
         assert "schema error" in err
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    def test_malformed_certificate_exit_2(self, kind, tmp_path, capsys):
+        make, where = MALFORMED[kind]
+        path = tmp_path / "malformed.json"
+        path.write_text(make(), encoding="utf-8")
+        status = run(["verify", "--cert", str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err.startswith("schema error:")
+        assert where in captured.err
+        assert captured.out == ""
 
     def test_failing_certificate_exit_1(self, tmp_path, capsys):
         exported = tmp_path / "cert.json"

@@ -5,8 +5,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcert import builtin
+from flagcert.certificate import expand_in_classes
 from flagcert.counting import (
     CountAborted,
     alternating_hom_inj_count,
@@ -18,11 +21,19 @@ from flagcert.counting import (
     hom_count,
     hom_inj_count,
     rooted_hom_inj_count,
+    subcube_count_table,
     t_bip,
     t_hom,
     t_inj,
 )
-from flagcert.graphs import Color, ColoredGraph, Flag, alternating_cycle, complete_graph
+from flagcert.graphs import (
+    Color,
+    ColoredGraph,
+    Flag,
+    alternating_cycle,
+    complete_graph,
+    enumerate_template_colorings,
+)
 from flagcert.oracle import random_clique_coloring
 
 
@@ -174,6 +185,50 @@ class TestTBip:
         triangle = complete_graph(3, Color.RED)
         with pytest.raises(ValueError):
             t_bip(triangle, builtin.class_table().representative(1))
+
+
+@st.composite
+def colored_patterns(draw, min_n=2, max_n=7):
+    """Coloured graphs on min_n..max_n vertices; many do not embed in K3,3."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9))
+    colours = draw(
+        st.lists(st.sampled_from(list(Color)), min_size=len(chosen), max_size=len(chosen))
+    )
+    return ColoredGraph(n, [(u, v, c) for (u, v), c in zip(chosen, colours)])
+
+
+class TestSubcubeCountTable:
+    @settings(max_examples=80, deadline=None)
+    @given(colored_patterns())
+    def test_expansion_matches_backtracking(self, h):
+        table = builtin.class_table()
+        try:
+            expected = {l: t_bip(h, table.representative(l)) for l in table.indices}
+        except ValueError:
+            with pytest.raises(ValueError, match="does not embed"):
+                expand_in_classes(h, table)
+            return
+        assert expand_in_classes(h, table) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(colored_patterns(max_n=6), st.integers(0, 511))
+    def test_every_entry_is_a_host_count(self, h, code):
+        tmpl = builtin.template()
+        try:
+            counts, maps = subcube_count_table(h, tmpl.n, tmpl.pairs())
+        except ValueError:
+            assert hom_inj_count(h.all_red_underlying(), tmpl) == 0
+            return
+        host = enumerate_template_colorings(tmpl)[code]
+        assert counts[code] == hom_inj_count(h, host)
+        assert maps == hom_inj_count(h.all_red_underlying(), tmpl)
+
+    def test_rejects_oversized_hosts(self):
+        pairs = tuple((u, v) for u in range(7) for v in range(u + 1, 7))
+        with pytest.raises(ValueError):
+            subcube_count_table(TARGET, 7, pairs)
 
 
 class TestBlowUp:

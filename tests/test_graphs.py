@@ -3,6 +3,8 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcert import builtin
 from flagcert.graphs import (
@@ -207,9 +209,36 @@ class TestClassification:
     def test_class_of_relabelling(self):
         table = builtin.class_table()
         group = builtin.template_group()
-        for index in (3, 11, 19):
+        for index in table.indices:
             rep = table.representative(index)
-            assert table.class_of(rep.relabel(group[17])) == index
+            for perm in group:
+                assert table.class_of(rep.relabel(perm)) == index
+
+    def test_class_of_rejects_other_graphs(self):
+        table = builtin.class_table()
+        assert table.class_of(complete_graph(6, Color.RED)) is None
+        assert table.class_of(alternating_cycle(6)) is None
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_canonical_form_partition(self, rnd):
+        # reference representatives drawn from anywhere in their orbits and
+        # colourings in any order: same aut and multiplicity per class as the
+        # partition by canonical_form and the brute-force automorphism count
+        group = builtin.template_group()
+        colorings = enumerate_template_colorings(builtin.template())
+        rnd.shuffle(colorings)
+        reference = [
+            rep.relabel(rnd.choice(group)) for rep in builtin.class_representatives()
+        ]
+        table = classify(colorings, group, reference)
+        by_code = {}
+        for g in colorings:
+            by_code.setdefault(canonical_form(g, group), []).append(g)
+        for entry, rep in zip(table.classes, reference):
+            assert entry.representative == rep
+            assert entry.aut_count == automorphism_count(rep)
+            assert entry.multiplicity == len(by_code[canonical_form(rep, group)])
 
     def test_swap_involution_is_recorded_permutation(self):
         computed = builtin.class_table().swap_involution()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from flagcert import builtin, oracle
-from flagcert.counting import hom_inj_count, t_inj
+from flagcert.counting import hom_inj_count, subcube_count_table, t_inj
 from flagcert.graphs import Color, alternating_cycle, complete_graph, enumerate_template_colorings
 
 
@@ -133,13 +133,9 @@ class TestExhaustiveSweep:
         # the subcube engine and the backtracking counter must agree host
         # by host; spot-check the extreme and a few scattered colourings
         hosts = enumerate_template_colorings(complete_graph(6, Color.RED))
-        pair_index = [[0] * 6 for _ in range(6)]
-        for k, (u, v) in enumerate(oracle._pair_list(6)):
-            pair_index[u][v] = k
-            pair_index[v][u] = k
-        cache = {}
         target = builtin.target()
-        table = oracle._pattern_count_table(target, pair_index, cache)
+        table, maps = subcube_count_table(target, 6, tuple(oracle._pair_list(6)))
+        assert maps == 720
         for m in (0, 1, 4097, 77, 30000, 32767):
             assert table[m] == hom_inj_count(target, hosts[m])
 
