@@ -8,9 +8,8 @@ gives an integer table over all 2^pairs colourings.  The verifier, the
 classifier and the exhaustive sweep read expansions from these tables.
 Per-host counts (``hom_inj_count``, ``rooted_hom_inj_count``, ``t_bip``) are
 backtracking searches with early pruning; they serve the oracle's concrete
-hosts and are the independent reference for the tables in the tests.  Long
-searches poll an optional cooperative cancellation token.  All densities are
-`fractions.Fraction` values and never touch floating point.
+hosts and are the independent reference for the tables in the tests.  All
+densities are `fractions.Fraction` values and never touch floating point.
 """
 
 from __future__ import annotations
@@ -22,13 +21,6 @@ from itertools import permutations
 import numpy as np
 
 from .graphs import ClassTable, Color, ColoredGraph, Flag
-
-_CANCEL_POLL_INTERVAL = 4096
-
-
-class CountAborted(RuntimeError):
-    """Raised when a cancellation token interrupts an exhaustive count."""
-
 
 def _search_plan(h: ColoredGraph, pinned: tuple[int, ...] = ()):
     """Visit order and incremental edge constraints for backtracking.
@@ -70,13 +62,9 @@ def _search_plan(h: ColoredGraph, pinned: tuple[int, ...] = ()):
 
 
 def _count_maps(
-    h: ColoredGraph,
-    g: ColoredGraph,
-    injective: bool,
-    root_images: dict[int, int] | None = None,
-    cancel=None,
+    h: ColoredGraph, g: ColoredGraph, root_images: dict[int, int] | None = None
 ) -> int:
-    """Count colour-preserving maps V(h) -> V(g), brute force with pruning."""
+    """Count injective colour-preserving maps V(h) -> V(g), pruning early."""
     pinned = tuple(root_images) if root_images else ()
     order, constraints = _search_plan(h, pinned)
     matrix = g.color_matrix()
@@ -91,25 +79,21 @@ def _count_maps(
         for slot, bit in constraints[k]:
             if matrix[w][images[slot]] != bit:
                 return 0
-        if injective and used[w]:
+        if used[w]:
             return 0
         images[k] = w
         used[w] = True
 
     count = 0
-    nodes = 0
 
     def extend(k: int) -> None:
-        nonlocal count, nodes
+        nonlocal count
         if k == n_h:
             count += 1
             return
-        nodes += 1
-        if cancel is not None and nodes % _CANCEL_POLL_INTERVAL == 0 and cancel.is_set():
-            raise CountAborted("count cancelled by caller")
         cons = constraints[k]
         for w in range(n_g):
-            if injective and used[w]:
+            if used[w]:
                 continue
             row = matrix[w]
             ok = True
@@ -119,33 +103,22 @@ def _count_maps(
                     break
             if ok:
                 images[k] = w
-                if injective:
-                    used[w] = True
+                used[w] = True
                 extend(k + 1)
-                if injective:
-                    used[w] = False
+                used[w] = False
 
-    if cancel is not None and cancel.is_set():
-        raise CountAborted("count cancelled by caller")
     extend(start)
     return count
 
 
-def hom_count(h: ColoredGraph, g: ColoredGraph, cancel=None) -> int:
-    """Maps V(h) -> V(g) carrying each edge to an equally coloured edge."""
-    return _count_maps(h, g, injective=False, cancel=cancel)
-
-
-def hom_inj_count(h: ColoredGraph, g: ColoredGraph, cancel=None) -> int:
+def hom_inj_count(h: ColoredGraph, g: ColoredGraph) -> int:
     """Injective colour-preserving maps; 0 whenever v(g) < v(h)."""
     if g.n < h.n:
         return 0
-    return _count_maps(h, g, injective=True, cancel=cancel)
+    return _count_maps(h, g)
 
 
-def rooted_hom_inj_count(
-    f: Flag, g: ColoredGraph, u: int, v: int, cancel=None
-) -> int:
+def rooted_hom_inj_count(f: Flag, g: ColoredGraph, u: int, v: int) -> int:
     """Injective colour homs of the flag pinning root 1 to u and root 2 to v."""
     if u == v:
         raise ValueError("root images must be distinct")
@@ -154,9 +127,7 @@ def rooted_hom_inj_count(
     if g.n < f.graph.n:
         return 0
     r1, r2 = f.roots
-    return _count_maps(
-        f.graph, g, injective=True, root_images={r1: u, r2: v}, cancel=cancel
-    )
+    return _count_maps(f.graph, g, root_images={r1: u, r2: v})
 
 
 def falling_factorial(n: int, k: int) -> int:
@@ -166,19 +137,14 @@ def falling_factorial(n: int, k: int) -> int:
     return out
 
 
-def t_hom(h: ColoredGraph, g: ColoredGraph, cancel=None) -> Fraction:
-    """hom(h, g) / v(g)^v(h)."""
-    return Fraction(hom_count(h, g, cancel=cancel), g.n ** h.n)
-
-
-def t_inj(h: ColoredGraph, g: ColoredGraph, cancel=None) -> Fraction:
+def t_inj(h: ColoredGraph, g: ColoredGraph) -> Fraction:
     """Probability that a uniform injective map V(h) -> V(g) is a hom."""
     if g.n < h.n:
         return Fraction(0)
-    return Fraction(hom_inj_count(h, g, cancel=cancel), falling_factorial(g.n, h.n))
+    return Fraction(hom_inj_count(h, g), falling_factorial(g.n, h.n))
 
 
-def d_density(index: int, g: ColoredGraph, table: ClassTable, cancel=None) -> Fraction:
+def d_density(index: int, g: ColoredGraph, table: ClassTable) -> Fraction:
     """Isomorphism-class density: multiplicity times injective density.
 
     Defined on coloured cliques only.
@@ -186,15 +152,15 @@ def d_density(index: int, g: ColoredGraph, table: ClassTable, cancel=None) -> Fr
     if not g.is_clique():
         raise ValueError("class densities are defined on cliques only")
     entry = table.entry(index)
-    return entry.multiplicity * t_inj(entry.representative, g, cancel=cancel)
+    return entry.multiplicity * t_inj(entry.representative, g)
 
 
-def density_vector(g: ColoredGraph, table: ClassTable, cancel=None) -> dict[int, Fraction]:
+def density_vector(g: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
     """All 26 class densities of a coloured clique."""
-    return {index: d_density(index, g, table, cancel=cancel) for index in table.indices}
+    return {index: d_density(index, g, table) for index in table.indices}
 
 
-def t_bip(h: ColoredGraph, j: ColoredGraph, cancel=None) -> Fraction:
+def t_bip(h: ColoredGraph, j: ColoredGraph) -> Fraction:
     """Conditional density of the pattern among template embeddings.
 
     The fraction of injective adjacency-preserving maps of the underlying
@@ -203,10 +169,10 @@ def t_bip(h: ColoredGraph, j: ColoredGraph, cancel=None) -> Fraction:
     """
     shadow_h = h.all_red_underlying()
     shadow_j = j.all_red_underlying()
-    den = hom_inj_count(shadow_h, shadow_j, cancel=cancel)
+    den = hom_inj_count(shadow_h, shadow_j)
     if den == 0:
         raise ValueError("pattern does not embed in the template")
-    return Fraction(hom_inj_count(h, j, cancel=cancel), den)
+    return Fraction(hom_inj_count(h, j), den)
 
 
 # -- subcube count tables -------------------------------------------------------

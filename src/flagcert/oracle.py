@@ -72,20 +72,20 @@ def random_clique_coloring(n: int, seed: int) -> ColoredGraph:
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    edges = []
-    for k, (u, v) in enumerate(_pair_list(n)):
-        bit = stream_value(seed, k) & 1
-        edges.append((u, v, Color.RED if bit == 0 else Color.BLUE))
-    return ColoredGraph(n, edges)
+    blue = _random_clique_matrices(n, seed)[1].tolist()
+    return ColoredGraph(
+        n, ((u, v, Color.BLUE if blue[u][v] else Color.RED) for u, v in _pair_list(n))
+    )
 
 
 def _random_clique_matrices(n: int, seed: int):
-    """Red/blue adjacency of random_clique_coloring, built vectorized.
+    """Red/blue adjacency matrices of ``random_clique_coloring(n, seed)``.
 
-    Bit-for-bit the same colours as the scalar path.
+    Pair k in sorted order is blue when bit 0 of ``stream_value(seed, k)`` is
+    set; like ``stream_value``, the seed is taken mod 2**64.
     """
     idx = np.arange(n * (n - 1) // 2, dtype=np.uint64)
-    z = (np.uint64(seed) + (idx + np.uint64(1)) * np.uint64(_GOLDEN))
+    z = (np.uint64(seed & _MASK64) + (idx + np.uint64(1)) * np.uint64(_GOLDEN))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z = z ^ (z >> np.uint64(31))
@@ -141,13 +141,6 @@ class OracleReport:
                 for r in self.records
             ],
         }
-
-
-def _merge_reports(reports) -> OracleReport:
-    records = []
-    for rep in reports:
-        records.extend(rep.records)
-    return OracleReport(tuple(records))
 
 
 # -- identity checks on one concrete clique ---------------------------------------

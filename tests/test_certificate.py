@@ -80,6 +80,8 @@ MALFORMED = {
     ),
     "zero_padded_base_key": (lambda: _edited(_set_base_key("04")), "$.base.04"),
     "superscript_base_key": (lambda: _edited(_set_base_key("\u00b2")), "$.base.\u00b2"),
+    # an Arabic-Indic digit one: int() would read it, the writer never emits it
+    "arabic_indic_bound": (lambda: _edited(lambda o: o.update(bound="\u0661/64")), "$.bound"),
 }
 
 
@@ -412,7 +414,7 @@ class TestSerialization:
         assert format_rational(parse_rational("3/1", "$.x")) == "3"
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "1/0", "1/-2", "a/b", "1.5", "+1/2"):
+        for bad in ("", "1/0", "1/-2", "a/b", "1.5", "+1/2", "1/64\n", "\u0661/64"):
             with pytest.raises(SchemaError):
                 parse_rational(bad, "$.x")
 

@@ -32,18 +32,16 @@ class TestRandomness:
     def test_output_is_a_clique(self):
         assert oracle.random_clique_coloring(7, 3).is_clique()
 
-    def test_vectorized_matrices_match_scalar_graph(self):
-        for n, seed in ((2, 0), (6, 9), (13, 77)):
+    def test_pairs_follow_scalar_stream(self):
+        # pair k in sorted order is blue exactly when stream value k is odd;
+        # negative and oversized seeds reduce mod 2**64 as in stream_value
+        for n, seed in ((1, 5), (9, 42), (13, 77), (10, -1), (10, 2**64 + 5)):
             g = oracle.random_clique_coloring(n, seed)
-            red, blue = oracle._random_clique_matrices(n, seed)
-            for u in range(n):
-                for v in range(n):
-                    if u == v:
-                        assert red[u, v] == blue[u, v] == 0
-                        continue
-                    c = g.edge_color(u, v)
-                    assert red[u, v] == int(c is Color.RED)
-                    assert blue[u, v] == int(c is Color.BLUE)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            assert g.pairs() == tuple(pairs)
+            for k, (u, v) in enumerate(pairs):
+                blue = oracle.stream_value(seed, k) & 1 == 1
+                assert (g.edge_color(u, v) is Color.BLUE) == blue
 
 
 class TestIdentityChecks:
