@@ -4,8 +4,9 @@ Two exact counters live here.  ``subcube_count_table`` counts a pattern in
 every colouring of a small labelled host at once: each injective map of the
 pattern's edges onto host pairs fixes the colours of the pairs it covers, so
 it matches exactly the colourings in one subcube, and adding the subcubes
-gives an integer table over all 2^pairs colourings.  The verifier, the
-classifier and the exhaustive sweep read expansions from these tables.
+gives an integer table over all 2^pairs colourings; pinning pattern
+vertices to host vertices gives rooted counts the same way.  The verifier,
+the classifier and the exhaustive sweep read their counts from these tables.
 Per-host counts (``hom_inj_count``, ``rooted_hom_inj_count``, ``t_bip``) are
 backtracking searches with early pruning; they serve the oracle's concrete
 hosts and are the independent reference for the tables in the tests.  All
@@ -198,19 +199,27 @@ def subcube_members(mask: int, bits: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _embeddings(
-    k: int, shape: tuple[tuple[int, int], ...], n: int, pairs: tuple[tuple[int, int], ...]
+    k: int,
+    shape: tuple[tuple[int, int], ...],
+    n: int,
+    pairs: tuple[tuple[int, int], ...],
+    pinned: tuple[tuple[int, int], ...],
 ):
     """Injective maps of a k-vertex edge shape that send every edge onto a pair.
 
-    Returns (positions, free, inverse): positions[m, e] is the pair index
-    that map m gives edge e, and free[inverse[m]] lists the colourings that
-    are zero on every pair map m covers.  Shared by all colourings of a shape.
+    Only maps sending each pinned (pattern vertex, host vertex) as given are
+    kept.  Returns (positions, free, inverse): positions[m, e] is the pair
+    index that map m gives edge e, and free[inverse[m]] lists the colourings
+    that are zero on every pair map m covers.  Shared by all colourings of a
+    shape.
     """
     index = {}
     for p, (u, v) in enumerate(pairs):
         index[(u, v)] = index[(v, u)] = p
     rows = []
     for image in permutations(range(n), k):
+        if any(image[a] != b for a, b in pinned):
+            continue
         row = [index.get((image[u], image[v])) for u, v in shape]
         if None not in row:
             rows.append(row)
@@ -224,7 +233,10 @@ def _embeddings(
 
 
 def subcube_count_table(
-    h: ColoredGraph, n: int, pairs: tuple[tuple[int, int], ...]
+    h: ColoredGraph,
+    n: int,
+    pairs: tuple[tuple[int, int], ...],
+    root_images: dict[int, int] | None = None,
 ) -> tuple[np.ndarray, int]:
     """Colour-preserving injective counts of ``h`` in every colouring of a host.
 
@@ -233,7 +245,9 @@ def subcube_count_table(
     Returns ``(table, maps)``: ``table[x]`` equals ``hom_inj_count(h, host_x)``
     for each of the ``2**len(pairs)`` colourings, and ``maps`` counts the
     injective maps sending every edge of ``h`` onto a host pair, the
-    denominator of ``t_bip``.  Raises ``ValueError`` when there are none.
+    denominator of ``t_bip``.  ``root_images`` pins pattern vertices to host
+    vertices, as in ``rooted_hom_inj_count``, and counts only those maps.
+    Raises ``ValueError`` when there are none.
     """
     if len(pairs) > _MAX_TABLE_PAIRS or n > _MAX_TABLE_N:
         raise ValueError(
@@ -241,7 +255,8 @@ def subcube_count_table(
             f"{_MAX_TABLE_N} vertices"
         )
     shape = tuple((u, v) for u, v, _ in h.edges)
-    positions, free, inverse = _embeddings(h.n, shape, n, tuple(pairs))
+    pinned = tuple(sorted(root_images.items())) if root_images else ()
+    positions, free, inverse = _embeddings(h.n, shape, n, tuple(pairs), pinned)
     if not len(positions):
         raise ValueError("pattern does not embed in the template")
     blue = [e for e, (_, _, c) in enumerate(h.edges) if c is Color.BLUE]
@@ -295,8 +310,22 @@ def _color_adjacency(g: ColoredGraph):
     return red, blue
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
 def alternating_hom_inj_from_matrices(red, blue) -> int:
-    """Injective alternating-6-cycle count from 0/1 adjacency matrices."""
+    """Injective alternating-6-cycle count from 0/1 adjacency matrices.
+
+    No int64 entry or sum here exceeds the n(n-1)^5 closed alternating
+    walks, so hosts where that bound passes 2^63 - 1 (n > 1448) are refused
+    before any product rather than left to wrap silently.
+    """
+    n = red.shape[0]
+    if n * (n - 1) ** 5 > _INT64_MAX:
+        raise ValueError(
+            f"host with {n} vertices rejected: its walk counts can overflow "
+            "64-bit integers; limit is n <= 1448"
+        )
     rb = red @ blue
     walks = int((rb @ rb @ rb).trace())
     rbr = (rb @ red).diagonal()
@@ -307,8 +336,6 @@ def alternating_hom_inj_from_matrices(red, blue) -> int:
 
 def alternating_hom_inj_count(g: ColoredGraph) -> int:
     """Exact injective count of the alternating 6-cycle in any host."""
-    if g.n > 4000:
-        raise ValueError("host too large for 64-bit walk counting")
     return alternating_hom_inj_from_matrices(*_color_adjacency(g))
 
 

@@ -232,14 +232,6 @@ def automorphism_count(g: ColoredGraph) -> int:
 
 # -- canonical forms and classification -------------------------------------
 
-def encode(g: ColoredGraph) -> tuple:
-    """Bit-exact edge encoding as a tuple of ((u, v), colour bit) entries.
-
-    Pairs sorted lexicographically, red=0, blue=1.
-    """
-    return tuple(((u, v), _COLOR_BIT[c]) for u, v, c in g.edges)
-
-
 def canonical_form(g: ColoredGraph, group: Sequence[Sequence[int]]) -> tuple:
     """Lexicographically least encoding of ``g`` over the permutation group."""
     best = None

@@ -10,13 +10,16 @@ seed and an index, so results never depend on iteration order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
 from . import builtin
 from .certificate import (
+    Certificate,
     builtin_certificate,
     expand_in_classes,
     flag_product,
@@ -30,7 +33,6 @@ from .counting import (
     hom_inj_count,
     rooted_hom_inj_count,
     subcube_count_table,
-    subcube_members,
     t_inj,
 )
 from .graphs import Color, ColoredGraph
@@ -146,6 +148,23 @@ class OracleReport:
 # -- identity checks on one concrete clique ---------------------------------------
 
 
+def _flag_pairs(cert: Certificate):
+    """Every unordered flag pair i <= j (0-based) of every family.
+
+    Yields (family, i, j, labels, product): ``labels`` names the one or two
+    ordered pairs, such as ``R1.2`` and ``R2.1``, that glue to ``product``.
+    """
+    for family in cert.families:
+        fam = family.root_edge_color.value
+        m = len(family.flags)
+        for i in range(m):
+            for j in range(i, m):
+                labels = (f"{fam}{i + 1}.{j + 1}",)
+                if i != j:
+                    labels += (f"{fam}{j + 1}.{i + 1}",)
+                yield family, i, j, labels, flag_product(family.flags[i], family.flags[j])
+
+
 def check_identities(g: ColoredGraph) -> OracleReport:
     """Recount both sides of every identity on one coloured clique.
 
@@ -156,44 +175,25 @@ def check_identities(g: ColoredGraph) -> OracleReport:
     if not g.is_clique():
         raise ValueError("identity checks require a coloured clique host")
     table = builtin.class_table()
+    cert = builtin_certificate()
     name = f"clique n={g.n}"
-    records = []
 
     dvec = density_vector(g, table)
-    records.append(
-        OracleRecord(
-            "sum_to_one", name, sum(dvec.values(), Fraction(0)), Fraction(1),
-            sum(dvec.values(), Fraction(0)) == 1,
-        )
-    )
+    total = sum(dvec.values(), Fraction(0))
+    records = [OracleRecord("sum_to_one", name, total, Fraction(1), total == 1)]
 
-    target = builtin.target()
-    lhs = t_inj(target, g)
-    target_expansion = expand_in_classes(target, table)
-    rhs = sum(
-        (target_expansion[l] * dvec[l] for l in table.indices), Fraction(0)
-    )
+    def expanded(pattern: ColoredGraph) -> Fraction:
+        expansion = expand_in_classes(pattern, table)
+        return sum((expansion[l] * dvec[l] for l in table.indices), Fraction(0))
+
+    lhs, rhs = t_inj(cert.target, g), expanded(cert.target)
     records.append(OracleRecord("double_count", name, lhs, rhs, lhs == rhs))
-
-    families = {"R": builtin.red_flags(), "B": builtin.blue_flags()}
-    for fam, flags in families.items():
-        for i in range(1, 9):
-            for j in range(i, 9):
-                product = flag_product(flags[i - 1], flags[j - 1])
-                lhs = t_inj(product, g)
-                expansion = expand_in_classes(product, table)
-                rhs = sum(
-                    (expansion[l] * dvec[l] for l in table.indices), Fraction(0)
-                )
-                records.append(
-                    OracleRecord(f"expansion_{fam}{i}.{j}", name, lhs, rhs, lhs == rhs)
-                )
-                if i != j:
-                    records.append(
-                        OracleRecord(
-                            f"expansion_{fam}{j}.{i}", name, lhs, rhs, lhs == rhs
-                        )
-                    )
+    for _, _, _, labels, product in _flag_pairs(cert):
+        lhs, rhs = t_inj(product, g), expanded(product)
+        records.extend(
+            OracleRecord(f"expansion_{label}", name, lhs, rhs, lhs == rhs)
+            for label in labels
+        )
     return OracleReport(tuple(records))
 
 
@@ -204,8 +204,8 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
     """Evaluate the certificate's upper-bound expression exactly on a clique.
 
     Records the target density (lhs), the bound expression (rhs) built from
-    base densities plus the two rooted quadratic forms, and the per-pair
-    overlap surpluses that the bound discards.
+    base densities plus the rooted quadratic forms, and the per-pair overlap
+    surpluses that the bound discards.
     """
     if not g.is_clique():
         raise ValueError("the flagged inequality is stated for coloured cliques")
@@ -220,75 +220,36 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
         )
     table = builtin.class_table()
     cert = builtin_certificate()
-    matrix = cert.families[0].matrix
     name = f"clique n={n}"
-    records = []
 
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    vectors = {}
-    for fam, flags in (("R", builtin.red_flags()), ("B", builtin.blue_flags())):
-        vectors[fam] = {
-            (u, v): [rooted_hom_inj_count(f, g, u, v) for f in flags]
-            for u, v in pairs
-        }
-
-    quad = {"R": 0, "B": 0}
-    den = builtin.MATRIX_DENOMINATOR
-    num = [[matrix.rows[i][j] * den for j in range(8)] for i in range(8)]
-    if any(x.denominator != 1 for row in num for x in row):
-        raise ValueError("certificate matrix entries must share denominator 128")
-    num = [[int(x) for x in row] for row in num]
-    for fam in ("R", "B"):
-        total = 0
-        for uv in pairs:
-            x = vectors[fam][uv]
-            total += sum(
-                num[i][j] * x[i] * x[j] for i in range(8) for j in range(8)
-            )
-        quad[fam] = total
+    # each flag's rooted counts over all ordered root pairs; their Gram sums
+    # give both the quadratic form and, against the count of the glued
+    # product, the overlap surplus
+    counts = {
+        f: [rooted_hom_inj_count(f, g, u, v) for u, v in permutations(range(n), 2)]
+        for family in cert.families
+        for f in family.flags
+    }
+    quad = Fraction(0)
+    surpluses = []
+    for family, i, j, labels, product in _flag_pairs(cert):
+        fi, fj = family.flags[i], family.flags[j]
+        gram = sum(a * b for a, b in zip(counts[fi], counts[fj]))
+        quad += len(labels) * family.matrix.rows[i][j] * gram
+        surplus = Fraction(gram - hom_inj_count(product, g))
+        surpluses.extend(
+            OracleRecord(f"overlap_surplus_{label}", name, surplus, Fraction(0), surplus >= 0)
+            for label in labels
+        )
 
     base_part = sum(
         (coeff * d_density(l, g, table) for l, coeff in cert.base.items()),
         Fraction(0),
     )
-    rhs = base_part + Fraction(quad["R"] + quad["B"], den * falling_factorial(n, 6))
-    lhs = t_inj(builtin.target(), g)
-    records.append(
-        OracleRecord("flagged_inequality", name, lhs, rhs, lhs <= rhs)
-    )
-
-    # Overlap surplus: the nonnegative difference between products of rooted
-    # counts and rooted counts of the glued product, summed over root pairs.
-    for fam, flags in (("R", builtin.red_flags()), ("B", builtin.blue_flags())):
-        for i in range(1, 9):
-            for j in range(i, 9):
-                product = flag_product(flags[i - 1], flags[j - 1])
-                glued = hom_inj_count(product, g)
-                overlap = sum(
-                    vectors[fam][uv][i - 1] * vectors[fam][uv][j - 1]
-                    for uv in pairs
-                )
-                surplus = Fraction(overlap - glued)
-                records.append(
-                    OracleRecord(
-                        f"overlap_surplus_{fam}{i}.{j}",
-                        name,
-                        surplus,
-                        Fraction(0),
-                        surplus >= 0,
-                    )
-                )
-                if i != j:
-                    records.append(
-                        OracleRecord(
-                            f"overlap_surplus_{fam}{j}.{i}",
-                            name,
-                            surplus,
-                            Fraction(0),
-                            surplus >= 0,
-                        )
-                    )
-    return OracleReport(tuple(records))
+    rhs = base_part + quad / falling_factorial(n, 6)
+    lhs = t_inj(cert.target, g)
+    inequality = OracleRecord("flagged_inequality", name, lhs, rhs, lhs <= rhs)
+    return OracleReport((inequality, *surpluses))
 
 
 # -- exhaustive sweep over every colouring of the 6-clique -------------------------
@@ -298,7 +259,7 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
 # the hosts in one subcube of {0,1}^15.  ``subcube_count_table`` over the 15
 # pairs of the 6-clique therefore counts every pattern in all 32768 hosts at
 # once, and every identity becomes an integer identity between count tables.
-# Rooted counts pin two vertices, so they add their subcubes directly.
+# Rooted counts are the same tables with the two roots pinned to a host pair.
 
 
 @dataclass(frozen=True)
@@ -339,12 +300,10 @@ def _scaled_expansion(pattern: ColoredGraph, table) -> np.ndarray:
 def exhaustive_k6_sweep() -> SweepReport:
     """Check every identity and the inequality on all 32768 6-clique hosts."""
     n = 6
+    perms = math.factorial(n)
     table = builtin.class_table()
     cert = builtin_certificate()
-    pair_index = [[0] * n for _ in range(n)]
-    for k, (u, v) in enumerate(_K6_PAIRS):
-        pair_index[u][v] = k
-        pair_index[v][u] = k
+    flag_pairs = list(_flag_pairs(cert))
 
     mult = np.array([table.multiplicity(l) for l in table.indices], dtype=np.int64)
     class_counts = np.stack([_k6_counts(table.representative(l)) for l in table.indices])
@@ -355,90 +314,60 @@ def exhaustive_k6_sweep() -> SweepReport:
 
     # (a) class densities sum to one
     sums = weighted.sum(axis=0)
-    failures["sum_to_one"] = int((sums != 720).sum())
+    failures["sum_to_one"] = int((sums != perms).sum())
     total_checks += sums.size
 
     # (b) the target's expansion identity
-    target = builtin.target()
-    target_counts = _k6_counts(target)
-    w_target = _scaled_expansion(target, table)
+    target_counts = _k6_counts(cert.target)
+    w_target = _scaled_expansion(cert.target, table)
     rhs = (w_target[:, None] * weighted).sum(axis=0)
     failures["double_count"] = int((72 * target_counts != rhs).sum())
     total_checks += rhs.size
 
-    # (c) the 128 ordered product expansions (64 per family; the two orders
-    # of a pair glue to the same graph, so each unordered table serves both)
+    # (c) the ordered product expansions; the orders of a pair glue to the
+    # same graph, so each unordered table serves all of its labels
     expansion_failures = 0
-    families = {"R": builtin.red_flags(), "B": builtin.blue_flags()}
-    for fam, flags in families.items():
-        for i in range(1, 9):
-            for j in range(i, 9):
-                product = flag_product(flags[i - 1], flags[j - 1])
-                counts = _k6_counts(product)
-                w = _scaled_expansion(product, table)
-                bad = int((72 * counts != (w[:, None] * weighted).sum(axis=0)).sum())
-                orders = 1 if i == j else 2
-                expansion_failures += orders * bad
-                total_checks += orders * counts.size
+    for _, _, _, labels, product in flag_pairs:
+        counts = _k6_counts(product)
+        w = _scaled_expansion(product, table)
+        bad = int((72 * counts != (w[:, None] * weighted).sum(axis=0)).sum())
+        expansion_failures += len(labels) * bad
+        total_checks += len(labels) * counts.size
     failures["expansions"] = expansion_failures
 
-    # (d) the flagged inequality, via rooted count vectors
-    scaled_rows = [
-        [x * builtin.MATRIX_DENOMINATOR for x in row]
-        for row in cert.families[0].matrix.rows
+    # (d) the flagged inequality times perms * scale, which clears every
+    # denominator; the quadratic part sums weight * x_i * x_j over root
+    # pairs, with x the flags' rooted count tables
+    scale = math.lcm(
+        *(c.denominator for c in cert.base.values()),
+        *(x.denominator for f in cert.families for row in f.matrix.rows for x in row),
+    )
+    terms = [
+        (family.flags[i], family.flags[j], int(len(labels) * scale * family.matrix.rows[i][j]))
+        for family, i, j, labels, _ in flag_pairs
     ]
-    assert all(x.denominator == 1 for row in scaled_rows for x in row)
-    numerators = np.array([[int(x) for x in row] for row in scaled_rows], dtype=np.int64)
-    root_pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    quads = {}
-    for fam, flags in families.items():
-        x = np.zeros((8, len(root_pairs), 1 << 15), dtype=np.int16)
-        for k, flag in enumerate(flags):
-            fl_edges = [
-                (u, v, 0 if c is Color.RED else 1) for u, v, c in flag.graph.edges
-            ]
-            r1, r2 = flag.roots
-            others = [v for v in range(4) if v not in (r1, r2)]
-            for pi, (u, v) in enumerate(root_pairs):
-                rest = [w for w in range(n) if w not in (u, v)]
-                for w in rest:
-                    for z in rest:
-                        if w == z:
-                            continue
-                        image = {r1: u, r2: v, others[0]: w, others[1]: z}
-                        mask = 0
-                        valbits = 0
-                        for a, b, bit in fl_edges:
-                            p = pair_index[image[a]][image[b]]
-                            mask |= 1 << p
-                            if bit:
-                                valbits |= 1 << p
-                        x[k, pi][subcube_members(mask, 15) + valbits] += 1
-        # one root pair at a time keeps the int64 copies small
-        quad = np.zeros(1 << 15, dtype=np.int64)
-        for pi in range(len(root_pairs)):
-            xp = x[:, pi].astype(np.int64)
-            quad += (xp * (numerators @ xp)).sum(axis=0)
-        quads[fam] = quad
+    quad = np.zeros(1 << 15, dtype=np.int64)
+    for u, v in permutations(range(n), 2):
+        x = {
+            f: subcube_count_table(f.graph, n, _K6_PAIRS, dict(zip(f.roots, (u, v))))[0]
+            for family in cert.families
+            for f in family.flags
+        }
+        for fi, fj, weight in terms:
+            quad += weight * x[fi] * x[fj]
 
-    # scale the inequality by 720 * 384 to clear every denominator
     base_scaled = np.zeros(len(table.indices), dtype=np.int64)
     for l, coeff in cert.base.items():
-        scaled = 384 * coeff
-        base_scaled[l - 1] = int(scaled)
-        assert scaled == int(scaled)
-    lhs_scaled = 384 * target_counts
-    rhs_scaled = (base_scaled[:, None] * weighted).sum(axis=0) + 3 * (
-        quads["R"] + quads["B"]
-    )
-    slack = rhs_scaled - lhs_scaled
+        base_scaled[l - 1] = int(scale * coeff)
+    rhs_scaled = (base_scaled[:, None] * weighted).sum(axis=0) + quad
+    slack = rhs_scaled - scale * target_counts
     failures["flagged_inequality"] = int((slack < 0).sum())
     total_checks += slack.size
 
     return SweepReport(
         hosts=1 << 15,
         failures=failures,
-        min_inequality_slack=Fraction(int(slack.min()), 384 * 720),
+        min_inequality_slack=Fraction(int(slack.min()), scale * perms),
         checks=total_checks,
     )
 

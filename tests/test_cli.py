@@ -161,3 +161,8 @@ class TestOracleCommands:
         status = run(["oracle", "inequality", "--n", "20", "--seed", "0"])
         assert status == 2
         assert "rejected" in capsys.readouterr().err
+
+    def test_montecarlo_overflow_guard_exit_2(self, capsys):
+        status = run(["oracle", "montecarlo", "--n", "1449", "--trials", "1"])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error: host with 1449 vertices rejected")

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from flagcert import builtin
 from flagcert.certificate import expand_in_classes
 from flagcert.counting import (
     alternating_hom_inj_count,
+    alternating_hom_inj_from_matrices,
     alternating_t_inj,
     blow_up,
     d_density,
@@ -220,6 +222,22 @@ class TestSubcubeCountTable:
         assert counts[code] == hom_inj_count(h, host)
         assert maps == hom_inj_count(h.all_red_underlying(), tmpl)
 
+    @settings(max_examples=40, deadline=None)
+    @given(colored_patterns(max_n=6), st.integers(0, 511), st.data())
+    def test_pinned_entry_is_a_rooted_host_count(self, h, code, data):
+        tmpl = builtin.template()
+        a, b = data.draw(st.permutations(range(h.n)))[:2]
+        u, v = data.draw(st.permutations(range(tmpl.n)))[:2]
+        flag = Flag(h, (a, b))
+        try:
+            counts, _ = subcube_count_table(h, tmpl.n, tmpl.pairs(), {a: u, b: v})
+        except ValueError:
+            shadow = Flag(h.all_red_underlying(), (a, b))
+            assert rooted_hom_inj_count(shadow, tmpl, u, v) == 0
+            return
+        host = enumerate_template_colorings(tmpl)[code]
+        assert counts[code] == rooted_hom_inj_count(flag, host, u, v)
+
     def test_rejects_oversized_hosts(self):
         pairs = tuple((u, v) for u in range(7) for v in range(u + 1, 7))
         with pytest.raises(ValueError):
@@ -301,6 +319,12 @@ class TestFastAlternatingCount:
         ]
         for g in hosts:
             assert alternating_hom_inj_count(g) == hom_inj_count(TARGET, g)
+
+    def test_refuses_hosts_whose_walks_overflow_int64(self):
+        # 1449 * 1448**5 > 2**63 - 1; the broadcast zeros allocate nothing
+        zeros = np.broadcast_to(np.int64(0), (1449, 1449))
+        with pytest.raises(ValueError, match="n <= 1448"):
+            alternating_hom_inj_from_matrices(zeros, zeros)
 
     def test_t_inj_wrapper(self):
         g = random_clique_coloring(9, 13)

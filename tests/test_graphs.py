@@ -15,7 +15,6 @@ from flagcert.graphs import (
     canonical_form,
     classify,
     complete_graph,
-    encode,
     enumerate_template_colorings,
     underlying_automorphisms,
 )
@@ -129,12 +128,11 @@ class TestAutomorphismCount:
 
 class TestCanonicalForm:
     def test_identity_group_reproduces_plain_encoding(self):
+        # sorted ((u, v), colour bit) entries, red=0, blue=1
         g = alternating_cycle(6)
-        assert canonical_form(g, [tuple(range(6))]) == encode(g)
-
-    def test_encoding_order_and_bits(self):
-        g = ColoredGraph(3, [(1, 2, Color.BLUE), (0, 1, Color.RED)])
-        assert encode(g) == (((0, 1), 0), ((1, 2), 1))
+        assert canonical_form(g, [tuple(range(6))]) == (
+            ((0, 1), 0), ((0, 5), 1), ((1, 2), 1), ((2, 3), 0), ((3, 4), 1), ((4, 5), 0),
+        )
 
     def test_constant_on_relabellings(self):
         group = builtin.template_group()

@@ -94,6 +94,15 @@ class TestFlaggedInequality:
             report = oracle.check_flagged_inequality(g)
             assert report.passed
 
+    @pytest.mark.parametrize(
+        "n, seed, rhs, surplus",
+        [(8, 0, Fraction(2869, 46080), 30240), (10, 3, Fraction(11087, 268800), 131040)],
+    )
+    def test_pinned_values(self, n, seed, rhs, surplus):
+        report = oracle.check_flagged_inequality(oracle.random_clique_coloring(n, seed))
+        assert report.records[0].rhs == rhs
+        assert sum(r.lhs for r in report.records[1:]) == surplus
+
     def test_surplus_records_present_and_nonnegative(self):
         report = oracle.check_flagged_inequality(oracle.random_clique_coloring(7, 5))
         surpluses = [r for r in report.records if r.check.startswith("overlap_surplus_")]
@@ -125,7 +134,8 @@ class TestExhaustiveSweep:
             "expansions": 0,
             "flagged_inequality": 0,
         }
-        assert report.min_inequality_slack >= 0
+        assert report.min_inequality_slack == Fraction(3, 32)
+        assert report.checks == 4292608
 
     def test_count_tables_match_brute_force(self):
         # the subcube engine and the backtracking counter must agree host
