@@ -121,6 +121,7 @@ def hom_inj_count(h: ColoredGraph, g: ColoredGraph) -> int:
 
 def rooted_hom_inj_count(f: Flag, g: ColoredGraph, u: int, v: int) -> int:
     """Injective colour homs of the flag pinning root 1 to u and root 2 to v."""
+    _check_vertices((u, v), g.n, "host")
     if u == v:
         raise ValueError("root images must be distinct")
     if len(f.roots) != 2:
@@ -129,6 +130,13 @@ def rooted_hom_inj_count(f: Flag, g: ColoredGraph, u: int, v: int) -> int:
         return 0
     r1, r2 = f.roots
     return _count_maps(f.graph, g, root_images={r1: u, r2: v})
+
+
+def _check_vertices(vertices, n: int, what: str) -> None:
+    """Refuse pinned vertices that are not ints in 0..n-1."""
+    for w in vertices:
+        if type(w) is not int or not 0 <= w < n:
+            raise ValueError(f"root {w!r} is not a vertex of the {n}-vertex {what}")
 
 
 def falling_factorial(n: int, k: int) -> int:
@@ -254,6 +262,9 @@ def subcube_count_table(
             f"count tables are limited to {_MAX_TABLE_PAIRS} pairs on "
             f"{_MAX_TABLE_N} vertices"
         )
+    if root_images:
+        _check_vertices(root_images, h.n, "pattern")
+        _check_vertices(root_images.values(), n, "host")
     shape = tuple((u, v) for u, v, _ in h.edges)
     pinned = tuple(sorted(root_images.items())) if root_images else ()
     positions, free, inverse = _embeddings(h.n, shape, n, tuple(pairs), pinned)
@@ -296,8 +307,11 @@ def blow_up(g: ColoredGraph, size: int) -> ColoredGraph:
 #
 #   inj = tr((RB)^3) - 3 * sum_v (RBR)_vv (BRB)_vv
 #
-# with R and B the red and blue adjacency matrices.  Verified exhaustively
-# against the backtracking counter on small hosts in the test suite.
+# with R and B the red and blue adjacency matrices.  Only RB and (RB)^2 are
+# products; every other term is a diagonal of a product of two known
+# matrices, diag(XY)_v = sum_k X_vk Y_kv, which costs n^2.  Verified
+# exhaustively against the backtracking counter on small hosts in the test
+# suite.
 
 
 def _color_adjacency(g: ColoredGraph):
@@ -310,28 +324,42 @@ def _color_adjacency(g: ColoredGraph):
     return red, blue
 
 
-_INT64_MAX = (1 << 63) - 1
+# The largest n with (n-1)^5 <= 2^63 - 1; see alternating_hom_inj_from_matrices.
+CLOSED_FORM_MAX_N = 6209
+
+
+def check_closed_form_size(n: int) -> None:
+    """Refuse hosts whose closed-walk counts could overflow 64-bit integers."""
+    if n > CLOSED_FORM_MAX_N:
+        raise ValueError(
+            f"host with {n} vertices rejected: its walk counts can overflow "
+            f"64-bit integers; limit is n <= {CLOSED_FORM_MAX_N}"
+        )
+
+
+def _int64_diagonal(x, y):
+    """diag(XY) reduced in int64 from float64 operands holding integers."""
+    return np.einsum("ij,ji->i", x, y, dtype=np.int64, casting="unsafe")
 
 
 def alternating_hom_inj_from_matrices(red, blue) -> int:
     """Injective alternating-6-cycle count from 0/1 adjacency matrices.
 
-    No int64 entry or sum here exceeds the n(n-1)^5 closed alternating
-    walks, so hosts where that bound passes 2^63 - 1 (n > 1448) are refused
-    before any product rather than left to wrap silently.
+    RB and (RB)^2 are float64 BLAS products; their entries are integers at
+    most n and n^3 < 2^53, so both are exact.  The diagonals are summed in
+    int64: ((RB)^3)_vv counts the closed alternating walks from v, at most
+    (n-1)^5, and (RBR)_vv (BRB)_vv is at most (n-1)^4.  Hosts with
+    (n-1)^5 > 2^63 - 1 (n > 6209) are refused before any work; the vertex
+    terms are added as Python ints, so the total cannot wrap.
     """
-    n = red.shape[0]
-    if n * (n - 1) ** 5 > _INT64_MAX:
-        raise ValueError(
-            f"host with {n} vertices rejected: its walk counts can overflow "
-            "64-bit integers; limit is n <= 1448"
-        )
+    check_closed_form_size(red.shape[0])
+    red = np.asarray(red, dtype=np.float64)
+    blue = np.asarray(blue, dtype=np.float64)
     rb = red @ blue
-    walks = int((rb @ rb @ rb).trace())
-    rbr = (rb @ red).diagonal()
-    brb = (blue @ red @ blue).diagonal()
-    collapsed = int((rbr * brb).sum())
-    return walks - 3 * collapsed
+    collapsed = _int64_diagonal(rb, red) * _int64_diagonal(blue, rb)
+    del red, blue  # free the float64 copies before (RB)^2 is allocated
+    walks = _int64_diagonal(rb @ rb, rb)
+    return sum((walks - 3 * collapsed).tolist())
 
 
 def alternating_hom_inj_count(g: ColoredGraph) -> int:

@@ -27,6 +27,7 @@ from .certificate import (
 )
 from .counting import (
     alternating_hom_inj_from_matrices,
+    check_closed_form_size,
     d_density,
     density_vector,
     falling_factorial,
@@ -407,6 +408,7 @@ def monte_carlo_mean(n: int, trials: int, seed: int) -> MonteCarloResult:
         raise ValueError("Monte Carlo hosts need at least 6 vertices")
     if trials < 1:
         raise ValueError("need at least one trial")
+    check_closed_form_size(n)
     den = falling_factorial(n, 6)
     values = []
     for t in range(trials):

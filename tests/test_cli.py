@@ -163,6 +163,11 @@ class TestOracleCommands:
         assert "rejected" in capsys.readouterr().err
 
     def test_montecarlo_overflow_guard_exit_2(self, capsys):
-        status = run(["oracle", "montecarlo", "--n", "1449", "--trials", "1"])
+        status = run(["oracle", "montecarlo", "--n", "6210", "--trials", "1"])
         assert status == 2
-        assert capsys.readouterr().err.startswith("error: host with 1449 vertices rejected")
+        assert capsys.readouterr().err.startswith("error: host with 6210 vertices rejected")
+
+    def test_montecarlo_accepts_n_1449(self, capsys):
+        status = run(["oracle", "montecarlo", "--n", "1449", "--trials", "1", "--format", "json"])
+        assert status == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 1449

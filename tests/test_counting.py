@@ -1,5 +1,7 @@
 """Counting operations and density functionals against independent oracles."""
 
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from flagcert import builtin
 from flagcert.certificate import expand_in_classes
 from flagcert.counting import (
+    CLOSED_FORM_MAX_N,
     alternating_hom_inj_count,
     alternating_hom_inj_from_matrices,
     alternating_t_inj,
@@ -32,7 +35,7 @@ from flagcert.graphs import (
     complete_graph,
     enumerate_template_colorings,
 )
-from flagcert.oracle import random_clique_coloring
+from flagcert.oracle import _random_clique_matrices, random_clique_coloring
 
 
 def naive_hom_count(h: ColoredGraph, g: ColoredGraph, injective: bool) -> int:
@@ -44,6 +47,40 @@ def naive_hom_count(h: ColoredGraph, g: ColoredGraph, injective: bool) -> int:
         if all(g.edge_color(image[u], image[v]) == c for u, v, c in h.edges):
             count += 1
     return count
+
+
+def blown_up_alternating_counts(red, blue, size: int) -> tuple[int, int]:
+    """Closed alternating 6-walks of a small host, and injective copies in its blow-up.
+
+    Depth-first search over walks v0 -R- v1 -B- ... -B- v0 in Python ints.
+    Each walk lifts to the product of falling_factorial(size, k) over its
+    vertices visited k times, the choices of distinct clones in each fibre.
+    """
+    n = len(red)
+    step = [[[w for w in range(n) if m[v][w]] for v in range(n)] for m in (red, blue)]
+    walks = injective = 0
+    walk = []
+
+    def extend() -> None:
+        nonlocal walks, injective
+        if len(walk) == 6:
+            if walk[0] in step[1][walk[-1]]:
+                walks += 1
+                weight = 1
+                for k in Counter(walk).values():
+                    weight *= falling_factorial(size, k)
+                injective += weight
+            return
+        for w in step[(len(walk) - 1) % 2][walk[-1]]:
+            walk.append(w)
+            extend()
+            walk.pop()
+
+    for v in range(n):
+        walk.append(v)
+        extend()
+        walk.pop()
+    return walks, injective
 
 
 RED_EDGE = ColoredGraph(2, [(0, 1, Color.RED)])
@@ -114,6 +151,15 @@ class TestRootedCounts:
         g = complete_graph(4, Color.RED)
         with pytest.raises(ValueError):
             rooted_hom_inj_count(builtin.red_flags()[0], g, 2, 2)
+
+    @pytest.mark.parametrize("bad", [-1, 8, 1.0])
+    def test_rejects_roots_outside_the_host(self, bad):
+        g = random_clique_coloring(8, 0)
+        flag = builtin.blue_flags()[0]
+        message = re.escape(f"root {bad!r} is not a vertex of the 8-vertex host")
+        for u, v in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match=message):
+                rooted_hom_inj_count(flag, g, u, v)
 
     def test_root_sum_identity(self):
         # summing rooted counts over ordered root images partitions the
@@ -238,6 +284,18 @@ class TestSubcubeCountTable:
         host = enumerate_template_colorings(tmpl)[code]
         assert counts[code] == rooted_hom_inj_count(flag, host, u, v)
 
+    @pytest.mark.parametrize("bad", [-1, 6, 1.0])
+    def test_rejects_pinned_vertices_outside_their_graph(self, bad):
+        flag = builtin.blue_flags()[0]
+        tmpl = builtin.template()
+        a, b = flag.roots
+        host = re.escape(f"root {bad!r} is not a vertex of the {tmpl.n}-vertex host")
+        with pytest.raises(ValueError, match=host):
+            subcube_count_table(flag.graph, tmpl.n, tmpl.pairs(), {a: bad, b: 0})
+        pattern = re.escape(f"root {bad!r} is not a vertex of the {flag.graph.n}-vertex pattern")
+        with pytest.raises(ValueError, match=pattern):
+            subcube_count_table(flag.graph, tmpl.n, tmpl.pairs(), {bad: 1, b: 0})
+
     def test_rejects_oversized_hosts(self):
         pairs = tuple((u, v) for u in range(7) for v in range(u + 1, 7))
         with pytest.raises(ValueError):
@@ -320,11 +378,43 @@ class TestFastAlternatingCount:
         for g in hosts:
             assert alternating_hom_inj_count(g) == hom_inj_count(TARGET, g)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_backtracking_on_partial_colorings(self, data):
+        n = data.draw(st.integers(0, 8))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        states = data.draw(
+            st.lists(
+                st.sampled_from((None, Color.RED, Color.BLUE)),
+                min_size=len(pairs),
+                max_size=len(pairs),
+            )
+        )
+        g = ColoredGraph(n, [(u, v, c) for (u, v), c in zip(pairs, states) if c])
+        assert alternating_hom_inj_count(g) == hom_inj_count(TARGET, g)
+
+    def test_size_limit_is_the_int64_walk_bound(self):
+        n = CLOSED_FORM_MAX_N
+        assert (n - 1) ** 5 <= 2**63 - 1 < n**5
+        assert n**3 < 2**53
+
     def test_refuses_hosts_whose_walks_overflow_int64(self):
-        # 1449 * 1448**5 > 2**63 - 1; the broadcast zeros allocate nothing
-        zeros = np.broadcast_to(np.int64(0), (1449, 1449))
-        with pytest.raises(ValueError, match="n <= 1448"):
+        # 6209**5 > 2**63 - 1; the broadcast zeros allocate nothing
+        zeros = np.broadcast_to(np.int64(0), (6210, 6210))
+        with pytest.raises(ValueError, match="n <= 6209"):
             alternating_hom_inj_from_matrices(zeros, zeros)
+
+    def test_exact_where_int64_walk_totals_wrap(self):
+        # the 275-fold blow-up of a 12-vertex clique has n = 3300 and
+        # tr((RB)^3) = 275**6 * 22110 > 2**63 - 1
+        red, blue = _random_clique_matrices(12, 28)
+        size = 275
+        walks, injective = blown_up_alternating_counts(red.tolist(), blue.tolist(), size)
+        assert walks == 22110
+        assert size**6 * walks > 2**63 - 1
+        ones = np.ones((size, size))
+        count = alternating_hom_inj_from_matrices(np.kron(red, ones), np.kron(blue, ones))
+        assert count == injective
 
     def test_t_inj_wrapper(self):
         g = random_clique_coloring(9, 13)

@@ -202,6 +202,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             oracle.monte_carlo_mean(8, 0, 0)
 
+    def test_size_guard_runs_before_the_colour_draw(self, monkeypatch):
+        def draw(n, seed):
+            raise AssertionError("colour draw reached")
+
+        monkeypatch.setattr(oracle, "_random_clique_matrices", draw)
+        with pytest.raises(ValueError, match="n <= 6209"):
+            oracle.monte_carlo_mean(6210, 1, 0)
+
     def test_means_straddle_expected_value(self):
         # the sample mean is unbiased for 1/64, so its sign against the
         # expectation must vary across master seeds
