@@ -192,6 +192,9 @@ def _print_oracle_text(report: oracle.OracleReport) -> None:
 
 
 def _cmd_oracle(args) -> int:
+    if args.oracle_command in ("identities", "inequality"):
+        oracle.check_host_size(args.n)  # before drawing an n x n colouring
+
     if args.oracle_command == "identities":
         report = oracle.check_identities(
             oracle.random_clique_coloring(args.n, args.seed)

@@ -7,116 +7,169 @@ it matches exactly the colourings in one subcube, and adding the subcubes
 gives an integer table over all 2^pairs colourings; pinning pattern
 vertices to host vertices gives rooted counts the same way.  The verifier,
 the classifier and the exhaustive sweep read their counts from these tables.
-Per-host counts (``hom_inj_count``, ``rooted_hom_inj_count``, ``t_bip``) are
-backtracking searches with early pruning; they serve the oracle's concrete
-hosts and are the independent reference for the tables in the tests.  All
-densities are `fractions.Fraction` values and never touch floating point.
+
+``hom_inj_from_matrices`` counts a pattern in one concrete host, given its
+red and blue adjacency matrices, by Moebius inversion over the partition
+lattice (Lovasz, *Large Networks and Graph Limits*, 5.2):
+
+    inj(P, g) = sum over partitions pi of V(P) of mu(pi) * hom(P/pi, g),
+    mu(pi) = prod over blocks B of (-1)^(|B|-1) * (|B|-1)!
+
+A quotient P/pi whose block holds an edge of P has a loop and no
+homomorphisms, so the partitions are enumerated with such blocks pruned; a
+quotient that puts both colours on one pair has none either and is dropped.
+Equal quotients are merged and those whose summed mu is zero dropped, and
+each remaining hom count is one ``np.einsum`` of the host's matrices.
+Pinned roots stay in separate blocks and become free indices, which gives
+the whole rooted table at once.  The oracle, ``hom_inj_count``,
+``rooted_hom_inj_count`` and ``t_bip`` read their per-host counts from it.
+
+Counts are int64.  For a k-vertex pattern on an n-vertex host every einsum
+partial sum is a partial hom count, at most n^k, and every signed running
+total is at most sum |mu(pi)| n^|pi| = n(n+1)...(n+k-1); hosts where that
+rising factorial passes 2^63 - 1 are refused (n <= 1445 for six-vertex
+patterns).  Patterns are limited to 8 vertices (Bell(8) = 4140 partitions).
+All densities are `fractions.Fraction` values and never touch floating
+point.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import factorial, prod
 
 import numpy as np
 
 from .graphs import ClassTable, Color, ColoredGraph, Flag
 
-def _search_plan(h: ColoredGraph, pinned: tuple[int, ...] = ()):
-    """Visit order and incremental edge constraints for backtracking.
 
-    Pinned vertices come first; the rest are ordered greedily so each new
-    vertex has as many already-placed neighbours as possible.
-    constraints[k] lists (earlier slot, colour bit) pairs for order[k].
+# -- Moebius inversion over quotients ----------------------------------------
+
+MAX_PATTERN_N = 8
+_INT64_MAX = 2**63 - 1
+_LETTERS = "abcdefgh"  # one einsum index per block
+
+
+@lru_cache(maxsize=None)
+def _quotients(h: ColoredGraph, pinned: tuple[int, ...] = ()):
+    """Einsum specs and summed Moebius weights of the quotients of ``h``.
+
+    Partitions of V(h) are enumerated as restricted growth strings, pruning
+    a branch as soon as a block holds an edge or a pair of blocks needs both
+    colours; pinned vertices stay in separate blocks, which become the
+    output indices in pinned order.  Returns ``(spec, operands, weight)``
+    triples, where operand 0 is the red matrix, 1 the blue matrix and 2 a
+    ones vector for a block that meets no edge.
     """
-    n = h.n
-    nbrs: list[dict[int, int]] = [dict() for _ in range(n)]
+    earlier: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
     for u, v, c in h.edges:
-        bit = 0 if c is Color.RED else 1
-        nbrs[u][v] = bit
-        nbrs[v][u] = bit
+        earlier[v].append((u, 0 if c is Color.RED else 1))
+    block = [0] * h.n
+    weights: dict = {}
 
-    order = list(pinned)
-    placed = set(order)
-    remaining = [v for v in range(n) if v not in placed]
-    while remaining:
-        best = max(
-            remaining,
-            key=lambda v: (sum(1 for w in nbrs[v] if w in placed), len(nbrs[v])),
-        )
-        order.append(best)
-        placed.add(best)
-        remaining.remove(best)
-
-    slot_of = {v: k for k, v in enumerate(order)}
-    constraints = []
-    for k, v in enumerate(order):
-        constraints.append(
-            tuple(
-                (slot_of[w], bit)
-                for w, bit in nbrs[v].items()
-                if slot_of[w] < k
-            )
-        )
-    return order, constraints
-
-
-def _count_maps(
-    h: ColoredGraph, g: ColoredGraph, root_images: dict[int, int] | None = None
-) -> int:
-    """Count injective colour-preserving maps V(h) -> V(g), pruning early."""
-    pinned = tuple(root_images) if root_images else ()
-    order, constraints = _search_plan(h, pinned)
-    matrix = g.color_matrix()
-    n_g = g.n
-    n_h = h.n
-
-    images = [0] * n_h
-    used = [False] * n_g
-    start = len(pinned)
-    for k, v in enumerate(pinned):
-        w = root_images[v]
-        for slot, bit in constraints[k]:
-            if matrix[w][images[slot]] != bit:
-                return 0
-        if used[w]:
-            return 0
-        images[k] = w
-        used[w] = True
-
-    count = 0
-
-    def extend(k: int) -> None:
-        nonlocal count
-        if k == n_h:
-            count += 1
+    def place(v: int, blocks: int, colours: dict) -> None:
+        if v == h.n:
+            mu = prod((-1) ** (s - 1) * factorial(s - 1) for s in Counter(block).values())
+            key = (blocks, tuple(sorted(colours.items())), tuple(block[r] for r in pinned))
+            weights[key] = weights.get(key, 0) + mu
             return
-        cons = constraints[k]
-        for w in range(n_g):
-            if used[w]:
+        for b in range(blocks + 1):
+            if v in pinned and any(block[r] == b for r in pinned if r < v):
                 continue
-            row = matrix[w]
-            ok = True
-            for slot, bit in cons:
-                if row[images[slot]] != bit:
-                    ok = False
+            grown = dict(colours)
+            for w, bit in earlier[v]:
+                pair = (block[w], b) if block[w] < b else (b, block[w])
+                if block[w] == b or grown.setdefault(pair, bit) != bit:
                     break
-            if ok:
-                images[k] = w
-                used[w] = True
-                extend(k + 1)
-                used[w] = False
+            else:
+                block[v] = b
+                place(v + 1, max(blocks, b + 1), grown)
 
-    extend(start)
-    return count
+    place(0, 0, {})
+    out = []
+    for (blocks, edges, roots), weight in weights.items():
+        if weight:
+            isolated = set(range(blocks)).difference(*((a, b) for (a, b), _ in edges))
+            terms = [_LETTERS[a] + _LETTERS[b] for (a, b), _ in edges]
+            terms += [_LETTERS[a] for a in sorted(isolated)]
+            operands = tuple(bit for _, bit in edges) + (2,) * len(isolated)
+            spec = ",".join(terms) + "->" + "".join(_LETTERS[r] for r in roots)
+            out.append((spec, operands, weight))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _einsum_path(spec: str, n: int):
+    """Greedy contraction order for ``spec`` on an n-vertex host.
+
+    The memory limit admits n^3 intermediates; numpy's default (the largest
+    operand, n^2) leaves K3,3 quotients no order better than n^6.
+    """
+    shapes = [(n,) * len(term) for term in spec.split("->")[0].split(",")]
+    dummies = [np.broadcast_to(np.int64(0), shape) for shape in shapes]
+    return np.einsum_path(spec, *dummies, optimize=("greedy", n**3))[0]
+
+
+def _check_kernel_size(k: int, n: int) -> None:
+    """Refuse patterns over 8 vertices and hosts whose counts could wrap int64."""
+    if k > MAX_PATTERN_N:
+        raise ValueError(
+            f"pattern with {k} vertices rejected: limit is {MAX_PATTERN_N} vertices"
+        )
+    if rising_factorial(n, k) > _INT64_MAX:
+        limit = min(n, int(_INT64_MAX ** (1 / k)) + 1)
+        while rising_factorial(limit, k) > _INT64_MAX:
+            limit -= 1
+        raise ValueError(
+            f"host with {n} vertices rejected: counts of a {k}-vertex pattern "
+            f"can overflow 64-bit integers; limit is n <= {limit}"
+        )
+
+
+def hom_inj_from_matrices(h: ColoredGraph, red, blue, roots: tuple[int, ...] = ()):
+    """Injective colour-preserving maps of ``h`` into a host, by quotients.
+
+    ``red`` and ``blue`` are the host's int64 0/1 adjacency matrices with
+    zero diagonals.  Without roots the count is a Python int; with two roots
+    it is the n x n int64 table whose entry [u, v] counts the maps sending
+    the first root to u and the second to v, zero on the diagonal.
+    """
+    red = np.asarray(red, dtype=np.int64)
+    blue = np.asarray(blue, dtype=np.int64)
+    n = red.shape[0]
+    _check_kernel_size(h.n, n)
+    if len(roots) not in (0, 2):
+        raise ValueError("pin no roots or exactly two")
+    if not h.n:
+        return 1
+    matrices = (red, blue, np.ones(n, dtype=np.int64))
+    total = np.zeros((n, n), dtype=np.int64) if roots else 0
+    for spec, operands, weight in _quotients(h, tuple(roots)):
+        hom = np.einsum(spec, *(matrices[i] for i in operands), optimize=_einsum_path(spec, n))
+        total += weight * (hom if roots else int(hom))
+    if roots:
+        np.fill_diagonal(total, 0)
+    return total
+
+
+def color_adjacency(g: ColoredGraph):
+    red = np.zeros((g.n, g.n), dtype=np.int64)
+    blue = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v, c in g.edges:
+        m = red if c is Color.RED else blue
+        m[u, v] = 1
+        m[v, u] = 1
+    return red, blue
 
 
 def hom_inj_count(h: ColoredGraph, g: ColoredGraph) -> int:
     """Injective colour-preserving maps; 0 whenever v(g) < v(h)."""
     if g.n < h.n:
         return 0
-    return _count_maps(h, g)
+    return hom_inj_from_matrices(h, *color_adjacency(g))
 
 
 def rooted_hom_inj_count(f: Flag, g: ColoredGraph, u: int, v: int) -> int:
@@ -128,8 +181,7 @@ def rooted_hom_inj_count(f: Flag, g: ColoredGraph, u: int, v: int) -> int:
         raise ValueError("rooted counting expects flags with two roots")
     if g.n < f.graph.n:
         return 0
-    r1, r2 = f.roots
-    return _count_maps(f.graph, g, root_images={r1: u, r2: v})
+    return int(hom_inj_from_matrices(f.graph, *color_adjacency(g), f.roots)[u, v])
 
 
 def _check_vertices(vertices, n: int, what: str) -> None:
@@ -146,11 +198,24 @@ def falling_factorial(n: int, k: int) -> int:
     return out
 
 
+def rising_factorial(n: int, k: int) -> int:
+    out = 1
+    for t in range(k):
+        out *= n + t
+    return out
+
+
 def t_inj(h: ColoredGraph, g: ColoredGraph) -> Fraction:
     """Probability that a uniform injective map V(h) -> V(g) is a hom."""
-    if g.n < h.n:
+    return t_inj_from_matrices(h, *color_adjacency(g))
+
+
+def t_inj_from_matrices(h: ColoredGraph, red, blue) -> Fraction:
+    """``t_inj`` in the host with these adjacency matrices."""
+    n = red.shape[0]
+    if n < h.n:
         return Fraction(0)
-    return Fraction(hom_inj_count(h, g), falling_factorial(g.n, h.n))
+    return Fraction(hom_inj_from_matrices(h, red, blue), falling_factorial(n, h.n))
 
 
 def d_density(index: int, g: ColoredGraph, table: ClassTable) -> Fraction:
@@ -309,19 +374,10 @@ def blow_up(g: ColoredGraph, size: int) -> ColoredGraph:
 #
 # with R and B the red and blue adjacency matrices.  Only RB and (RB)^2 are
 # products; every other term is a diagonal of a product of two known
-# matrices, diag(XY)_v = sum_k X_vk Y_kv, which costs n^2.  Verified
-# exhaustively against the backtracking counter on small hosts in the test
-# suite.
-
-
-def _color_adjacency(g: ColoredGraph):
-    red = np.zeros((g.n, g.n), dtype=np.int64)
-    blue = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v, c in g.edges:
-        m = red if c is Color.RED else blue
-        m[u, v] = 1
-        m[v, u] = 1
-    return red, blue
+# matrices, diag(XY)_v = sum_k X_vk Y_kv, which costs n^2.  These are the
+# four quotients that ``hom_inj_from_matrices`` keeps for this pattern.
+# Verified exhaustively against the backtracking counter on small hosts in
+# the test suite.
 
 
 # The largest n with (n-1)^5 <= 2^63 - 1; see alternating_hom_inj_from_matrices.
@@ -364,7 +420,7 @@ def alternating_hom_inj_from_matrices(red, blue) -> int:
 
 def alternating_hom_inj_count(g: ColoredGraph) -> int:
     """Exact injective count of the alternating 6-cycle in any host."""
-    return alternating_hom_inj_from_matrices(*_color_adjacency(g))
+    return alternating_hom_inj_from_matrices(*color_adjacency(g))
 
 
 def alternating_t_inj(g: ColoredGraph) -> Fraction:

@@ -26,7 +26,7 @@ class Color(enum.Enum):
         return self.value
 
 
-# Integer codes used in canonical encodings and hot counting loops.
+# Integer codes used in canonical encodings and colouring codes.
 _COLOR_BIT = {Color.RED: 0, Color.BLUE: 1}
 _BIT_COLOR = (Color.RED, Color.BLUE)
 
@@ -99,15 +99,6 @@ class ColoredGraph:
         these monochromatic shadows.
         """
         return ColoredGraph(self.n, ((u, v, Color.RED) for u, v, _ in self.edges))
-
-    def color_matrix(self) -> tuple[tuple[Optional[int], ...], ...]:
-        """Adjacency matrix with entries 0 (red), 1 (blue) or None (absent)."""
-        m = [[None] * self.n for _ in range(self.n)]
-        for u, v, c in self.edges:
-            bit = _COLOR_BIT[c]
-            m[u][v] = bit
-            m[v][u] = bit
-        return tuple(tuple(row) for row in m)
 
     # -- dunder -----------------------------------------------------------
 

@@ -4,9 +4,14 @@ import json
 
 import pytest
 
+from flagcert import oracle
 from flagcert.cli import run
 
 from test_certificate import MALFORMED
+
+ORACLE_GUARD_ERROR = (
+    "error: host with 65 vertices rejected: oracle host checks are limited to n <= 64\n"
+)
 
 
 class TestVerify:
@@ -158,9 +163,23 @@ class TestOracleCommands:
         assert "/" in out["mean"] or out["mean"].isdigit()
 
     def test_oracle_guard_exit_2(self, capsys):
-        status = run(["oracle", "inequality", "--n", "20", "--seed", "0"])
+        status = run(["oracle", "inequality", "--n", "65", "--seed", "0"])
         assert status == 2
-        assert "rejected" in capsys.readouterr().err
+        assert capsys.readouterr().err == ORACLE_GUARD_ERROR
+
+    def test_oracle_identities_guard_exit_2(self, capsys):
+        status = run(["oracle", "identities", "--n", "65", "--seed", "0"])
+        assert status == 2
+        assert capsys.readouterr().err == ORACLE_GUARD_ERROR
+
+    @pytest.mark.parametrize("check", ["inequality", "identities"])
+    def test_oracle_guard_runs_before_the_colour_draw(self, check, capsys, monkeypatch):
+        def draw(n, seed):
+            raise AssertionError("colour draw reached")
+
+        monkeypatch.setattr(oracle, "random_clique_coloring", draw)
+        assert run(["oracle", check, "--n", "100000", "--seed", "0"]) == 2
+        assert "host with 100000 vertices rejected" in capsys.readouterr().err
 
     def test_montecarlo_overflow_guard_exit_2(self, capsys):
         status = run(["oracle", "montecarlo", "--n", "6210", "--trials", "1"])

@@ -11,17 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcert import builtin
-from flagcert.certificate import expand_in_classes
+from flagcert.certificate import builtin_certificate, expand_in_classes
 from flagcert.counting import (
     CLOSED_FORM_MAX_N,
+    MAX_PATTERN_N,
+    _quotients,
     alternating_hom_inj_count,
     alternating_hom_inj_from_matrices,
     alternating_t_inj,
     blow_up,
+    color_adjacency,
     d_density,
     density_vector,
     falling_factorial,
     hom_inj_count,
+    hom_inj_from_matrices,
+    rising_factorial,
     rooted_hom_inj_count,
     subcube_count_table,
     t_bip,
@@ -35,7 +40,7 @@ from flagcert.graphs import (
     complete_graph,
     enumerate_template_colorings,
 )
-from flagcert.oracle import _random_clique_matrices, random_clique_coloring
+from flagcert.oracle import _flag_pairs, _random_clique_matrices, random_clique_coloring
 
 
 def naive_hom_count(h: ColoredGraph, g: ColoredGraph, injective: bool) -> int:
@@ -46,6 +51,100 @@ def naive_hom_count(h: ColoredGraph, g: ColoredGraph, injective: bool) -> int:
             continue
         if all(g.edge_color(image[u], image[v]) == c for u, v, c in h.edges):
             count += 1
+    return count
+
+
+def _search_plan(h: ColoredGraph, pinned: tuple[int, ...] = ()):
+    """Visit order and incremental edge constraints for backtracking.
+
+    Pinned vertices come first; the rest are ordered greedily so each new
+    vertex has as many already-placed neighbours as possible.
+    constraints[k] lists (earlier slot, colour bit) pairs for order[k].
+    """
+    n = h.n
+    nbrs: list[dict[int, int]] = [dict() for _ in range(n)]
+    for u, v, c in h.edges:
+        bit = 0 if c is Color.RED else 1
+        nbrs[u][v] = bit
+        nbrs[v][u] = bit
+
+    order = list(pinned)
+    placed = set(order)
+    remaining = [v for v in range(n) if v not in placed]
+    while remaining:
+        best = max(
+            remaining,
+            key=lambda v: (sum(1 for w in nbrs[v] if w in placed), len(nbrs[v])),
+        )
+        order.append(best)
+        placed.add(best)
+        remaining.remove(best)
+
+    slot_of = {v: k for k, v in enumerate(order)}
+    constraints = []
+    for k, v in enumerate(order):
+        constraints.append(
+            tuple(
+                (slot_of[w], bit)
+                for w, bit in nbrs[v].items()
+                if slot_of[w] < k
+            )
+        )
+    return order, constraints
+
+
+def _count_maps(
+    h: ColoredGraph, g: ColoredGraph, root_images: dict[int, int] | None = None
+) -> int:
+    """Count injective colour-preserving maps V(h) -> V(g), pruning early.
+
+    The backtracking reference that the quotient kernel is tested against.
+    """
+    pinned = tuple(root_images) if root_images else ()
+    order, constraints = _search_plan(h, pinned)
+    matrix = [[None] * g.n for _ in range(g.n)]
+    for u, v, c in g.edges:
+        matrix[u][v] = matrix[v][u] = 0 if c is Color.RED else 1
+    n_g = g.n
+    n_h = h.n
+
+    images = [0] * n_h
+    used = [False] * n_g
+    start = len(pinned)
+    for k, v in enumerate(pinned):
+        w = root_images[v]
+        for slot, bit in constraints[k]:
+            if matrix[w][images[slot]] != bit:
+                return 0
+        if used[w]:
+            return 0
+        images[k] = w
+        used[w] = True
+
+    count = 0
+
+    def extend(k: int) -> None:
+        nonlocal count
+        if k == n_h:
+            count += 1
+            return
+        cons = constraints[k]
+        for w in range(n_g):
+            if used[w]:
+                continue
+            row = matrix[w]
+            ok = True
+            for slot, bit in cons:
+                if row[images[slot]] != bit:
+                    ok = False
+                    break
+            if ok:
+                images[k] = w
+                used[w] = True
+                extend(k + 1)
+                used[w] = False
+
+    extend(start)
     return count
 
 
@@ -302,6 +401,107 @@ class TestSubcubeCountTable:
             subcube_count_table(TARGET, 7, pairs)
 
 
+@st.composite
+def partial_hosts(draw, min_n=0, max_n=9):
+    """Hosts on min_n..max_n vertices, each pair red, blue or absent."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    states = draw(
+        st.lists(
+            st.sampled_from((None, Color.RED, Color.BLUE)),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    return ColoredGraph(n, [(u, v, c) for (u, v), c in zip(pairs, states) if c])
+
+
+def _oracle_patterns():
+    """The target, every class representative, flag product and flag."""
+    cert = builtin_certificate()
+    table = builtin.class_table()
+    flags = [f for family in cert.families for f in family.flags]
+    unrooted = [cert.target]
+    unrooted += [table.representative(l) for l in table.indices]
+    unrooted += [product for *_, product in _flag_pairs(cert)]
+    return unrooted, flags
+
+
+UNROOTED_PATTERNS, FLAGS = _oracle_patterns()
+
+
+def assert_rooted_table(h: ColoredGraph, roots: tuple[int, int], g: ColoredGraph) -> None:
+    """Every entry of the kernel's rooted table equals a backtracking count."""
+    table = hom_inj_from_matrices(h, *color_adjacency(g), roots)
+    r1, r2 = roots
+    expected = [
+        [_count_maps(h, g, {r1: u, r2: v}) if u != v else 0 for v in range(g.n)]
+        for u in range(g.n)
+    ]
+    assert table.tolist() == expected
+
+
+class TestQuotientKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(UNROOTED_PATTERNS), partial_hosts())
+    def test_unrooted_counts_match_backtracking(self, h, g):
+        assert hom_inj_from_matrices(h, *color_adjacency(g)) == _count_maps(h, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(FLAGS), partial_hosts(min_n=2))
+    def test_rooted_tables_match_backtracking(self, f, g):
+        assert_rooted_table(f.graph, f.roots, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(colored_patterns(max_n=6), partial_hosts(min_n=2, max_n=7), st.data())
+    def test_arbitrary_rooted_tables_match_backtracking(self, h, g, data):
+        # roots need not be adjacent, so the diagonal must be zeroed
+        roots = tuple(data.draw(st.permutations(range(h.n)))[:2])
+        assert_rooted_table(h, roots, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(colored_patterns(max_n=MAX_PATTERN_N), partial_hosts(max_n=8))
+    def test_arbitrary_patterns_match_backtracking(self, h, g):
+        assert hom_inj_from_matrices(h, *color_adjacency(g)) == _count_maps(h, g)
+
+    def test_edgeless_patterns_count_injections(self):
+        red, blue = color_adjacency(random_clique_coloring(7, 1))
+        for k in range(4):
+            assert hom_inj_from_matrices(ColoredGraph(k), red, blue) == falling_factorial(7, k)
+
+    @pytest.mark.parametrize("n", [30, 90])
+    def test_target_matches_closed_form(self, n):
+        red, blue = color_adjacency(random_clique_coloring(n, n))
+        expected = alternating_hom_inj_from_matrices(red, blue)
+        assert hom_inj_from_matrices(TARGET, red, blue) == expected
+
+    def test_target_keeps_the_cycle_and_its_antipodal_identifications(self):
+        # the closed form's identity: C6 with weight 1, and each of the three
+        # antipodal merges (two triangles sharing a vertex) with weight -1
+        quotients = _quotients(TARGET)
+        assert len(quotients) == 4
+        assert sorted(weight for _, _, weight in quotients) == [-1, -1, -1, 1]
+        assert sorted(spec.count(",") + 1 for spec, _, _ in quotients) == [6, 6, 6, 6]
+        assert sorted(len(set(spec) - set(",->")) for spec, _, _ in quotients) == [5, 5, 5, 6]
+
+    def test_refuses_patterns_over_eight_vertices(self):
+        big = ColoredGraph(MAX_PATTERN_N + 1, [(0, 1, Color.RED)])
+        host = complete_graph(10, Color.RED)
+        with pytest.raises(ValueError, match="pattern with 9 vertices rejected: limit is 8"):
+            hom_inj_count(big, host)
+        with pytest.raises(ValueError, match="pattern with 9 vertices rejected"):
+            hom_inj_from_matrices(big, *color_adjacency(host))
+
+    def test_refuses_hosts_whose_counts_overflow_int64(self):
+        # every value formed is at most n(n+1)...(n+5) for a 6-vertex pattern;
+        # the broadcast zeros allocate nothing
+        assert rising_factorial(1445, 6) <= 2**63 - 1 < rising_factorial(1446, 6)
+        zeros = np.broadcast_to(np.int64(0), (1446, 1446))
+        with pytest.raises(ValueError, match="6-vertex pattern .* n <= 1445"):
+            hom_inj_from_matrices(TARGET, zeros, zeros)
+        assert hom_inj_from_matrices(TARGET, zeros[:7, :7], zeros[:7, :7]) == 0
+
+
 class TestBlowUp:
     def test_size_one_is_identity(self):
         g = random_clique_coloring(5, 8)
@@ -366,7 +566,7 @@ class TestFastAlternatingCount:
         for n in (6, 7, 8):
             for seed in (0, 1):
                 g = random_clique_coloring(n, seed)
-                assert alternating_hom_inj_count(g) == hom_inj_count(TARGET, g)
+                assert alternating_hom_inj_count(g) == _count_maps(TARGET, g)
 
     def test_matches_backtracking_on_non_cliques(self):
         hosts = [
@@ -376,22 +576,12 @@ class TestFastAlternatingCount:
             builtin.class_table().representative(11),
         ]
         for g in hosts:
-            assert alternating_hom_inj_count(g) == hom_inj_count(TARGET, g)
+            assert alternating_hom_inj_count(g) == _count_maps(TARGET, g)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_matches_backtracking_on_partial_colorings(self, data):
-        n = data.draw(st.integers(0, 8))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        states = data.draw(
-            st.lists(
-                st.sampled_from((None, Color.RED, Color.BLUE)),
-                min_size=len(pairs),
-                max_size=len(pairs),
-            )
-        )
-        g = ColoredGraph(n, [(u, v, c) for (u, v), c in zip(pairs, states) if c])
-        assert alternating_hom_inj_count(g) == hom_inj_count(TARGET, g)
+    @given(partial_hosts(max_n=8))
+    def test_matches_backtracking_on_partial_colorings(self, g):
+        assert alternating_hom_inj_count(g) == _count_maps(TARGET, g)
 
     def test_size_limit_is_the_int64_walk_bound(self):
         n = CLOSED_FORM_MAX_N

@@ -44,6 +44,13 @@ class TestRandomness:
                 assert (g.edge_color(u, v) is Color.BLUE) == blue
 
 
+GUARD_MESSAGE = "host with 65 vertices rejected: oracle host checks are limited to n <= 64"
+
+
+def _no_counting(*args):
+    raise AssertionError("counting reached")
+
+
 class TestIdentityChecks:
     def test_all_red_k7(self):
         report = oracle.check_identities(complete_graph(7, Color.RED))
@@ -74,6 +81,11 @@ class TestIdentityChecks:
     def test_deterministic_records(self):
         g = oracle.random_clique_coloring(7, 12)
         assert oracle.check_identities(g) == oracle.check_identities(g)
+
+    def test_cost_guard(self, monkeypatch):
+        monkeypatch.setattr(oracle, "hom_inj_from_matrices", _no_counting)
+        with pytest.raises(ValueError, match=GUARD_MESSAGE):
+            oracle.check_identities(complete_graph(65, Color.RED))
 
 
 class TestFlaggedInequality:
@@ -109,10 +121,10 @@ class TestFlaggedInequality:
         assert len(surpluses) == 128
         assert all(r.lhs >= 0 and r.holds for r in surpluses)
 
-    def test_cost_guard(self):
-        with pytest.raises(ValueError) as err:
-            oracle.check_flagged_inequality(complete_graph(15, Color.RED))
-        assert "map checks" in str(err.value)
+    def test_cost_guard(self, monkeypatch):
+        monkeypatch.setattr(oracle, "hom_inj_from_matrices", _no_counting)
+        with pytest.raises(ValueError, match=GUARD_MESSAGE):
+            oracle.check_flagged_inequality(complete_graph(65, Color.RED))
 
     def test_small_host_rejected(self):
         with pytest.raises(ValueError):
