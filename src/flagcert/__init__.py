@@ -13,7 +13,6 @@ from .graphs import (
     ColoredGraph,
     Flag,
     alternating_cycle,
-    automorphism_count,
     canonical_form,
     classify,
     complete_bipartite,
@@ -23,8 +22,6 @@ from .graphs import (
 )
 from .counting import (
     alternating_hom_inj_count,
-    alternating_t_inj,
-    blow_up,
     d_density,
     density_vector,
     falling_factorial,
@@ -63,9 +60,6 @@ __all__ = [
     "VerificationReport",
     "alternating_cycle",
     "alternating_hom_inj_count",
-    "alternating_t_inj",
-    "automorphism_count",
-    "blow_up",
     "builtin_certificate",
     "canonical_form",
     "certificate_coefficients",

@@ -3,7 +3,8 @@
 Everything the verifier treats as ground truth lives here: the bipartite
 template, the 26 published class representatives, the 16 rooted flags, the
 8x8 certificate matrix, the sparse base vector, the claimed bound and the
-golden table of 72 product-expansion equations.
+golden table of 72 product-expansion equations, transcribed for the red
+flags only; the blue rows are derived through the colour swap.
 
 Template vertex layout (shared by all representatives): left part 0,1,2
 bottom-to-top, right part 3,4,5 bottom-to-top.  Each representative is
@@ -193,10 +194,11 @@ BOUND = Fraction(1, 64)
 
 # -- golden expansion table ----------------------------------------------------
 
-# For each family and each unordered flag pair (i, j), i <= j, 1-based: the
+# For each unordered pair (i, j), i <= j, 1-based, of red-rooted flags: the
 # nonzero expansion coefficients of the glued product over the 26 classes,
-# as numerators over 72.  Transcribed once; every entry is recomputed and
-# cross-checked by the verifier, so a transcription slip fails loudly.
+# as numerators over 72.  Blue flag i is red flag i colour-swapped, so each
+# blue row is its red row on the swapped classes.  Every entry, red and blue,
+# is recomputed by the verifier, so a transcription slip fails in both.
 _GOLDEN_NUMERATORS_RED = {
     (1, 1): {1: 72, 2: 16, 3: 4},
     (1, 2): {2: 8, 5: 8, 8: 2},
@@ -236,44 +238,15 @@ _GOLDEN_NUMERATORS_RED = {
     (8, 8): {12: 12, 22: 8, 25: 8},
 }
 
-_GOLDEN_NUMERATORS_BLUE = {
-    (1, 1): {22: 4, 25: 16, 26: 72},
-    (1, 2): {21: 2, 24: 8, 25: 8},
-    (1, 3): {20: 2, 22: 4, 24: 4, 25: 8},
-    (1, 4): {19: 2, 21: 2, 23: 12, 24: 4},
-    (1, 5): {20: 2, 22: 4, 24: 4, 25: 8},
-    (1, 6): {19: 2, 21: 2, 23: 12, 24: 4},
-    (1, 7): {14: 8, 20: 4, 22: 4},
-    (1, 8): {13: 8, 19: 4, 21: 2},
-    (2, 2): {18: 8, 21: 4, 22: 4},
-    (2, 3): {17: 2, 20: 2, 21: 2, 22: 4},
-    (2, 4): {16: 2, 17: 2, 19: 2, 20: 2},
-    (2, 5): {17: 2, 20: 2, 21: 2, 22: 4},
-    (2, 6): {16: 2, 17: 2, 19: 2, 20: 2},
-    (2, 7): {9: 2, 11: 4, 12: 12},
-    (2, 8): {8: 2, 10: 4, 11: 2},
-    (3, 3): {17: 2, 21: 4, 24: 4},
-    (3, 4): {16: 2, 18: 8, 19: 2, 21: 2},
-    (3, 5): {11: 2, 12: 12, 21: 2, 22: 4},
-    (3, 6): {10: 2, 11: 2, 19: 2, 20: 2},
-    (3, 7): {9: 2, 11: 2, 17: 2, 20: 2},
-    (3, 8): {8: 2, 10: 2, 16: 2, 17: 2},
-    (4, 4): {15: 12, 16: 4, 17: 2},
-    (4, 5): {10: 2, 11: 2, 19: 2, 20: 2},
-    (4, 6): {8: 2, 9: 2, 13: 8, 14: 8},
-    (4, 7): {6: 2, 7: 8, 10: 2, 11: 2},
-    (4, 8): {5: 4, 6: 2, 8: 2, 9: 2},
-    (5, 5): {17: 2, 21: 4, 24: 4},
-    (5, 6): {16: 2, 18: 8, 19: 2, 21: 2},
-    (5, 7): {9: 2, 11: 2, 17: 2, 20: 2},
-    (5, 8): {8: 2, 10: 2, 16: 2, 17: 2},
-    (6, 6): {15: 12, 16: 4, 17: 2},
-    (6, 7): {6: 2, 7: 8, 10: 2, 11: 2},
-    (6, 8): {5: 4, 6: 2, 8: 2, 9: 2},
-    (7, 7): {4: 12, 9: 4, 14: 8},
-    (7, 8): {3: 4, 6: 4, 9: 2},
-    (8, 8): {2: 8, 3: 8, 4: 12},
-}
+
+@lru_cache(maxsize=1)
+def _golden_numerators_blue() -> dict[tuple[int, int], dict[int, int]]:
+    """The blue rows: each red row with its class indices colour-swapped."""
+    swap = class_table().swap_involution()
+    return {
+        key: {swap[index]: num for index, num in row.items()}
+        for key, row in _GOLDEN_NUMERATORS_RED.items()
+    }
 
 
 def golden_expansion(family: str, i: int, j: int) -> dict[int, Fraction]:
@@ -282,7 +255,7 @@ def golden_expansion(family: str, i: int, j: int) -> dict[int, Fraction]:
     ``family`` is "R" or "B"; indices are 1-based and order-insensitive.
     Returns a dense vector over all 26 class indices.
     """
-    table = _GOLDEN_NUMERATORS_RED if family == "R" else _GOLDEN_NUMERATORS_BLUE
+    table = _GOLDEN_NUMERATORS_RED if family == "R" else _golden_numerators_blue()
     key = (i, j) if i <= j else (j, i)
     sparse = table[key]
     return {
@@ -293,6 +266,4 @@ def golden_expansion(family: str, i: int, j: int) -> dict[int, Fraction]:
 
 def golden_pairs() -> list[tuple[str, int, int]]:
     """All 72 (family, i, j) keys of the golden table, i <= j."""
-    return [("R", i, j) for (i, j) in sorted(_GOLDEN_NUMERATORS_RED)] + [
-        ("B", i, j) for (i, j) in sorted(_GOLDEN_NUMERATORS_BLUE)
-    ]
+    return [(fam, i, j) for fam in "RB" for (i, j) in sorted(_GOLDEN_NUMERATORS_RED)]

@@ -265,30 +265,42 @@ def builtin_certificate() -> Certificate:
     )
 
 
+def flag_pairs(cert: Certificate):
+    """Every unordered flag pair i <= j (0-based) of every family.
+
+    Yields (family, i, j, labels, product): ``labels`` names the one or two
+    ordered pairs, such as ``R1.2`` and ``R2.1``, that glue to ``product``.
+    Both orders glue to isomorphic graphs, so one product serves both.
+    """
+    for family in cert.families:
+        fam = family.root_edge_color.value
+        m = len(family.flags)
+        for i in range(m):
+            for j in range(i, m):
+                labels = (f"{fam}{i + 1}.{j + 1}",)
+                if i != j:
+                    labels += (f"{fam}{j + 1}.{i + 1}",)
+                yield family, i, j, labels, flag_product(family.flags[i], family.flags[j])
+
+
 def certificate_coefficients(
     cert: Certificate, table: ClassTable
 ) -> dict[int, Fraction]:
     """Per-class coefficient of the certificate's upper-bound expression.
 
     base(l) plus the full ordered double sum of matrix entries against the
-    expansions of the glued flag products.
+    expansions of the glued flag products, one term per unordered pair.
     """
     coeffs = {
         index: cert.base.get(index, Fraction(0)) for index in table.indices
     }
-    for family in cert.families:
-        m = len(family.flags)
-        for i in range(m):
-            for j in range(m):
-                weight = family.matrix.rows[i][j]
-                if not weight:
-                    continue
-                expansion = _expansion_cached(
-                    flag_product(family.flags[i], family.flags[j]), table
-                )
-                for index, value in expansion.items():
-                    if value:
-                        coeffs[index] += weight * value
+    for family, i, j, labels, product in flag_pairs(cert):
+        weight = len(labels) * family.matrix.rows[i][j]
+        if not weight:
+            continue
+        for index, value in _expansion_cached(product, table).items():
+            if value:
+                coeffs[index] += weight * value
     return coeffs
 
 
@@ -421,15 +433,13 @@ def verify_certificate(cert: Certificate, strict_base: bool = True) -> Verificat
         checks.append(CheckResult("coefficients", False, str(exc)))
 
     # 5. golden table: recompute the 72 shipped expansion equations
-    golden_ok = True
-    bad_keys = []
-    families = {"R": builtin.red_flags(), "B": builtin.blue_flags()}
-    for fam, i, j in builtin.golden_pairs():
-        flags = families[fam]
-        product = flag_product(flags[i - 1], flags[j - 1])
-        if _expansion_cached(product, table) != builtin.golden_expansion(fam, i, j):
-            golden_ok = False
-            bad_keys.append(f"{fam}{i}.{j}")
+    bad_keys = [
+        labels[0]
+        for family, i, j, labels, product in flag_pairs(builtin_certificate())
+        if _expansion_cached(product, table)
+        != builtin.golden_expansion(family.root_edge_color.value, i + 1, j + 1)
+    ]
+    golden_ok = not bad_keys
     checks.append(
         CheckResult(
             "golden_expansions",
@@ -576,6 +586,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+# The PSD check does m^3 rational work per family of m flags; this bounds it.
+MAX_FLAGS = 64
+
+
 def load_certificate(text: str) -> Certificate:
     """Parse and validate certificate text; violations carry a path."""
     try:
@@ -628,6 +642,13 @@ def load_certificate(text: str) -> Certificate:
 
     if not isinstance(obj["families"], list) or not obj["families"]:
         raise SchemaError("$.families", "expected a nonempty list")
+    flag_count = sum(
+        len(fam_obj["flags"])
+        for fam_obj in obj["families"]
+        if isinstance(fam_obj, dict) and isinstance(fam_obj.get("flags"), list)
+    )
+    if flag_count > MAX_FLAGS:
+        raise SchemaError("$.families", f"{flag_count} flags in all; the limit is {MAX_FLAGS}")
     families = []
     for fk, fam_obj in enumerate(obj["families"]):
         fpath = f"$.families[{fk}]"

@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = osub.add_parser("inequality", help="bound check on random cliques")
     q.add_argument("--n", type=int, default=8)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--count", type=int, default=1, help="consecutive seeds to run")
+    q.add_argument("--count", type=int, default=1, help="consecutive seeds to run, at least 1")
     q.add_argument("--format", choices=("text", "json"), default="text")
 
     q = osub.add_parser("exhaustive", help="sweep all 32768 colourings of the 6-clique")
@@ -207,6 +207,8 @@ def _cmd_oracle(args) -> int:
         return 0 if report.passed else 1
 
     if args.oracle_command == "inequality":
+        if args.count < 1:
+            raise ValueError(f"--count must be at least 1, got {args.count}")
         reports = []
         for offset in range(args.count):
             seed = args.seed + offset

@@ -343,22 +343,6 @@ def subcube_count_table(
     return table, len(positions)
 
 
-def blow_up(g: ColoredGraph, size: int) -> ColoredGraph:
-    """Replace each vertex by an independent set of ``size`` clones.
-
-    Pairs between two clone classes inherit the colour of the original pair;
-    pairs inside a class stay absent.
-    """
-    if size < 1:
-        raise ValueError("blow-up size must be at least 1")
-    edges = []
-    for u, v, c in g.edges:
-        for s in range(size):
-            for t in range(size):
-                edges.append((u * size + s, v * size + t, c))
-    return ColoredGraph(g.n * size, edges)
-
-
 # -- closed-form count of the alternating 6-cycle ------------------------------
 #
 # Enumerating injective maps of the alternating 6-cycle is hopeless on hosts
@@ -422,9 +406,3 @@ def alternating_hom_inj_count(g: ColoredGraph) -> int:
     """Exact injective count of the alternating 6-cycle in any host."""
     return alternating_hom_inj_from_matrices(*color_adjacency(g))
 
-
-def alternating_t_inj(g: ColoredGraph) -> Fraction:
-    """t_inj of the alternating 6-cycle via the closed-form count."""
-    if g.n < 6:
-        return Fraction(0)
-    return Fraction(alternating_hom_inj_count(g), falling_factorial(g.n, 6))

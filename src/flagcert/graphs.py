@@ -212,15 +212,6 @@ def underlying_automorphisms(g: ColoredGraph) -> list[tuple[int, ...]]:
     return out
 
 
-def automorphism_count(g: ColoredGraph) -> int:
-    """Number of colour-preserving automorphisms."""
-    count = 0
-    for perm in underlying_automorphisms(g):
-        if all(g.edge_color(perm[u], perm[v]) == c for u, v, c in g.edges):
-            count += 1
-    return count
-
-
 # -- canonical forms and classification -------------------------------------
 
 def canonical_form(g: ColoredGraph, group: Sequence[Sequence[int]]) -> tuple:

@@ -19,10 +19,9 @@ import numpy as np
 
 from . import builtin
 from .certificate import (
-    Certificate,
     builtin_certificate,
     expand_in_classes,
-    flag_product,
+    flag_pairs,
     format_rational,
 )
 from .counting import (
@@ -151,23 +150,6 @@ class OracleReport:
 # -- identity checks on one concrete clique ---------------------------------------
 
 
-def _flag_pairs(cert: Certificate):
-    """Every unordered flag pair i <= j (0-based) of every family.
-
-    Yields (family, i, j, labels, product): ``labels`` names the one or two
-    ordered pairs, such as ``R1.2`` and ``R2.1``, that glue to ``product``.
-    """
-    for family in cert.families:
-        fam = family.root_edge_color.value
-        m = len(family.flags)
-        for i in range(m):
-            for j in range(i, m):
-                labels = (f"{fam}{i + 1}.{j + 1}",)
-                if i != j:
-                    labels += (f"{fam}{j + 1}.{i + 1}",)
-                yield family, i, j, labels, flag_product(family.flags[i], family.flags[j])
-
-
 # Every pattern here has at most six vertices, so the kernel's int64 limit
 # (n <= 1445) is far away; this cap bounds the work.
 _MAX_ORACLE_N = 64
@@ -210,7 +192,7 @@ def check_identities(g: ColoredGraph) -> OracleReport:
 
     lhs, rhs = t_inj_from_matrices(cert.target, red, blue), expanded(cert.target)
     records.append(OracleRecord("double_count", name, lhs, rhs, lhs == rhs))
-    for _, _, _, labels, product in _flag_pairs(cert):
+    for _, _, _, labels, product in flag_pairs(cert):
         lhs, rhs = t_inj_from_matrices(product, red, blue), expanded(product)
         records.extend(
             OracleRecord(f"expansion_{label}", name, lhs, rhs, lhs == rhs)
@@ -247,7 +229,7 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
     }
     quad = Fraction(0)
     surpluses = []
-    for family, i, j, labels, product in _flag_pairs(cert):
+    for family, i, j, labels, product in flag_pairs(cert):
         gram = int((counts[family.flags[i]] * counts[family.flags[j]]).sum())
         quad += len(labels) * family.matrix.rows[i][j] * gram
         surplus = Fraction(gram - hom_inj_from_matrices(product, red, blue))
@@ -320,7 +302,7 @@ def exhaustive_k6_sweep() -> SweepReport:
     perms = math.factorial(n)
     table = builtin.class_table()
     cert = builtin_certificate()
-    flag_pairs = list(_flag_pairs(cert))
+    pairs = list(flag_pairs(cert))
 
     mult = np.array([table.multiplicity(l) for l in table.indices], dtype=np.int64)
     class_counts = np.stack([_k6_counts(table.representative(l)) for l in table.indices])
@@ -344,7 +326,7 @@ def exhaustive_k6_sweep() -> SweepReport:
     # (c) the ordered product expansions; the orders of a pair glue to the
     # same graph, so each unordered table serves all of its labels
     expansion_failures = 0
-    for _, _, _, labels, product in flag_pairs:
+    for _, _, _, labels, product in pairs:
         counts = _k6_counts(product)
         w = _scaled_expansion(product, table)
         bad = int((72 * counts != (w[:, None] * weighted).sum(axis=0)).sum())
@@ -361,7 +343,7 @@ def exhaustive_k6_sweep() -> SweepReport:
     )
     terms = [
         (family.flags[i], family.flags[j], int(len(labels) * scale * family.matrix.rows[i][j]))
-        for family, i, j, labels, _ in flag_pairs
+        for family, i, j, labels, _ in pairs
     ]
     quad = np.zeros(1 << 15, dtype=np.int64)
     for u, v in permutations(range(n), 2):

@@ -1,13 +1,17 @@
 """Flag products, expansions, PSD checking, the coefficient engine, file I/O."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcert import builtin
 from flagcert.certificate import (
+    MAX_FLAGS,
     Certificate,
     FlagFamily,
     SchemaError,
@@ -53,6 +57,14 @@ def _duplicate_nested_key():
     return text.replace('"target": {\n    "n": 6,', '"target": {\n    "n": 6,\n    "n": 6,', 1)
 
 
+def _repeat_first_family_flags(count):
+    def edit(obj):
+        flags = obj["families"][0]["flags"]
+        obj["families"][0]["flags"] = (flags * count)[:count]
+
+    return edit
+
+
 def _set_base_key(key):
     def edit(obj):
         obj["base"][key] = obj["base"].pop("4")
@@ -82,6 +94,11 @@ MALFORMED = {
     "superscript_base_key": (lambda: _edited(_set_base_key("\u00b2")), "$.base.\u00b2"),
     # an Arabic-Indic digit one: int() would read it, the writer never emits it
     "arabic_indic_bound": (lambda: _edited(lambda o: o.update(bound="\u0661/64")), "$.bound"),
+    # 57 + 8 flags; the count is refused before the 8-row matrix is read
+    "sixty_five_flags": (
+        lambda: _edited(_repeat_first_family_flags(MAX_FLAGS + 1 - 8)),
+        "$.families: 65 flags",
+    ),
 }
 
 
@@ -280,6 +297,51 @@ class TestCoefficients:
         assert coeffs[26] != BOUND
 
 
+def ordered_coefficients(cert, table):
+    """Reference: base plus the ordered double sum over every flag pair i, j."""
+    coeffs = {index: cert.base.get(index, Fraction(0)) for index in table.indices}
+    for family in cert.families:
+        m = len(family.flags)
+        for i in range(m):
+            for j in range(m):
+                weight = family.matrix.rows[i][j]
+                if not weight:
+                    continue
+                product = flag_product(family.flags[i], family.flags[j])
+                for index, value in expand_in_classes(product, table).items():
+                    coeffs[index] += weight * value
+    return coeffs
+
+
+# small rationals, zero often, so zero-weight pairs are skipped as well
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 128]))
+
+
+@st.composite
+def symmetric_matrices(draw, m=8):
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = rows[j][i] = draw(SMALL_RATIONALS)
+    return SymMatrix(rows)
+
+
+class TestCoefficientReference:
+    @settings(max_examples=30, deadline=None)
+    @given(symmetric_matrices(), symmetric_matrices())
+    def test_unordered_pairs_match_the_ordered_double_sum(self, red, blue):
+        cert = builtin_certificate()
+        drawn = dataclasses.replace(
+            cert,
+            families=tuple(
+                FlagFamily(f.root_edge_color, f.flags, matrix)
+                for f, matrix in zip(cert.families, (red, blue))
+            ),
+        )
+        table = builtin.class_table()
+        assert certificate_coefficients(drawn, table) == ordered_coefficients(drawn, table)
+
+
 class TestVerification:
     def test_builtin_passes(self):
         report = verify_certificate(builtin_certificate())
@@ -326,6 +388,25 @@ class TestVerification:
         assert not report.passed
         failing = {c.name for c in report.checks if not c.passed}
         assert failing == {"coefficients"}
+
+    def test_golden_transcription_slip_fails_both_families(self, monkeypatch):
+        # the blue rows are derived from the red ones, so one corrupted red
+        # row must break the red equation and its colour-swapped blue twin
+        row = dict(builtin._GOLDEN_NUMERATORS_RED[(2, 7)])
+        row[4] -= 1
+        row[1] = 1
+        monkeypatch.setitem(builtin._GOLDEN_NUMERATORS_RED, (2, 7), row)
+        builtin._golden_numerators_blue.cache_clear()
+        try:
+            report = verify_certificate(builtin_certificate())
+        finally:
+            monkeypatch.undo()
+            builtin._golden_numerators_blue.cache_clear()
+        golden = next(c for c in report.checks if c.name == "golden_expansions")
+        assert not golden.passed
+        assert golden.detail == "mismatch at ['R2.7', 'B2.7']"
+        assert {c.name for c in report.checks if not c.passed} == {"golden_expansions"}
+        assert verify_certificate(builtin_certificate()).passed
 
     def test_foreign_template_recorded_not_raised(self):
         cert = builtin_certificate()
@@ -485,6 +566,12 @@ class TestSerialization:
     def test_not_json_rejected(self):
         with pytest.raises(SchemaError):
             load_certificate("certificate { }")
+
+    def test_flag_cap_admits_sixty_four_flags(self):
+        # 56 + 8 flags pass the cap; the 8-row matrix is read and refused
+        text = _edited(_repeat_first_family_flags(MAX_FLAGS - 8))
+        with pytest.raises(SchemaError, match=r"\$\.families\[0\]\.matrix: expected 56 rows"):
+            load_certificate(text)
 
     @pytest.mark.parametrize("kind", sorted(MALFORMED))
     def test_malformed_text_rejected(self, kind):

@@ -181,6 +181,18 @@ class TestOracleCommands:
         assert run(["oracle", check, "--n", "100000", "--seed", "0"]) == 2
         assert "host with 100000 vertices rejected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_inequality_refuses_counts_below_one(self, count, capsys, monkeypatch):
+        def draw(n, seed):
+            raise AssertionError("colour draw reached")
+
+        monkeypatch.setattr(oracle, "random_clique_coloring", draw)
+        status = run(["oracle", "inequality", "--count", count, "--format", "json"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err == f"error: --count must be at least 1, got {count}\n"
+        assert captured.out == ""
+
     def test_montecarlo_overflow_guard_exit_2(self, capsys):
         status = run(["oracle", "montecarlo", "--n", "6210", "--trials", "1"])
         assert status == 2

@@ -11,15 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcert import builtin
-from flagcert.certificate import builtin_certificate, expand_in_classes
+from flagcert.certificate import builtin_certificate, expand_in_classes, flag_pairs
 from flagcert.counting import (
     CLOSED_FORM_MAX_N,
     MAX_PATTERN_N,
     _quotients,
     alternating_hom_inj_count,
     alternating_hom_inj_from_matrices,
-    alternating_t_inj,
-    blow_up,
     color_adjacency,
     d_density,
     density_vector,
@@ -40,7 +38,7 @@ from flagcert.graphs import (
     complete_graph,
     enumerate_template_colorings,
 )
-from flagcert.oracle import _flag_pairs, _random_clique_matrices, random_clique_coloring
+from flagcert.oracle import _random_clique_matrices, random_clique_coloring
 
 
 def naive_hom_count(h: ColoredGraph, g: ColoredGraph, injective: bool) -> int:
@@ -52,6 +50,23 @@ def naive_hom_count(h: ColoredGraph, g: ColoredGraph, injective: bool) -> int:
         if all(g.edge_color(image[u], image[v]) == c for u, v, c in h.edges):
             count += 1
     return count
+
+
+def blow_up(g: ColoredGraph, size: int) -> ColoredGraph:
+    """Replace each vertex by an independent set of ``size`` clones.
+
+    Pairs between two clone classes inherit the colour of the original pair;
+    pairs inside a class stay absent.
+    """
+    return ColoredGraph(
+        g.n * size,
+        (
+            (u * size + s, v * size + t, c)
+            for u, v, c in g.edges
+            for s in range(size)
+            for t in range(size)
+        ),
+    )
 
 
 def _search_plan(h: ColoredGraph, pinned: tuple[int, ...] = ()):
@@ -423,7 +438,7 @@ def _oracle_patterns():
     flags = [f for family in cert.families for f in family.flags]
     unrooted = [cert.target]
     unrooted += [table.representative(l) for l in table.indices]
-    unrooted += [product for *_, product in _flag_pairs(cert)]
+    unrooted += [product for *_, product in flag_pairs(cert)]
     return unrooted, flags
 
 
@@ -507,10 +522,6 @@ class TestBlowUp:
         g = random_clique_coloring(5, 8)
         assert blow_up(g, 1) == g
 
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            blow_up(RED_EDGE, 0)
-
     def test_structure(self):
         g = blow_up(RED_EDGE, 3)
         assert g.n == 6
@@ -528,10 +539,13 @@ class TestBlowUp:
         # doubling sizes, for hosts with a nonzero target density
         for g in (TARGET, builtin.class_table().representative(4)):
             limit = Fraction(naive_hom_count(TARGET, g, injective=False), g.n**TARGET.n)
-            diffs = [
-                abs(alternating_t_inj(blow_up(g, size)) - limit)
-                for size in (1, 2, 4, 8)
-            ]
+            diffs = []
+            for size in (1, 2, 4, 8):
+                host = blow_up(g, size)
+                density = Fraction(
+                    alternating_hom_inj_count(host), falling_factorial(host.n, 6)
+                )
+                diffs.append(abs(density - limit))
             assert all(diffs[k + 1] <= diffs[k] for k in range(len(diffs) - 1))
             assert diffs[-1] < diffs[0]
 
@@ -607,9 +621,12 @@ class TestFastAlternatingCount:
         assert count == injective
 
     def test_t_inj_wrapper(self):
+        # the closed-form count over (n)_6 is the target's injective density
         g = random_clique_coloring(9, 13)
-        assert alternating_t_inj(g) == t_inj(TARGET, g)
-        assert alternating_t_inj(complete_graph(5, Color.RED)) == 0
+        density = Fraction(alternating_hom_inj_count(g), falling_factorial(9, 6))
+        assert density == t_inj(TARGET, g)
+        small = complete_graph(5, Color.RED)
+        assert alternating_hom_inj_count(small) == 0 == t_inj(TARGET, small)
 
 
 class TestFallingFactorial:

@@ -11,7 +11,6 @@ from flagcert.graphs import (
     Color,
     ColoredGraph,
     alternating_cycle,
-    automorphism_count,
     canonical_form,
     classify,
     complete_graph,
@@ -108,22 +107,32 @@ class TestUnderlyingAutomorphisms:
 
 
 class TestAutomorphismCount:
+    """The classification's ``aut_count`` against the brute-force count."""
+
     def test_monochromatic_extremes(self):
-        reps = builtin.class_representatives()
-        assert automorphism_count(reps[0]) == 72
-        assert automorphism_count(reps[25]) == 72
+        table = builtin.class_table()
+        for index in (1, 26):
+            assert table.entry(index).aut_count == 72
+            assert naive_color_automorphism_count(table.representative(index)) == 72
 
     def test_blue_perfect_matching(self):
         # stabilizer of a perfect matching inside the template group
-        assert automorphism_count(builtin.class_table().representative(4)) == 12
+        table = builtin.class_table()
+        assert table.entry(4).aut_count == 12
+        assert naive_color_automorphism_count(table.representative(4)) == 12
 
     def test_matches_naive_oracle_on_all_representatives(self):
-        for rep in builtin.class_representatives():
-            assert automorphism_count(rep) == naive_color_automorphism_count(rep)
+        for entry in builtin.class_table().classes:
+            assert entry.aut_count == naive_color_automorphism_count(entry.representative)
 
     def test_swap_preserves_count(self):
-        for rep in builtin.class_representatives():
-            assert automorphism_count(rep) == automorphism_count(rep.swap_colors())
+        table = builtin.class_table()
+        for entry in table.classes:
+            swapped = table.entry(SWAP_INVOLUTION[entry.index])
+            assert entry.aut_count == swapped.aut_count
+            assert naive_color_automorphism_count(
+                entry.representative.swap_colors()
+            ) == entry.aut_count
 
 
 class TestCanonicalForm:
@@ -235,7 +244,7 @@ class TestClassification:
             by_code.setdefault(canonical_form(g, group), []).append(g)
         for entry, rep in zip(table.classes, reference):
             assert entry.representative == rep
-            assert entry.aut_count == automorphism_count(rep)
+            assert entry.aut_count == naive_color_automorphism_count(rep)
             assert entry.multiplicity == len(by_code[canonical_form(rep, group)])
 
     def test_swap_involution_is_recorded_permutation(self):
