@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import builtin
-from .counting import subcube_count_table
+from .counting import MAX_PATTERN_N, subcube_count_table
 from .graphs import ClassTable, Color, ColoredGraph, Flag
 
 
@@ -510,6 +510,8 @@ def _graph_from_obj(obj, path: str, roots: bool = False):
     n = obj["n"]
     if type(n) is not int or n < 0:
         raise SchemaError(f"{path}.n", "vertex count must be a nonnegative integer")
+    if n > MAX_PATTERN_N:
+        raise SchemaError(f"{path}.n", f"{n} vertices; the limit is {MAX_PATTERN_N}")
     if not isinstance(obj["edges"], list):
         raise SchemaError(f"{path}.edges", "expected a list")
     edges = []

@@ -255,9 +255,8 @@ _MAX_TABLE_PAIRS = 16
 _MAX_TABLE_N = 8
 
 
-@lru_cache(maxsize=None)
-def subcube_members(mask: int, bits: int) -> np.ndarray:
-    """Every ``x < 2**bits`` with ``x & mask == 0``, ascending and read-only.
+def _subcube_members(mask: int, bits: int) -> np.ndarray:
+    """Every ``x < 2**bits`` with ``x & mask == 0``, ascending.
 
     Adding a value ``v`` inside ``mask`` gives the subcube of colourings whose
     bits under ``mask`` read ``v``.
@@ -266,11 +265,12 @@ def subcube_members(mask: int, bits: int) -> np.ndarray:
     for b in range(bits):
         if not (mask >> b) & 1:
             arr = np.concatenate([arr, arr + (1 << b)])
-    arr.flags.writeable = False
     return arr
 
 
-@lru_cache(maxsize=None)
+# A verify plus the exhaustive sweep uses six edge shapes; 32 keeps every
+# shape of a run and bounds what a long process holds.
+@lru_cache(maxsize=32)
 def _embeddings(
     k: int,
     shape: tuple[tuple[int, int], ...],
@@ -301,7 +301,7 @@ def _embeddings(
     masks, inverse = np.unique(
         (np.int64(1) << positions).sum(axis=1), return_inverse=True
     )
-    free = np.array([subcube_members(int(m), len(pairs)) for m in masks])
+    free = np.array([_subcube_members(int(m), len(pairs)) for m in masks])
     return positions, free, inverse.reshape(-1)
 
 

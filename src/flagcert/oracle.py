@@ -258,7 +258,15 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
 # the hosts in one subcube of {0,1}^15.  ``subcube_count_table`` over the 15
 # pairs of the 6-clique therefore counts every pattern in all 32768 hosts at
 # once, and every identity becomes an integer identity between count tables.
-# Rooted counts are the same tables with the two roots pinned to a host pair.
+#
+# Rooted counts are tables with the two roots pinned, and pinning them once at
+# (0, 1) is enough.  For an ordered pair (u, v) take any vertex permutation
+# sigma with sigma(0) = u and sigma(1) = v.  A flag's count at roots (u, v) in
+# host x equals its count at roots (0, 1) in the host whose pair {a, b} has
+# x's colour on {sigma(a), sigma(b)}: sigma carries one set of injective maps
+# onto the other.  That relabelling permutes the 15 bits of a colouring, so
+# the table for (u, v) is the (0, 1) table with its bit axes transposed, and
+# so is every product of such tables.
 
 
 @dataclass(frozen=True)
@@ -288,6 +296,22 @@ _K6_PAIRS = tuple(_pair_list(6))
 def _k6_counts(pattern: ColoredGraph) -> np.ndarray:
     """Injective counts of a pattern in each of the 32768 6-clique hosts."""
     return subcube_count_table(pattern, 6, _K6_PAIRS)[0]
+
+
+def _k6_relabel_axes(u: int, v: int) -> list[int]:
+    """Axes taking a table rooted at (0, 1) to the same table rooted at (u, v).
+
+    With sigma = (u, v, the rest in order), bit k of a colouring relabelled
+    by sigma is bit ``src[k]`` of the original, where ``src[k]`` indexes the
+    pair {sigma[a], sigma[b]} for (a, b) = pair k.  Bit k is axis 14 - k of
+    the table reshaped to (2,) * 15 in C order.
+    """
+    sigma = [u, v, *(w for w in range(6) if w not in (u, v))]
+    axes = [0] * 15
+    for k, (a, b) in enumerate(_K6_PAIRS):
+        src = _K6_PAIRS.index(tuple(sorted((sigma[a], sigma[b]))))
+        axes[14 - src] = 14 - k
+    return axes
 
 
 def _scaled_expansion(pattern: ColoredGraph, table) -> np.ndarray:
@@ -336,24 +360,25 @@ def exhaustive_k6_sweep() -> SweepReport:
 
     # (d) the flagged inequality times perms * scale, which clears every
     # denominator; the quadratic part sums weight * x_i * x_j over root
-    # pairs, with x the flags' rooted count tables
+    # pairs, with x the flags' rooted count tables: summed once at roots
+    # (0, 1), then relabelled onto each of the 30 ordered pairs
     scale = math.lcm(
         *(c.denominator for c in cert.base.values()),
         *(x.denominator for f in cert.families for row in f.matrix.rows for x in row),
     )
-    terms = [
-        (family.flags[i], family.flags[j], int(len(labels) * scale * family.matrix.rows[i][j]))
-        for family, i, j, labels, _ in pairs
-    ]
+    x = {
+        f: subcube_count_table(f.graph, n, _K6_PAIRS, dict(zip(f.roots, (0, 1))))[0]
+        for family in cert.families
+        for f in family.flags
+    }
+    q01 = np.zeros(1 << 15, dtype=np.int64)
+    for family, i, j, labels, _ in pairs:
+        weight = int(len(labels) * scale * family.matrix.rows[i][j])
+        q01 += weight * x[family.flags[i]] * x[family.flags[j]]
+    q01 = q01.reshape((2,) * 15)
     quad = np.zeros(1 << 15, dtype=np.int64)
     for u, v in permutations(range(n), 2):
-        x = {
-            f: subcube_count_table(f.graph, n, _K6_PAIRS, dict(zip(f.roots, (u, v))))[0]
-            for family in cert.families
-            for f in family.flags
-        }
-        for fi, fj, weight in terms:
-            quad += weight * x[fi] * x[fj]
+        quad += q01.transpose(_k6_relabel_axes(u, v)).ravel()
 
     base_scaled = np.zeros(len(table.indices), dtype=np.int64)
     for l, coeff in cert.base.items():

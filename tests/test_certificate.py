@@ -94,6 +94,19 @@ MALFORMED = {
     "superscript_base_key": (lambda: _edited(_set_base_key("\u00b2")), "$.base.\u00b2"),
     # an Arabic-Indic digit one: int() would read it, the writer never emits it
     "arabic_indic_bound": (lambda: _edited(lambda o: o.update(bound="\u0661/64")), "$.bound"),
+    # graphs above the counting kernel's 8 vertices are refused where they are read
+    "huge_target": (
+        lambda: _edited(lambda o: o["target"].update(n=10_000_000)),
+        "$.target.n: 10000000 vertices; the limit is 8",
+    ),
+    "nine_vertex_flag": (
+        lambda: _edited(lambda o: o["families"][1]["flags"][3].update(n=9)),
+        "$.families[1].flags[3].n: 9 vertices; the limit is 8",
+    ),
+    "nine_vertex_class": (
+        lambda: _edited(lambda o: o["classes"][25].update(n=9)),
+        "$.classes[25].n: 9 vertices; the limit is 8",
+    ),
     # 57 + 8 flags; the count is refused before the 8-row matrix is read
     "sixty_five_flags": (
         lambda: _edited(_repeat_first_family_flags(MAX_FLAGS + 1 - 8)),
@@ -572,6 +585,11 @@ class TestSerialization:
         text = _edited(_repeat_first_family_flags(MAX_FLAGS - 8))
         with pytest.raises(SchemaError, match=r"\$\.families\[0\]\.matrix: expected 56 rows"):
             load_certificate(text)
+
+    def test_graph_cap_admits_eight_vertices(self):
+        # an 8-vertex target is read; it only fails to embed in the template
+        text = _edited(lambda o: o["target"].update(n=8))
+        assert load_certificate(text).target.n == 8
 
     @pytest.mark.parametrize("kind", sorted(MALFORMED))
     def test_malformed_text_rejected(self, kind):

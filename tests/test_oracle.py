@@ -1,10 +1,13 @@
 """Deterministic randomness, identity checks, the sweep, Monte Carlo."""
 
 from fractions import Fraction
+from itertools import permutations
 
+import numpy as np
 import pytest
 
 from flagcert import builtin, oracle
+from flagcert.certificate import builtin_certificate
 from flagcert.counting import hom_inj_count, subcube_count_table, t_inj
 from flagcert.graphs import Color, alternating_cycle, complete_graph, enumerate_template_colorings
 
@@ -158,6 +161,19 @@ class TestExhaustiveSweep:
         assert maps == 720
         for m in (0, 1, 4097, 77, 30000, 32767):
             assert table[m] == hom_inj_count(target, hosts[m])
+
+    def test_relabelled_tables_match_directly_pinned_tables(self):
+        # the sweep pins each flag once at roots (0, 1); transposing that
+        # table's bit axes must give the kernel's table for every root pair
+        pairs = oracle._K6_PAIRS
+        flags = [f for family in builtin_certificate().families for f in family.flags]
+        assert len(flags) == 16
+        for f in flags:
+            rooted01 = subcube_count_table(f.graph, 6, pairs, dict(zip(f.roots, (0, 1))))[0]
+            for u, v in permutations(range(6), 2):
+                direct = subcube_count_table(f.graph, 6, pairs, dict(zip(f.roots, (u, v))))[0]
+                relabelled = rooted01.reshape((2,) * 15).transpose(oracle._k6_relabel_axes(u, v))
+                assert np.array_equal(relabelled.ravel(), direct), (f, u, v)
 
     def test_host_bit_convention_matches_enumeration(self):
         hosts = enumerate_template_colorings(complete_graph(6, Color.RED))
