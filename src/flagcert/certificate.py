@@ -198,7 +198,9 @@ def flag_product(f1: Flag, f2: Flag) -> ColoredGraph:
     return ColoredGraph(n, ((u, v, c) for (u, v), c in merged.items()))
 
 
-@lru_cache(maxsize=None)
+# A certificate has 73 patterns (its target and 72 flag products), and the
+# golden check adds the builtin's; 256 keeps both and bounds a long process.
+@lru_cache(maxsize=256)
 def _expansion_cached(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
     """``t_bip(p, representative)`` for every class, read off one count table."""
     counts, maps = subcube_count_table(p, table.n, table.pairs)
@@ -615,7 +617,10 @@ def load_certificate(text: str) -> Certificate:
     ):
         raise SchemaError("$.template.parts", "expected two positive part sizes")
 
+    vertices = sum(parts)  # every pattern the checks count must fit on these
     target = _graph_from_obj(obj["target"], "$.target")
+    if target.n > vertices:
+        raise SchemaError("$.target.n", f"{target.n} vertices; the template has {vertices}")
 
     classes = None
     if "classes" in obj:
@@ -626,10 +631,10 @@ def load_certificate(text: str) -> Certificate:
             for k, item in enumerate(obj["classes"])
         )
         for k, g in enumerate(classes):
-            if g.n != sum(parts):
+            if g.n != vertices:
                 raise SchemaError(
                     f"$.classes[{k}].n",
-                    f"class graphs colour the template's {sum(parts)} vertices, got {g.n}",
+                    f"class graphs colour the template's {vertices} vertices, got {g.n}",
                 )
 
     if not isinstance(obj["base"], dict):
@@ -664,6 +669,13 @@ def load_certificate(text: str) -> Certificate:
             _graph_from_obj(item, f"{fpath}.flags[{k}]", roots=True)
             for k, item in enumerate(fam_obj["flags"])
         )
+        for k, f in enumerate(flags):
+            glued = 2 * f.graph.n - 2  # the flag glued to itself on its two roots
+            if glued > vertices:
+                raise SchemaError(
+                    f"{fpath}.flags[{k}].n",
+                    f"{f.graph.n} vertices glue to {glued}; the template has {vertices}",
+                )
         m = len(flags)
         rows_obj = fam_obj["matrix"]
         if not isinstance(rows_obj, list) or len(rows_obj) != m:

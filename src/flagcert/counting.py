@@ -53,7 +53,9 @@ _INT64_MAX = 2**63 - 1
 _LETTERS = "abcdefgh"  # one einsum index per block
 
 
-@lru_cache(maxsize=None)
+# The oracle's checks use 115 keys (26 classes, the target, 72 flag products
+# and 16 pinned flags); 256 keeps them all and bounds what a long process holds.
+@lru_cache(maxsize=256)
 def _quotients(h: ColoredGraph, pinned: tuple[int, ...] = ()):
     """Einsum specs and summed Moebius weights of the quotients of ``h``.
 
@@ -101,7 +103,9 @@ def _quotients(h: ColoredGraph, pinned: tuple[int, ...] = ()):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# The oracle's patterns need about 33 distinct specs per host size; 512 keeps
+# those of fifteen sizes.
+@lru_cache(maxsize=512)
 def _einsum_path(spec: str, n: int):
     """Greedy contraction order for ``spec`` on an n-vertex host.
 
@@ -207,15 +211,9 @@ def rising_factorial(n: int, k: int) -> int:
 
 def t_inj(h: ColoredGraph, g: ColoredGraph) -> Fraction:
     """Probability that a uniform injective map V(h) -> V(g) is a hom."""
-    return t_inj_from_matrices(h, *color_adjacency(g))
-
-
-def t_inj_from_matrices(h: ColoredGraph, red, blue) -> Fraction:
-    """``t_inj`` in the host with these adjacency matrices."""
-    n = red.shape[0]
-    if n < h.n:
+    if g.n < h.n:
         return Fraction(0)
-    return Fraction(hom_inj_from_matrices(h, red, blue), falling_factorial(n, h.n))
+    return Fraction(hom_inj_count(h, g), falling_factorial(g.n, h.n))
 
 
 def d_density(index: int, g: ColoredGraph, table: ClassTable) -> Fraction:

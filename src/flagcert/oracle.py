@@ -3,9 +3,9 @@
 Everything here recomputes both sides of each identity from first
 principles on concrete hosts: class densities by exact injective counting,
 product densities by counting the glued graphs, the flagged inequality by
-assembling rooted-count vectors and quadratic forms.  Exact rational
-arithmetic throughout; randomness is a deterministic function of a 64-bit
-seed and an index, so results never depend on iteration order.
+assembling rooted-count vectors and quadratic forms, as exact integers
+over one common denominator.  Randomness is a deterministic function of a
+64-bit seed and an index, so results never depend on iteration order.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -31,7 +32,6 @@ from .counting import (
     falling_factorial,
     hom_inj_from_matrices,
     subcube_count_table,
-    t_inj_from_matrices,
 )
 from .graphs import Color, ColoredGraph
 
@@ -147,6 +147,54 @@ class OracleReport:
         }
 
 
+# -- the certificate's checks as integer identities ---------------------------------
+
+
+def _evaluate(cert, pairs, count, perms: int, quad=None, identities=True):
+    """Both sides of the certificate's checks as integers over one denominator.
+
+    ``count(pattern)`` counts a six-vertex pattern, a Python int for one host
+    or an int64 table for many, and a density is a count over ``perms`` =
+    (n)_6.  The identities are checked when ``identities`` is set, and the
+    flagged inequality when its rooted part ``quad(weights)`` is given: the
+    sum over ``pairs`` of ``weights[k]`` times pair k's Gram sum.  Returns
+    ``(den, checks)``, where ``den`` is ``perms`` times the lcm of the
+    denominators those checks use and ``checks`` yields ``(group, names,
+    lhs, rhs, holds)`` with both sides over ``den``, one name per ordered
+    check.
+    """
+    table = builtin.class_table()
+    # multiplicity-weighted class counts; the inequality alone needs only the base
+    indices = table.indices if identities else cert.base
+    classes = {l: table.multiplicity(l) * count(table.representative(l)) for l in indices}
+    patterns = (cert.target, *(product for *_, product in pairs))
+    expansions = [expand_in_classes(p, table) for p in patterns] if identities else []
+    rationals = [c for expansion in expansions for c in expansion.values()]
+    if quad is not None:
+        rationals += [*cert.base.values(), *(f.matrix.rows[i][j] for f, i, j, _, _ in pairs)]
+    scale = math.lcm(*(c.denominator for c in rationals))
+
+    def combined(coefficients: dict):  # only nonzero classes: three or four per expansion
+        return sum(int(scale * c) * classes[l] for l, c in coefficients.items() if c)
+
+    def checks():
+        target = scale * count(cert.target)
+        if identities:
+            total = scale * sum(classes.values())
+            yield "sum_to_one", ["sum_to_one"], total, scale * perms, total == scale * perms
+            rhs = combined(expansions[0])
+            yield "double_count", ["double_count"], target, rhs, target == rhs
+            for (*_, labels, product), expansion in zip(pairs, expansions[1:]):
+                lhs, rhs = scale * count(product), combined(expansion)
+                yield "expansions", [f"expansion_{x}" for x in labels], lhs, rhs, lhs == rhs
+        if quad is not None:
+            weights = [int(scale * len(lab) * f.matrix.rows[i][j]) for f, i, j, lab, _ in pairs]
+            rhs = combined(cert.base) + quad(weights)
+            yield "flagged_inequality", ["flagged_inequality"], target, rhs, target <= rhs
+
+    return scale * perms, checks()
+
+
 # -- identity checks on one concrete clique ---------------------------------------
 
 
@@ -164,6 +212,15 @@ def check_host_size(n: int) -> None:
         )
 
 
+def _records(name: str, den: int, checks) -> list[OracleRecord]:
+    """One record per ordered check of ``_evaluate``, both sides as rationals."""
+    return [
+        OracleRecord(check, name, Fraction(lhs, den), Fraction(rhs, den), holds)
+        for _, names, lhs, rhs, holds in checks
+        for check in names
+    ]
+
+
 def check_identities(g: ColoredGraph) -> OracleReport:
     """Recount both sides of every identity on one coloured clique.
 
@@ -175,30 +232,11 @@ def check_identities(g: ColoredGraph) -> OracleReport:
         raise ValueError("identity checks require a coloured clique host")
     check_host_size(g.n)
     red, blue = color_adjacency(g)
-    table = builtin.class_table()
+    count = partial(hom_inj_from_matrices, red=red, blue=blue)
     cert = builtin_certificate()
-    name = f"clique n={g.n}"
-
-    dvec = {
-        l: table.multiplicity(l) * t_inj_from_matrices(table.representative(l), red, blue)
-        for l in table.indices
-    }
-    total = sum(dvec.values(), Fraction(0))
-    records = [OracleRecord("sum_to_one", name, total, Fraction(1), total == 1)]
-
-    def expanded(pattern: ColoredGraph) -> Fraction:
-        expansion = expand_in_classes(pattern, table)
-        return sum((expansion[l] * dvec[l] for l in table.indices), Fraction(0))
-
-    lhs, rhs = t_inj_from_matrices(cert.target, red, blue), expanded(cert.target)
-    records.append(OracleRecord("double_count", name, lhs, rhs, lhs == rhs))
-    for _, _, _, labels, product in flag_pairs(cert):
-        lhs, rhs = t_inj_from_matrices(product, red, blue), expanded(product)
-        records.extend(
-            OracleRecord(f"expansion_{label}", name, lhs, rhs, lhs == rhs)
-            for label in labels
-        )
-    return OracleReport(tuple(records))
+    perms = falling_factorial(g.n, 6) or 1  # below six vertices every count is zero
+    den, checks = _evaluate(cert, list(flag_pairs(cert)), count, perms)
+    return OracleReport(tuple(_records(f"clique n={g.n}", den, checks)))
 
 
 def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
@@ -215,40 +253,29 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
         raise ValueError("the flagged inequality needs at least 6 vertices")
     check_host_size(n)
     red, blue = color_adjacency(g)
-    table = builtin.class_table()
+    count = partial(hom_inj_from_matrices, red=red, blue=blue)
     cert = builtin_certificate()
+    pairs = list(flag_pairs(cert))
     name = f"clique n={n}"
 
     # each flag's rooted count table over all ordered root pairs (zero on the
     # diagonal); their Gram sums give both the quadratic form and, against
     # the count of the glued product, the overlap surplus
-    counts = {
-        f: hom_inj_from_matrices(f.graph, red, blue, f.roots)
-        for family in cert.families
-        for f in family.flags
-    }
-    quad = Fraction(0)
+    rooted = {f: count(f.graph, roots=f.roots) for family in cert.families for f in family.flags}
+    grams = [int((rooted[f.flags[i]] * rooted[f.flags[j]]).sum()) for f, i, j, _, _ in pairs]
     surpluses = []
-    for family, i, j, labels, product in flag_pairs(cert):
-        gram = int((counts[family.flags[i]] * counts[family.flags[j]]).sum())
-        quad += len(labels) * family.matrix.rows[i][j] * gram
-        surplus = Fraction(gram - hom_inj_from_matrices(product, red, blue))
+    for gram, (*_, labels, product) in zip(grams, pairs):
+        surplus = Fraction(gram - count(product))
         surpluses.extend(
             OracleRecord(f"overlap_surplus_{label}", name, surplus, Fraction(0), surplus >= 0)
             for label in labels
         )
 
-    base_part = sum(
-        (
-            coeff * table.multiplicity(l) * t_inj_from_matrices(table.representative(l), red, blue)
-            for l, coeff in cert.base.items()
-        ),
-        Fraction(0),
+    den, checks = _evaluate(
+        cert, pairs, count, falling_factorial(n, 6),
+        lambda weights: sum(w * gram for w, gram in zip(weights, grams)), identities=False,
     )
-    rhs = base_part + quad / falling_factorial(n, 6)
-    lhs = t_inj_from_matrices(cert.target, red, blue)
-    inequality = OracleRecord("flagged_inequality", name, lhs, rhs, lhs <= rhs)
-    return OracleReport((inequality, *surpluses))
+    return OracleReport((*_records(name, den, checks), *surpluses))
 
 
 # -- exhaustive sweep over every colouring of the 6-clique -------------------------
@@ -314,86 +341,41 @@ def _k6_relabel_axes(u: int, v: int) -> list[int]:
     return axes
 
 
-def _scaled_expansion(pattern: ColoredGraph, table) -> np.ndarray:
-    """The pattern's class expansion times 72, as integers in class order."""
-    expansion = expand_in_classes(pattern, table)
-    return np.array([int(72 * expansion[l]) for l in table.indices], dtype=np.int64)
-
-
 def exhaustive_k6_sweep() -> SweepReport:
     """Check every identity and the inequality on all 32768 6-clique hosts."""
     n = 6
-    perms = math.factorial(n)
-    table = builtin.class_table()
+    hosts = 1 << 15
     cert = builtin_certificate()
     pairs = list(flag_pairs(cert))
 
-    mult = np.array([table.multiplicity(l) for l in table.indices], dtype=np.int64)
-    class_counts = np.stack([_k6_counts(table.representative(l)) for l in table.indices])
-    weighted = mult[:, None] * class_counts
+    def quad(weights) -> np.ndarray:
+        # weight * x_i * x_j summed over flag pairs, with x the flags' rooted
+        # count tables at roots (0, 1), then relabelled onto all 30 root pairs
+        x = {
+            f: subcube_count_table(f.graph, n, _K6_PAIRS, dict(zip(f.roots, (0, 1))))[0]
+            for family in cert.families
+            for f in family.flags
+        }
+        q01 = np.zeros(hosts, dtype=np.int64)
+        for weight, (family, i, j, _, _) in zip(weights, pairs):
+            if weight:
+                q01 += weight * x[family.flags[i]] * x[family.flags[j]]
+        q01 = q01.reshape((2,) * 15)
+        total = np.zeros((2,) * 15, dtype=np.int64)
+        for u, v in permutations(range(n), 2):
+            total += q01.transpose(_k6_relabel_axes(u, v))
+        return total.ravel()
 
+    den, checks = _evaluate(cert, pairs, _k6_counts, math.factorial(n), quad)
     failures: dict[str, int] = {}
-    total_checks = 0
-
-    # (a) class densities sum to one
-    sums = weighted.sum(axis=0)
-    failures["sum_to_one"] = int((sums != perms).sum())
-    total_checks += sums.size
-
-    # (b) the target's expansion identity
-    target_counts = _k6_counts(cert.target)
-    w_target = _scaled_expansion(cert.target, table)
-    rhs = (w_target[:, None] * weighted).sum(axis=0)
-    failures["double_count"] = int((72 * target_counts != rhs).sum())
-    total_checks += rhs.size
-
-    # (c) the ordered product expansions; the orders of a pair glue to the
-    # same graph, so each unordered table serves all of its labels
-    expansion_failures = 0
-    for _, _, _, labels, product in pairs:
-        counts = _k6_counts(product)
-        w = _scaled_expansion(product, table)
-        bad = int((72 * counts != (w[:, None] * weighted).sum(axis=0)).sum())
-        expansion_failures += len(labels) * bad
-        total_checks += len(labels) * counts.size
-    failures["expansions"] = expansion_failures
-
-    # (d) the flagged inequality times perms * scale, which clears every
-    # denominator; the quadratic part sums weight * x_i * x_j over root
-    # pairs, with x the flags' rooted count tables: summed once at roots
-    # (0, 1), then relabelled onto each of the 30 ordered pairs
-    scale = math.lcm(
-        *(c.denominator for c in cert.base.values()),
-        *(x.denominator for f in cert.families for row in f.matrix.rows for x in row),
-    )
-    x = {
-        f: subcube_count_table(f.graph, n, _K6_PAIRS, dict(zip(f.roots, (0, 1))))[0]
-        for family in cert.families
-        for f in family.flags
-    }
-    q01 = np.zeros(1 << 15, dtype=np.int64)
-    for family, i, j, labels, _ in pairs:
-        weight = int(len(labels) * scale * family.matrix.rows[i][j])
-        q01 += weight * x[family.flags[i]] * x[family.flags[j]]
-    q01 = q01.reshape((2,) * 15)
-    quad = np.zeros(1 << 15, dtype=np.int64)
-    for u, v in permutations(range(n), 2):
-        quad += q01.transpose(_k6_relabel_axes(u, v)).ravel()
-
-    base_scaled = np.zeros(len(table.indices), dtype=np.int64)
-    for l, coeff in cert.base.items():
-        base_scaled[l - 1] = int(scale * coeff)
-    rhs_scaled = (base_scaled[:, None] * weighted).sum(axis=0) + quad
-    slack = rhs_scaled - scale * target_counts
-    failures["flagged_inequality"] = int((slack < 0).sum())
-    total_checks += slack.size
-
-    return SweepReport(
-        hosts=1 << 15,
-        failures=failures,
-        min_inequality_slack=Fraction(int(slack.min()), scale * perms),
-        checks=total_checks,
-    )
+    checked = 0
+    for group, names, lhs, rhs, holds in checks:
+        # the orders of a flag pair glue to one graph, so one table serves both
+        failures[group] = failures.get(group, 0) + len(names) * int(np.count_nonzero(~holds))
+        checked += len(names) * hosts
+        if group == "flagged_inequality":
+            min_slack = Fraction(int((rhs - lhs).min()), den)
+    return SweepReport(hosts, failures, min_slack, checked)
 
 
 # -- Monte Carlo -------------------------------------------------------------------

@@ -107,6 +107,15 @@ MALFORMED = {
         lambda: _edited(lambda o: o["classes"][25].update(n=9)),
         "$.classes[25].n: 9 vertices; the limit is 8",
     ),
+    # patterns that fit the kernel but not the six-vertex template
+    "seven_vertex_target": (
+        lambda: _edited(lambda o: o["target"].update(n=7)),
+        "$.target.n: 7 vertices; the template has 6",
+    ),
+    "five_vertex_flag": (
+        lambda: _edited(lambda o: o["families"][0]["flags"][0].update(n=5)),
+        "$.families[0].flags[0].n: 5 vertices glue to 8",
+    ),
     # 57 + 8 flags; the count is refused before the 8-row matrix is read
     "sixty_five_flags": (
         lambda: _edited(_repeat_first_family_flags(MAX_FLAGS + 1 - 8)),
@@ -586,10 +595,24 @@ class TestSerialization:
         with pytest.raises(SchemaError, match=r"\$\.families\[0\]\.matrix: expected 56 rows"):
             load_certificate(text)
 
-    def test_graph_cap_admits_eight_vertices(self):
-        # an 8-vertex target is read; it only fails to embed in the template
-        text = _edited(lambda o: o["target"].update(n=8))
-        assert load_certificate(text).target.n == 8
+    def test_target_fits_the_template(self):
+        # the 3+3 template has six vertices: a six-vertex target is read, a
+        # seventh vertex is refused where it is read
+        assert load_certificate(_edited(lambda o: o["target"].update(n=6))).target.n == 6
+        with pytest.raises(SchemaError, match=r"\$\.target\.n: 7 vertices; the template has 6"):
+            load_certificate(_edited(lambda o: o["target"].update(n=7)))
+
+    def test_flag_products_fit_the_template(self):
+        # a flag glued to itself on its two roots has 2n - 2 vertices
+        def flag_on(n):
+            return _edited(lambda o: o["families"][0]["flags"][0].update(n=n))
+
+        assert load_certificate(flag_on(4)).families[0].flags[0].graph.n == 4
+        with pytest.raises(
+            SchemaError,
+            match=r"\$\.families\[0\]\.flags\[0\]\.n: 5 vertices glue to 8; the template has 6",
+        ):
+            load_certificate(flag_on(5))
 
     @pytest.mark.parametrize("kind", sorted(MALFORMED))
     def test_malformed_text_rejected(self, kind):

@@ -80,6 +80,22 @@ class TestVerify:
         assert "coefficients" in failing
 
 
+    def test_triangle_target_loads_and_fails_exit_1(self, tmp_path, capsys):
+        # a target that fits the template but never embeds is a failed check
+        exported = tmp_path / "cert.json"
+        assert run(["export-cert", "--out", str(exported)]) == 0
+        capsys.readouterr()
+        obj = json.loads(exported.read_text())
+        obj["target"] = {"n": 3, "edges": [[0, 1, "R"], [0, 2, "R"], [1, 2, "R"]]}
+        bad = tmp_path / "triangle.json"
+        bad.write_text(json.dumps(obj))
+        status = run(["verify", "--cert", str(bad), "--format", "json"])
+        out = json.loads(capsys.readouterr().out)
+        assert status == 1
+        failing = {c["name"] for c in out["checks"] if not c["passed"]}
+        assert "base_vector" in failing
+
+
 class TestClassify:
     def test_text_headline(self, capsys):
         status = run(["classify", "--template", "k33"])

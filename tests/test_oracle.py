@@ -5,11 +5,26 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcert import builtin, oracle
-from flagcert.certificate import builtin_certificate
-from flagcert.counting import hom_inj_count, subcube_count_table, t_inj
-from flagcert.graphs import Color, alternating_cycle, complete_graph, enumerate_template_colorings
+from flagcert.certificate import builtin_certificate, expand_in_classes, flag_pairs
+from flagcert.counting import (
+    color_adjacency,
+    falling_factorial,
+    hom_inj_count,
+    hom_inj_from_matrices,
+    subcube_count_table,
+    t_inj,
+)
+from flagcert.graphs import (
+    Color,
+    ColoredGraph,
+    alternating_cycle,
+    complete_graph,
+    enumerate_template_colorings,
+)
 
 
 class TestRandomness:
@@ -136,6 +151,85 @@ class TestFlaggedInequality:
     def test_rejects_non_clique(self):
         with pytest.raises(ValueError):
             oracle.check_flagged_inequality(alternating_cycle(6))
+
+
+def _reference_records(g: ColoredGraph):
+    """Identity and inequality records of ``g`` built as rational sums.
+
+    Class densities are multiplicity times ``t_inj``, each pattern's rhs is
+    its class expansion against them, and the quadratic form is the sum of
+    Gram sums of the flags' rooted count tables over (n)_6.
+    """
+    table = builtin.class_table()
+    cert = builtin_certificate()
+    name = f"clique n={g.n}"
+    d = {l: table.multiplicity(l) * t_inj(table.representative(l), g) for l in table.indices}
+
+    def expanded(pattern):
+        expansion = expand_in_classes(pattern, table)
+        return sum((expansion[l] * d[l] for l in table.indices), Fraction(0))
+
+    def record(check, lhs, rhs, holds):
+        return oracle.OracleRecord(check, name, lhs, rhs, holds)
+
+    target = t_inj(cert.target, g)
+    identities = [
+        record("sum_to_one", sum(d.values()), Fraction(1), sum(d.values()) == 1),
+        record("double_count", target, expanded(cert.target), target == expanded(cert.target)),
+    ]
+    red, blue = color_adjacency(g)
+    quad = Fraction(0)
+    surpluses = []
+    for family, i, j, labels, product in flag_pairs(cert):
+        lhs, rhs = t_inj(product, g), expanded(product)
+        identities += [record(f"expansion_{label}", lhs, rhs, lhs == rhs) for label in labels]
+        x_i, x_j = (
+            hom_inj_from_matrices(family.flags[k].graph, red, blue, family.flags[k].roots)
+            for k in (i, j)
+        )
+        gram = int((x_i * x_j).sum())
+        quad += len(labels) * family.matrix.rows[i][j] * gram
+        surplus = Fraction(gram - hom_inj_count(product, g))
+        surpluses += [
+            record(f"overlap_surplus_{label}", surplus, Fraction(0), surplus >= 0)
+            for label in labels
+        ]
+    if g.n < 6:
+        return identities, None
+    rhs = sum((c * d[l] for l, c in cert.base.items()), Fraction(0))
+    rhs += quad / falling_factorial(g.n, 6)
+    return identities, [record("flagged_inequality", target, rhs, target <= rhs), *surpluses]
+
+
+@st.composite
+def cliques(draw, min_n=4, max_n=9):
+    """Red/blue cliques on min_n..max_n vertices, every pair drawn."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    blue = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(u, v, Color.BLUE if b else Color.RED) for (u, v), b in zip(pairs, blue)]
+    return ColoredGraph(n, edges)
+
+
+class TestEvaluator:
+    @settings(max_examples=12, deadline=None)
+    @given(cliques())
+    def test_records_match_rational_reference(self, g):
+        identities, inequality = _reference_records(g)
+        assert list(oracle.check_identities(g).records) == identities
+        if inequality is not None:
+            assert list(oracle.check_flagged_inequality(g).records) == inequality
+
+    def test_sweep_minimum_slack_is_at_the_monochromatic_cliques(self):
+        # colourings 0 and 32767 of the sweep are the all-red and all-blue
+        # 6-cliques; the per-host check gives them the sweep's least slack
+        hosts = enumerate_template_colorings(complete_graph(6, Color.RED))
+        assert hosts[0] == complete_graph(6, Color.RED)
+        assert hosts[32767] == complete_graph(6, Color.BLUE)
+        for g in (hosts[0], hosts[32767]):
+            main = oracle.check_flagged_inequality(g).records[0]
+            assert main.rhs - main.lhs == Fraction(3, 32)
+        assert oracle.exhaustive_k6_sweep().min_inequality_slack == Fraction(3, 32)
 
 
 class TestExhaustiveSweep:
