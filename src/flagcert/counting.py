@@ -8,7 +8,7 @@ gives an integer table over all 2^pairs colourings; pinning pattern
 vertices to host vertices gives rooted counts the same way.  The verifier,
 the classifier and the exhaustive sweep read their counts from these tables.
 
-``hom_inj_from_matrices`` counts a pattern in one concrete host, given its
+``hom_inj_batch`` counts a list of patterns in one concrete host, given its
 red and blue adjacency matrices, by Moebius inversion over the partition
 lattice (Lovasz, *Large Networks and Graph Limits*, 5.2):
 
@@ -18,11 +18,14 @@ lattice (Lovasz, *Large Networks and Graph Limits*, 5.2):
 A quotient P/pi whose block holds an edge of P has a loop and no
 homomorphisms, so the partitions are enumerated with such blocks pruned; a
 quotient that puts both colours on one pair has none either and is dropped.
-Equal quotients are merged and those whose summed mu is zero dropped, and
-each remaining hom count is one ``np.einsum`` of the host's matrices.
+Equal quotients are merged and those whose summed mu is zero dropped.
 Pinned roots stay in separate blocks and become free indices, which gives
-the whole rooted table at once.  The oracle, ``hom_inj_count``,
-``rooted_hom_inj_count`` and ``t_bip`` read their per-host counts from it.
+the whole rooted table at once.  Quotients of all the patterns that differ
+only in which colour each edge reads share an einsum spec, and each spec
+is one ``np.einsum`` with a batch index over those quotients: the 656
+quotients of the oracle's 99 identity patterns need 33 specs.  Each host
+check of the oracle makes one call; ``hom_inj_from_matrices`` is the batch
+of one that ``hom_inj_count``, ``rooted_hom_inj_count`` and ``t_bip`` read.
 
 Counts are int64.  For a k-vertex pattern on an n-vertex host every einsum
 partial sum is a partial hom count, at most n^k, and every signed running
@@ -53,8 +56,9 @@ _INT64_MAX = 2**63 - 1
 _LETTERS = "abcdefgh"  # one einsum index per block
 
 
-# The oracle's checks use 115 keys (26 classes, the target, 72 flag products
-# and 16 pinned flags); 256 keeps them all and bounds what a long process holds.
+# Read once per batch plan.  The oracle's checks use 115 keys (26 classes, the
+# target, 72 flag products and 16 pinned flags); 256 keeps them all and bounds
+# what a long process holds.
 @lru_cache(maxsize=256)
 def _quotients(h: ColoredGraph, pinned: tuple[int, ...] = ()):
     """Einsum specs and summed Moebius weights of the quotients of ``h``.
@@ -103,18 +107,54 @@ def _quotients(h: ColoredGraph, pinned: tuple[int, ...] = ()):
     return tuple(out)
 
 
-# The oracle's patterns need about 33 distinct specs per host size; 512 keeps
-# those of fifteen sizes.
-@lru_cache(maxsize=512)
-def _einsum_path(spec: str, n: int):
-    """Greedy contraction order for ``spec`` on an n-vertex host.
+# Rows of one batched einsum hold at most this many entries in all: each row's
+# intermediates are kept to n^3, so a call batches max(1, 2^16 // n^3) rows.
+_BATCH_ENTRIES = 2**16
 
-    The memory limit admits n^3 intermediates; numpy's default (the largest
-    operand, n^2) leaves K3,3 quotients no order better than n^6.
+
+# A host check asks for one batch (99 patterns for identities, 93 for the
+# inequality); 64 also keeps the batches of one of hom_inj_count and friends.
+@lru_cache(maxsize=64)
+def _batch_plan(patterns: tuple[tuple[ColoredGraph, tuple[int, ...]], ...]):
+    """Every quotient of ``patterns`` grouped by einsum spec, equal rows merged.
+
+    Returns ``(spec, bits, scatter)`` per spec: ``spec`` has a batch index z
+    on every term and on the output, row r of ``bits`` lists each term's
+    operand (0 red, 1 blue, 2 ones), and ``scatter`` holds ``(row, pattern,
+    weight)``.  The empty pattern's one quotient has no term and is left out.
     """
-    shapes = [(n,) * len(term) for term in spec.split("->")[0].split(",")]
+    groups: dict[str, dict[tuple[int, ...], int]] = {}
+    scatter: dict[str, list[tuple[int, int, int]]] = {}
+    for p, (h, roots) in enumerate(patterns):
+        for spec, operands, weight in _quotients(h, roots):
+            if operands:
+                rows = groups.setdefault(spec, {})
+                row = rows.setdefault(operands, len(rows))
+                scatter.setdefault(spec, []).append((row, p, weight))
+    out = []
+    for spec, rows in groups.items():
+        terms, output = spec.split("->")
+        batched = ",".join("z" + t for t in terms.split(",")) + "->z" + output
+        bits = np.array(list(rows), dtype=np.intp)
+        bits.flags.writeable = False  # shared by every caller of the cached plan
+        out.append((batched, bits, tuple(scatter[spec])))
+    return tuple(out)
+
+
+# A spec is run with at most two batch sizes per host size (full calls and the
+# remainder); the oracle's two checks use 37 to 47 keys per host size, so
+# 1024 keeps those of twenty sizes.
+@lru_cache(maxsize=1024)
+def _einsum_path(spec: str, n: int, rows: int):
+    """Greedy contraction order for a batch of ``rows`` on an n-vertex host.
+
+    The memory limit admits n^3 intermediates per row; numpy's default (the
+    largest operand, n^2 per row) leaves K3,3 quotients no order better than
+    n^6.
+    """
+    shapes = [tuple(rows if c == "z" else n for c in term) for term in spec.split("->")[0].split(",")]
     dummies = [np.broadcast_to(np.int64(0), shape) for shape in shapes]
-    return np.einsum_path(spec, *dummies, optimize=("greedy", n**3))[0]
+    return np.einsum_path(spec, *dummies, optimize=("greedy", rows * n**3))[0]
 
 
 def _check_kernel_size(k: int, n: int) -> None:
@@ -133,30 +173,63 @@ def _check_kernel_size(k: int, n: int) -> None:
         )
 
 
-def hom_inj_from_matrices(h: ColoredGraph, red, blue, roots: tuple[int, ...] = ()):
-    """Injective colour-preserving maps of ``h`` into a host, by quotients.
+def hom_inj_batch(patterns, red, blue) -> list:
+    """Injective colour-preserving maps of each ``(h, roots)`` into one host.
 
     ``red`` and ``blue`` are the host's int64 0/1 adjacency matrices with
-    zero diagonals.  Without roots the count is a Python int; with two roots
-    it is the n x n int64 table whose entry [u, v] counts the maps sending
-    the first root to u and the second to v, zero on the diagonal.
+    zero diagonals.  All quotients of all patterns sharing an einsum spec
+    are counted together: row r of a call reads, for each edge term, the
+    red or blue matrix as its colour bit says.  A call batches at most
+    max(1, 2^16 // n^3) rows, so its intermediates hold at most
+    max(2^16, n^3) entries: one row per call from n = 40 on.  Returns one
+    count per pattern, in order: without roots a Python int; with two roots
+    the n x n int64 table whose entry [u, v] counts the maps sending the
+    first root to u and the second to v, zero on the diagonal.  Roots must be
+    none or two distinct vertices of their pattern.
     """
     red = np.asarray(red, dtype=np.int64)
     blue = np.asarray(blue, dtype=np.int64)
     n = red.shape[0]
-    _check_kernel_size(h.n, n)
-    if len(roots) not in (0, 2):
-        raise ValueError("pin no roots or exactly two")
-    if not h.n:
-        return 1
-    matrices = (red, blue, np.ones(n, dtype=np.int64))
-    total = np.zeros((n, n), dtype=np.int64) if roots else 0
-    for spec, operands, weight in _quotients(h, tuple(roots)):
-        hom = np.einsum(spec, *(matrices[i] for i in operands), optimize=_einsum_path(spec, n))
-        total += weight * (hom if roots else int(hom))
-    if roots:
-        np.fill_diagonal(total, 0)
-    return total
+    patterns = tuple((h, tuple(roots)) for h, roots in patterns)
+    _check_kernel_size(max((h.n for h, _ in patterns), default=0), n)
+    for h, roots in patterns:
+        if len(roots) not in (0, 2):
+            raise ValueError("pin no roots or exactly two")
+        _check_vertices(roots, h.n, "pattern")
+        if len(set(roots)) != len(roots):
+            raise ValueError("pattern roots must be distinct")
+    # the empty pattern has one map and no quotient in the plan
+    totals = [np.zeros((n, n), dtype=np.int64) if roots else int(h.n == 0) for h, roots in patterns]
+    colours = np.stack([red, blue])
+    step = max(1, _BATCH_ENTRIES // max(n, 1) ** 3)
+    for spec, bits, scatter in _batch_plan(patterns):
+        edges = [len(term) == 3 for term in spec.split("->")[0].split(",")]
+        homs = []
+        for start in range(0, len(bits), step):
+            chunk = bits[start : start + step]
+            ones = np.broadcast_to(np.int64(1), (len(chunk), n))
+            operands = [colours[chunk[:, k]] if edge else ones for k, edge in enumerate(edges)]
+            if len(chunk) == 1:
+                # numpy's matmul steps squeeze a size-1 axis by a copying reduction
+                one = spec.replace("z", "")
+                operands = [op[0] for op in operands]
+                homs.append(np.einsum(one, *operands, optimize=_einsum_path(one, n, 1))[None])
+            else:
+                homs.append(np.einsum(spec, *operands, optimize=_einsum_path(spec, n, len(chunk))))
+        hom = np.concatenate(homs)
+        if hom.ndim == 1:
+            hom = hom.tolist()  # plain counts are summed as Python ints
+        for row, p, weight in scatter:
+            totals[p] += weight * hom[row]
+    for (_, roots), total in zip(patterns, totals):
+        if roots:
+            np.fill_diagonal(total, 0)
+    return totals
+
+
+def hom_inj_from_matrices(h: ColoredGraph, red, blue, roots: tuple[int, ...] = ()):
+    """``hom_inj_batch`` for the one pattern ``h`` with ``roots``."""
+    return hom_inj_batch([(h, roots)], red, blue)[0]
 
 
 def color_adjacency(g: ColoredGraph):

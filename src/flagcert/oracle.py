@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -30,7 +29,7 @@ from .counting import (
     check_closed_form_size,
     color_adjacency,
     falling_factorial,
-    hom_inj_from_matrices,
+    hom_inj_batch,
     subcube_count_table,
 )
 from .graphs import Color, ColoredGraph
@@ -221,6 +220,21 @@ def _records(name: str, den: int, checks) -> list[OracleRecord]:
     ]
 
 
+def _host_counts(g: ColoredGraph, cert, pairs, identities=True, flags=()):
+    """Every count a host check reads, from one ``hom_inj_batch`` call.
+
+    Counts the classes ``_evaluate`` reads (all 26 for the identities, the
+    base alone for the inequality), the target, the flag products and the
+    rooted table of each of ``flags``, and returns the lookup from pattern
+    or flag to its count.
+    """
+    table = builtin.class_table()
+    patterns = [table.representative(l) for l in (table.indices if identities else cert.base)]
+    patterns += [cert.target, *(product for *_, product in pairs)]
+    batch = [(p, ()) for p in patterns] + [(f.graph, f.roots) for f in flags]
+    return dict(zip([*patterns, *flags], hom_inj_batch(batch, *color_adjacency(g)))).__getitem__
+
+
 def check_identities(g: ColoredGraph) -> OracleReport:
     """Recount both sides of every identity on one coloured clique.
 
@@ -231,11 +245,11 @@ def check_identities(g: ColoredGraph) -> OracleReport:
     if not g.is_clique():
         raise ValueError("identity checks require a coloured clique host")
     check_host_size(g.n)
-    red, blue = color_adjacency(g)
-    count = partial(hom_inj_from_matrices, red=red, blue=blue)
     cert = builtin_certificate()
+    pairs = list(flag_pairs(cert))
+    count = _host_counts(g, cert, pairs)
     perms = falling_factorial(g.n, 6) or 1  # below six vertices every count is zero
-    den, checks = _evaluate(cert, list(flag_pairs(cert)), count, perms)
+    den, checks = _evaluate(cert, pairs, count, perms)
     return OracleReport(tuple(_records(f"clique n={g.n}", den, checks)))
 
 
@@ -252,8 +266,6 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
     if n < 6:
         raise ValueError("the flagged inequality needs at least 6 vertices")
     check_host_size(n)
-    red, blue = color_adjacency(g)
-    count = partial(hom_inj_from_matrices, red=red, blue=blue)
     cert = builtin_certificate()
     pairs = list(flag_pairs(cert))
     name = f"clique n={n}"
@@ -261,8 +273,9 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
     # each flag's rooted count table over all ordered root pairs (zero on the
     # diagonal); their Gram sums give both the quadratic form and, against
     # the count of the glued product, the overlap surplus
-    rooted = {f: count(f.graph, roots=f.roots) for family in cert.families for f in family.flags}
-    grams = [int((rooted[f.flags[i]] * rooted[f.flags[j]]).sum()) for f, i, j, _, _ in pairs]
+    flags = [f for family in cert.families for f in family.flags]
+    count = _host_counts(g, cert, pairs, identities=False, flags=flags)
+    grams = [int((count(f.flags[i]) * count(f.flags[j])).sum()) for f, i, j, _, _ in pairs]
     surpluses = []
     for gram, (*_, labels, product) in zip(grams, pairs):
         surplus = Fraction(gram - count(product))

@@ -22,6 +22,7 @@ from flagcert.counting import (
     d_density,
     density_vector,
     falling_factorial,
+    hom_inj_batch,
     hom_inj_count,
     hom_inj_from_matrices,
     rising_factorial,
@@ -515,6 +516,91 @@ class TestQuotientKernel:
         with pytest.raises(ValueError, match="6-vertex pattern .* n <= 1445"):
             hom_inj_from_matrices(TARGET, zeros, zeros)
         assert hom_inj_from_matrices(TARGET, zeros[:7, :7], zeros[:7, :7]) == 0
+
+
+@st.composite
+def pattern_batches(draw):
+    """Lists of (pattern, roots): rooted and unrooted, edgeless, repeated."""
+    graphs = st.one_of(
+        colored_patterns(max_n=5),
+        st.builds(ColoredGraph, st.integers(0, 3)),
+        st.sampled_from(UNROOTED_PATTERNS),
+        st.sampled_from([f.graph for f in FLAGS]),
+    )
+    batch = []
+    for h in draw(st.lists(graphs, min_size=1, max_size=6)):
+        roots = ()
+        if h.n >= 2 and draw(st.booleans()):
+            roots = tuple(draw(st.permutations(range(h.n)))[:2])
+        batch.append((h, roots))
+    return batch + draw(st.lists(st.sampled_from(batch), max_size=3))
+
+
+def expected_count(h: ColoredGraph, roots: tuple[int, ...], g: ColoredGraph):
+    """The backtracking count, or rooted table, that the kernel must give."""
+    if not roots:
+        return _count_maps(h, g)
+    r1, r2 = roots
+    return [
+        [_count_maps(h, g, {r1: u, r2: v}) if u != v else 0 for v in range(g.n)]
+        for u in range(g.n)
+    ]
+
+
+PATH4 = ColoredGraph(4, [(0, 1, Color.RED), (1, 2, Color.BLUE), (2, 3, Color.RED)])
+
+
+class TestBatchedKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(pattern_batches(), partial_hosts(max_n=6))
+    def test_batches_match_backtracking(self, batch, g):
+        counts = hom_inj_batch(batch, *color_adjacency(g))
+        assert len(counts) == len(batch)
+        for (h, roots), count in zip(batch, counts):
+            got = count.tolist() if roots else count
+            assert got == expected_count(h, roots, g)
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_split_batches_equal_batches_of_one(self, n):
+        # from n = 41 every row is a call of its own; at n = 20 a call takes
+        # 8 rows, so specs with up to 72 rows split and leave remainders
+        red, blue = color_adjacency(random_clique_coloring(n, 3))
+        batch = [(h, ()) for h in UNROOTED_PATTERNS] + [(f.graph, f.roots) for f in FLAGS]
+        for (h, roots), count in zip(batch, hom_inj_batch(batch, red, blue)):
+            alone = hom_inj_from_matrices(h, red, blue, roots)
+            assert (count == alone).all() if roots else count == alone
+
+    def test_one_einsum_per_spec_on_small_hosts(self, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def counted(spec, *operands, **kwargs):
+            calls.append(spec)
+            return einsum(spec, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        # at n = 8 a call takes 128 rows, more than any spec has
+        red, blue = color_adjacency(random_clique_coloring(8, 7))
+        hom_inj_batch([(h, ()) for h in UNROOTED_PATTERNS], red, blue)
+        specs = {spec for h in UNROOTED_PATTERNS for spec, _, _ in _quotients(h)}
+        assert len(calls) == len(set(calls)) == len(specs) == 33
+
+    @pytest.mark.parametrize(
+        "roots, message",
+        [
+            ((-1, 0), "root -1 is not a vertex of the 4-vertex pattern"),
+            ((0, 5), "root 5 is not a vertex of the 4-vertex pattern"),
+            ((1, 1), "pattern roots must be distinct"),
+            ((0, 1.0), "root 1.0 is not a vertex of the 4-vertex pattern"),
+            ((0,), "pin no roots or exactly two"),
+        ],
+    )
+    def test_rejects_bad_pattern_roots(self, roots, message):
+        red, blue = color_adjacency(random_clique_coloring(6, 0))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hom_inj_from_matrices(PATH4, red, blue, roots)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hom_inj_batch([(TARGET, ()), (PATH4, roots)], red, blue)
 
 
 class TestBlowUp:

@@ -101,7 +101,7 @@ class TestIdentityChecks:
         assert oracle.check_identities(g) == oracle.check_identities(g)
 
     def test_cost_guard(self, monkeypatch):
-        monkeypatch.setattr(oracle, "hom_inj_from_matrices", _no_counting)
+        monkeypatch.setattr(oracle, "hom_inj_batch", _no_counting)
         with pytest.raises(ValueError, match=GUARD_MESSAGE):
             oracle.check_identities(complete_graph(65, Color.RED))
 
@@ -140,7 +140,7 @@ class TestFlaggedInequality:
         assert all(r.lhs >= 0 and r.holds for r in surpluses)
 
     def test_cost_guard(self, monkeypatch):
-        monkeypatch.setattr(oracle, "hom_inj_from_matrices", _no_counting)
+        monkeypatch.setattr(oracle, "hom_inj_batch", _no_counting)
         with pytest.raises(ValueError, match=GUARD_MESSAGE):
             oracle.check_flagged_inequality(complete_graph(65, Color.RED))
 
