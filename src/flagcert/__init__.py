@@ -22,7 +22,6 @@ from .graphs import (
 )
 from .counting import (
     alternating_hom_inj_count,
-    d_density,
     density_vector,
     falling_factorial,
     hom_inj_count,
@@ -66,7 +65,6 @@ __all__ = [
     "classify",
     "complete_bipartite",
     "complete_graph",
-    "d_density",
     "density_vector",
     "enumerate_template_colorings",
     "expand_in_classes",

@@ -289,20 +289,13 @@ def t_inj(h: ColoredGraph, g: ColoredGraph) -> Fraction:
     return Fraction(hom_inj_count(h, g), falling_factorial(g.n, h.n))
 
 
-def d_density(index: int, g: ColoredGraph, table: ClassTable) -> Fraction:
-    """Isomorphism-class density: multiplicity times injective density.
-
-    Defined on coloured cliques only.
-    """
+def density_vector(g: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
+    """All 26 class densities of a coloured clique: multiplicity times injective density."""
     if not g.is_clique():
         raise ValueError("class densities are defined on cliques only")
-    entry = table.entry(index)
-    return entry.multiplicity * t_inj(entry.representative, g)
-
-
-def density_vector(g: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
-    """All 26 class densities of a coloured clique."""
-    return {index: d_density(index, g, table) for index in table.indices}
+    return {
+        e.index: e.multiplicity * t_inj(e.representative, g) for e in table.classes
+    }
 
 
 def t_bip(h: ColoredGraph, j: ColoredGraph) -> Fraction:

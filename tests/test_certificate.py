@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,31 @@ MALFORMED = {
         "$.families: 65 flags",
     ),
 }
+
+
+_LONG_DIGITS = "1" * 5000  # past the interpreter's 4300-digit int() limit
+_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int digit limit"
+)
+
+# Texts past the interpreter's own limits, refused with the path they name.
+BEYOND_LIMITS = [
+    pytest.param(lambda: "[" * 200_000, "$: unreadable JSON", id="deep_nesting"),
+    pytest.param(
+        lambda: _edited(lambda o: o["base"].update({"4": _LONG_DIGITS + "/6"})),
+        "$.base.4: Exceeds the limit",
+        id="long_base_entry",
+        marks=_DIGIT_LIMIT,
+    ),
+    pytest.param(
+        lambda: save_certificate(builtin_certificate()).replace(
+            '"n": 6', '"n": ' + _LONG_DIGITS, 1
+        ),
+        "$: unreadable JSON: Exceeds the limit",
+        id="long_json_integer",
+        marks=_DIGIT_LIMIT,
+    ),
+]
 
 
 def frac72(sparse):
@@ -620,3 +646,9 @@ class TestSerialization:
         with pytest.raises(SchemaError) as err:
             load_certificate(make())
         assert where in str(err.value)
+
+    @pytest.mark.parametrize("make, where", BEYOND_LIMITS)
+    def test_text_beyond_interpreter_limits_rejected(self, make, where):
+        with pytest.raises(SchemaError) as err:
+            load_certificate(make())
+        assert str(err.value).startswith(where)

@@ -1,17 +1,87 @@
 """Command-line interface: outputs, exit statuses, format equivalence."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from flagcert import oracle
+from flagcert.certificate import (
+    builtin_certificate,
+    format_rational,
+    load_certificate,
+    save_certificate,
+    verify_certificate,
+)
 from flagcert.cli import run
 
-from test_certificate import MALFORMED
+from test_certificate import BEYOND_LIMITS, MALFORMED
 
 ORACLE_GUARD_ERROR = (
     "error: host with 65 vertices rejected: oracle host checks are limited to n <= 64\n"
 )
+
+
+
+def _shifted_certificate_text() -> str:
+    """The exported certificate with one matrix entry moved by 1/128."""
+    obj = json.loads(save_certificate(builtin_certificate()))
+    row = obj["families"][0]["matrix"][0]
+    row[0] = format_rational(Fraction(row[0]) + Fraction(1, 128))
+    return json.dumps(obj, indent=2)
+
+
+def _shifted_certificate_path(tmp_path) -> str:
+    path = tmp_path / "shifted.json"
+    path.write_text(_shifted_certificate_text(), encoding="utf-8")
+    return str(path)
+
+
+# name: (argv given a scratch directory, library report or None, exit status)
+REPORT_COMMANDS = {
+    "verify": (lambda tmp: ["verify"], lambda: verify_certificate(builtin_certificate()), 0),
+    "verify_shifted": (
+        lambda tmp: ["verify", "--cert", _shifted_certificate_path(tmp)],
+        lambda: verify_certificate(load_certificate(_shifted_certificate_text())),
+        1,
+    ),
+    "classify": (lambda tmp: ["classify"], None, 0),
+    "expand": (lambda tmp: ["expand", "--family", "R", "--i", "2", "--j", "7"], None, 0),
+    "identities": (
+        lambda tmp: ["oracle", "identities", "--n", "7", "--seed", "2"],
+        lambda: oracle.check_identities(oracle.random_clique_coloring(7, 2)),
+        0,
+    ),
+    "inequality": (
+        lambda tmp: ["oracle", "inequality", "--n", "7", "--seed", "1", "--count", "2"],
+        None,
+        0,
+    ),
+    "exhaustive": (lambda tmp: ["oracle", "exhaustive"], oracle.exhaustive_k6_sweep, 0),
+    "montecarlo": (
+        lambda tmp: ["oracle", "montecarlo", "--n", "12", "--trials", "3", "--seed", "5"],
+        lambda: oracle.monte_carlo_mean(12, 3, 5),
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_COMMANDS))
+def test_report_formats_agree(name, tmp_path, capsys):
+    argv, library, expected = REPORT_COMMANDS[name]
+    argv = argv(tmp_path)
+    status_text = run([*argv, "--format", "text"])
+    text = capsys.readouterr()
+    status_json = run([*argv, "--format", "json"])
+    out = capsys.readouterr()
+    assert status_text == status_json == expected
+    assert text.err == out.err == ""
+    assert text.out.strip()
+    payload = json.loads(out.out)
+    if "passed" in payload:
+        assert payload["passed"] is (expected == 0)
+    if library is not None:
+        assert out.out == json.dumps(library().to_dict(), indent=2) + "\n"
 
 
 class TestVerify:
@@ -61,6 +131,16 @@ class TestVerify:
         assert status == 2
         assert captured.err.startswith("schema error:")
         assert where in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("make, where", BEYOND_LIMITS)
+    def test_certificate_beyond_interpreter_limits_exit_2(self, make, where, tmp_path, capsys):
+        path = tmp_path / "oversized.json"
+        path.write_text(make(), encoding="utf-8")
+        status = run(["verify", "--cert", str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err.startswith(f"schema error: {where}")
         assert captured.out == ""
 
     def test_failing_certificate_exit_1(self, tmp_path, capsys):

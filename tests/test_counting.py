@@ -19,7 +19,6 @@ from flagcert.counting import (
     alternating_hom_inj_count,
     alternating_hom_inj_from_matrices,
     color_adjacency,
-    d_density,
     density_vector,
     falling_factorial,
     hom_inj_batch,
@@ -307,8 +306,8 @@ class TestDensities:
 
     def test_rejects_non_clique(self):
         table = builtin.class_table()
-        with pytest.raises(ValueError):
-            d_density(1, alternating_cycle(6), table)
+        with pytest.raises(ValueError, match="defined on cliques only"):
+            density_vector(alternating_cycle(6), table)
 
     def test_alternating_density_zero_on_monochromatic(self):
         assert t_inj(TARGET, complete_graph(10, Color.RED)) == 0
