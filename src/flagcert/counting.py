@@ -23,9 +23,8 @@ Pinned roots stay in separate blocks and become free indices, which gives
 the whole rooted table at once.  Quotients of all the patterns that differ
 only in which colour each edge reads share an einsum spec, and each spec
 is one ``np.einsum`` with a batch index over those quotients: the 656
-quotients of the oracle's 99 identity patterns need 33 specs.  Each host
-check of the oracle makes one call; ``hom_inj_from_matrices`` is the batch
-of one that ``hom_inj_count``, ``rooted_hom_inj_count`` and ``t_bip`` read.
+quotients of the oracle's 99 identity patterns need 33 specs.  Each oracle
+host check and each ``density_vector`` makes one call.
 
 Counts are int64.  For a k-vertex pattern on an n-vertex host every einsum
 partial sum is a partial hom count, at most n^k, and every signed running
@@ -46,7 +45,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .graphs import ClassTable, Color, ColoredGraph, Flag
+from .graphs import ClassTable, Color, ColoredGraph, Flag, pair_actions
 
 
 # -- Moebius inversion over quotients ----------------------------------------
@@ -56,10 +55,6 @@ _INT64_MAX = 2**63 - 1
 _LETTERS = "abcdefgh"  # one einsum index per block
 
 
-# Read once per batch plan.  The oracle's checks use 115 keys (26 classes, the
-# target, 72 flag products and 16 pinned flags); 256 keeps them all and bounds
-# what a long process holds.
-@lru_cache(maxsize=256)
 def _quotients(h: ColoredGraph, pinned: tuple[int, ...] = ()):
     """Einsum specs and summed Moebius weights of the quotients of ``h``.
 
@@ -113,7 +108,7 @@ _BATCH_ENTRIES = 2**16
 
 
 # A host check asks for one batch (99 patterns for identities, 93 for the
-# inequality); 64 also keeps the batches of one of hom_inj_count and friends.
+# inequality); 64 also keeps the one-pattern batches of hom_inj_count et al.
 @lru_cache(maxsize=64)
 def _batch_plan(patterns: tuple[tuple[ColoredGraph, tuple[int, ...]], ...]):
     """Every quotient of ``patterns`` grouped by einsum spec, equal rows merged.
@@ -227,11 +222,6 @@ def hom_inj_batch(patterns, red, blue) -> list:
     return totals
 
 
-def hom_inj_from_matrices(h: ColoredGraph, red, blue, roots: tuple[int, ...] = ()):
-    """``hom_inj_batch`` for the one pattern ``h`` with ``roots``."""
-    return hom_inj_batch([(h, roots)], red, blue)[0]
-
-
 def color_adjacency(g: ColoredGraph):
     red = np.zeros((g.n, g.n), dtype=np.int64)
     blue = np.zeros((g.n, g.n), dtype=np.int64)
@@ -246,7 +236,7 @@ def hom_inj_count(h: ColoredGraph, g: ColoredGraph) -> int:
     """Injective colour-preserving maps; 0 whenever v(g) < v(h)."""
     if g.n < h.n:
         return 0
-    return hom_inj_from_matrices(h, *color_adjacency(g))
+    return hom_inj_batch([(h, ())], *color_adjacency(g))[0]
 
 
 def rooted_hom_inj_count(f: Flag, g: ColoredGraph, u: int, v: int) -> int:
@@ -258,7 +248,7 @@ def rooted_hom_inj_count(f: Flag, g: ColoredGraph, u: int, v: int) -> int:
         raise ValueError("rooted counting expects flags with two roots")
     if g.n < f.graph.n:
         return 0
-    return int(hom_inj_from_matrices(f.graph, *color_adjacency(g), f.roots)[u, v])
+    return int(hom_inj_batch([(f.graph, f.roots)], *color_adjacency(g))[0][u, v])
 
 
 def _check_vertices(vertices, n: int, what: str) -> None:
@@ -290,11 +280,18 @@ def t_inj(h: ColoredGraph, g: ColoredGraph) -> Fraction:
 
 
 def density_vector(g: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
-    """All 26 class densities of a coloured clique: multiplicity times injective density."""
+    """All 26 class densities of a coloured clique: multiplicity times injective density.
+
+    One ``hom_inj_batch`` call counts all the representatives; one larger
+    than the host has no injective map, so its density is zero.
+    """
     if not g.is_clique():
         raise ValueError("class densities are defined on cliques only")
+    counts = hom_inj_batch([(e.representative, ()) for e in table.classes], *color_adjacency(g))
     return {
-        e.index: e.multiplicity * t_inj(e.representative, g) for e in table.classes
+        e.index: Fraction(e.multiplicity * count, falling_factorial(g.n, e.representative.n))
+        if count else Fraction(0)
+        for e, count in zip(table.classes, counts)
     }
 
 
@@ -350,16 +347,8 @@ def _embeddings(
     that are zero on every pair map m covers.  Shared by all colourings of a
     shape.
     """
-    index = {}
-    for p, (u, v) in enumerate(pairs):
-        index[(u, v)] = index[(v, u)] = p
-    rows = []
-    for image in permutations(range(n), k):
-        if any(image[a] != b for a, b in pinned):
-            continue
-        row = [index.get((image[u], image[v])) for u, v in shape]
-        if None not in row:
-            rows.append(row)
+    maps = (m for m in permutations(range(n), k) if all(m[a] == b for a, b in pinned))
+    rows = [row for _, row in pair_actions(maps, shape, pairs)]
     positions = np.array(rows, dtype=np.int64).reshape(len(rows), len(shape))
     # distinct edges land on distinct pairs, so each row sums to its mask
     masks, inverse = np.unique(
@@ -423,7 +412,7 @@ def subcube_count_table(
 # with R and B the red and blue adjacency matrices.  Only RB and (RB)^2 are
 # products; every other term is a diagonal of a product of two known
 # matrices, diag(XY)_v = sum_k X_vk Y_kv, which costs n^2.  These are the
-# four quotients that ``hom_inj_from_matrices`` keeps for this pattern.
+# four quotients that ``hom_inj_batch`` keeps for this pattern.
 # Verified exhaustively against the backtracking counter on small hosts in
 # the test suite.
 

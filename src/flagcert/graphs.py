@@ -182,34 +182,34 @@ def alternating_cycle(length: int = 6) -> ColoredGraph:
 _MAX_BRUTE_N = 8
 
 
+def pair_actions(maps: Iterable[Sequence[int]], edges: Sequence, pairs: Sequence) -> list:
+    """Where each vertex map sends each edge, as positions in ``pairs``.
+
+    Returns ``(map, row)``, in input order, for every map that sends each
+    edge (u, v) onto a pair: ``row[e]`` is the position in ``pairs`` of the
+    image of edge e.  A map sending some edge off the pairs gets no row.
+    """
+    position = {}
+    for k, (u, v) in enumerate(pairs):
+        position[u, v] = position[v, u] = k
+    out = []
+    for m in maps:
+        row = [position.get((m[u], m[v])) for u, v in edges]
+        if None not in row:
+            out.append((m, row))
+    return out
+
+
 def underlying_automorphisms(g: ColoredGraph) -> list[tuple[int, ...]]:
     """All vertex permutations preserving adjacency, colours ignored.
 
-    Exhaustive over all n! permutations; guarded to keep the factorial
-    search honest.
+    Exhaustive over all n! permutations, each kept when it sends every pair
+    onto a pair; guarded to keep the factorial search honest.
     """
     if g.n > _MAX_BRUTE_N:
         raise ValueError(f"brute-force automorphism search limited to n <= {_MAX_BRUTE_N}")
-    adj = [0] * g.n
-    for u, v, _ in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    out = []
-    for perm in permutations(range(g.n)):
-        ok = True
-        for u in range(g.n):
-            mapped = 0
-            nbr = adj[u]
-            while nbr:
-                lsb = nbr & -nbr
-                mapped |= 1 << perm[lsb.bit_length() - 1]
-                nbr ^= lsb
-            if mapped != adj[perm[u]]:
-                ok = False
-                break
-        if ok:
-            out.append(perm)
-    return out
+    pairs = g.pairs()
+    return [perm for perm, _ in pair_actions(permutations(range(g.n)), pairs, pairs)]
 
 
 # -- canonical forms and classification -------------------------------------
@@ -343,14 +343,9 @@ def classify(
     fixing the representative's code.
     """
     n, pairs = (colorings[0].n, colorings[0].pairs()) if colorings else (0, ())
-    position = {pair: k for k, pair in enumerate(pairs)}
-    try:  # where each group element sends each pair position
-        actions = [
-            [position[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
-            for perm in group
-        ]
-    except KeyError:
-        raise ValueError("group elements must preserve the template pairs") from None
+    actions = [row for _, row in pair_actions(group, pairs, pairs)]
+    if len(actions) != len(group):
+        raise ValueError("group elements must preserve the template pairs")
 
     orbit_id: dict[int, int] = {}  # code -> least code of its orbit
     members: dict[int, int] = {}  # orbit id -> colourings in that orbit

@@ -32,7 +32,7 @@ from .counting import (
     hom_inj_batch,
     subcube_count_table,
 )
-from .graphs import Color, ColoredGraph
+from .graphs import Color, ColoredGraph, pair_actions
 
 # -- deterministic randomness ---------------------------------------------------
 
@@ -197,18 +197,20 @@ def _evaluate(cert, pairs, count, perms: int, quad=None, identities=True):
 # -- identity checks on one concrete clique ---------------------------------------
 
 
-# Every pattern here has at most six vertices, so the kernel's int64 limit
-# (n <= 1445) is far away; this cap bounds the work.
+# Every pattern here has six vertices: a smaller host has no density to
+# check, and the kernel's int64 limit (n <= 1445) is far away, so the upper
+# cap bounds the work.
+_MIN_ORACLE_N = 6
 _MAX_ORACLE_N = 64
 
 
 def check_host_size(n: int) -> None:
-    """Refuse hosts above the work cap of the identity and inequality checks."""
-    if n > _MAX_ORACLE_N:
-        raise ValueError(
-            f"host with {n} vertices rejected: oracle host checks are limited "
-            f"to n <= {_MAX_ORACLE_N}"
-        )
+    """Refuse hosts outside 6 <= n <= 64 for the identity and inequality checks."""
+    if not _MIN_ORACLE_N <= n <= _MAX_ORACLE_N:
+        rule = f"are limited to n <= {_MAX_ORACLE_N}"
+        if n < _MIN_ORACLE_N:
+            rule = f"need at least {_MIN_ORACLE_N} vertices"
+        raise ValueError(f"host with {n} vertices rejected: oracle host checks {rule}")
 
 
 def _records(name: str, den: int, checks) -> list[OracleRecord]:
@@ -248,8 +250,7 @@ def check_identities(g: ColoredGraph) -> OracleReport:
     cert = builtin_certificate()
     pairs = list(flag_pairs(cert))
     count = _host_counts(g, cert, pairs)
-    perms = falling_factorial(g.n, 6) or 1  # below six vertices every count is zero
-    den, checks = _evaluate(cert, pairs, count, perms)
+    den, checks = _evaluate(cert, pairs, count, falling_factorial(g.n, 6))
     return OracleReport(tuple(_records(f"clique n={g.n}", den, checks)))
 
 
@@ -263,8 +264,6 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
     if not g.is_clique():
         raise ValueError("the flagged inequality is stated for coloured cliques")
     n = g.n
-    if n < 6:
-        raise ValueError("the flagged inequality needs at least 6 vertices")
     check_host_size(n)
     cert = builtin_certificate()
     pairs = list(flag_pairs(cert))
@@ -347,11 +346,8 @@ def _k6_relabel_axes(u: int, v: int) -> list[int]:
     the table reshaped to (2,) * 15 in C order.
     """
     sigma = [u, v, *(w for w in range(6) if w not in (u, v))]
-    axes = [0] * 15
-    for k, (a, b) in enumerate(_K6_PAIRS):
-        src = _K6_PAIRS.index(tuple(sorted((sigma[a], sigma[b]))))
-        axes[14 - src] = 14 - k
-    return axes
+    ((_, src),) = pair_actions([sigma], _K6_PAIRS, _K6_PAIRS)
+    return [14 - src.index(14 - axis) for axis in range(15)]
 
 
 def exhaustive_k6_sweep() -> SweepReport:

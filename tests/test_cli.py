@@ -277,6 +277,20 @@ class TestOracleCommands:
         assert run(["oracle", check, "--n", "100000", "--seed", "0"]) == 2
         assert "host with 100000 vertices rejected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check", ["inequality", "identities"])
+    @pytest.mark.parametrize("n", ["5", "0"])
+    def test_oracle_refuses_hosts_below_six_vertices(self, check, n, capsys, monkeypatch):
+        def draw(n, seed):
+            raise AssertionError("colour draw reached")
+
+        monkeypatch.setattr(oracle, "random_clique_coloring", draw)
+        assert run(["oracle", check, "--n", n, "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: host with {n} vertices rejected: oracle host checks need at least 6 vertices\n"
+        )
+        assert captured.out == ""
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_inequality_refuses_counts_below_one(self, count, capsys, monkeypatch):
         def draw(n, seed):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcert import builtin
+from flagcert import builtin, counting
 from flagcert.certificate import builtin_certificate, expand_in_classes, flag_pairs
 from flagcert.counting import (
     CLOSED_FORM_MAX_N,
@@ -23,7 +23,6 @@ from flagcert.counting import (
     falling_factorial,
     hom_inj_batch,
     hom_inj_count,
-    hom_inj_from_matrices,
     rising_factorial,
     rooted_hom_inj_count,
     subcube_count_table,
@@ -304,6 +303,22 @@ class TestDensities:
             assert sum(vec.values(), Fraction(0)) == 1
             assert all(v >= 0 for v in vec.values())
 
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    def test_density_vector_is_one_kernel_call(self, n, monkeypatch):
+        table = builtin.class_table()
+        g = random_clique_coloring(n, n)
+        calls = []
+
+        def counted(patterns, red, blue):
+            calls.append(len(patterns))
+            return hom_inj_batch(patterns, red, blue)
+
+        monkeypatch.setattr(counting, "hom_inj_batch", counted)
+        vec = density_vector(g, table)
+        assert calls == [26]
+        monkeypatch.undo()
+        assert vec == {e.index: e.multiplicity * t_inj(e.representative, g) for e in table.classes}
+
     def test_rejects_non_clique(self):
         table = builtin.class_table()
         with pytest.raises(ValueError, match="defined on cliques only"):
@@ -447,7 +462,7 @@ UNROOTED_PATTERNS, FLAGS = _oracle_patterns()
 
 def assert_rooted_table(h: ColoredGraph, roots: tuple[int, int], g: ColoredGraph) -> None:
     """Every entry of the kernel's rooted table equals a backtracking count."""
-    table = hom_inj_from_matrices(h, *color_adjacency(g), roots)
+    table = hom_inj_batch([(h, roots)], *color_adjacency(g))[0]
     r1, r2 = roots
     expected = [
         [_count_maps(h, g, {r1: u, r2: v}) if u != v else 0 for v in range(g.n)]
@@ -460,7 +475,7 @@ class TestQuotientKernel:
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(UNROOTED_PATTERNS), partial_hosts())
     def test_unrooted_counts_match_backtracking(self, h, g):
-        assert hom_inj_from_matrices(h, *color_adjacency(g)) == _count_maps(h, g)
+        assert hom_inj_batch([(h, ())], *color_adjacency(g))[0] == _count_maps(h, g)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(FLAGS), partial_hosts(min_n=2))
@@ -477,18 +492,18 @@ class TestQuotientKernel:
     @settings(max_examples=40, deadline=None)
     @given(colored_patterns(max_n=MAX_PATTERN_N), partial_hosts(max_n=8))
     def test_arbitrary_patterns_match_backtracking(self, h, g):
-        assert hom_inj_from_matrices(h, *color_adjacency(g)) == _count_maps(h, g)
+        assert hom_inj_batch([(h, ())], *color_adjacency(g))[0] == _count_maps(h, g)
 
     def test_edgeless_patterns_count_injections(self):
         red, blue = color_adjacency(random_clique_coloring(7, 1))
         for k in range(4):
-            assert hom_inj_from_matrices(ColoredGraph(k), red, blue) == falling_factorial(7, k)
+            assert hom_inj_batch([(ColoredGraph(k), ())], red, blue)[0] == falling_factorial(7, k)
 
     @pytest.mark.parametrize("n", [30, 90])
     def test_target_matches_closed_form(self, n):
         red, blue = color_adjacency(random_clique_coloring(n, n))
         expected = alternating_hom_inj_from_matrices(red, blue)
-        assert hom_inj_from_matrices(TARGET, red, blue) == expected
+        assert hom_inj_batch([(TARGET, ())], red, blue)[0] == expected
 
     def test_target_keeps_the_cycle_and_its_antipodal_identifications(self):
         # the closed form's identity: C6 with weight 1, and each of the three
@@ -505,7 +520,7 @@ class TestQuotientKernel:
         with pytest.raises(ValueError, match="pattern with 9 vertices rejected: limit is 8"):
             hom_inj_count(big, host)
         with pytest.raises(ValueError, match="pattern with 9 vertices rejected"):
-            hom_inj_from_matrices(big, *color_adjacency(host))
+            hom_inj_batch([(big, ())], *color_adjacency(host))
 
     def test_refuses_hosts_whose_counts_overflow_int64(self):
         # every value formed is at most n(n+1)...(n+5) for a 6-vertex pattern;
@@ -513,8 +528,8 @@ class TestQuotientKernel:
         assert rising_factorial(1445, 6) <= 2**63 - 1 < rising_factorial(1446, 6)
         zeros = np.broadcast_to(np.int64(0), (1446, 1446))
         with pytest.raises(ValueError, match="6-vertex pattern .* n <= 1445"):
-            hom_inj_from_matrices(TARGET, zeros, zeros)
-        assert hom_inj_from_matrices(TARGET, zeros[:7, :7], zeros[:7, :7]) == 0
+            hom_inj_batch([(TARGET, ())], zeros, zeros)
+        assert hom_inj_batch([(TARGET, ())], zeros[:7, :7], zeros[:7, :7])[0] == 0
 
 
 @st.composite
@@ -566,7 +581,7 @@ class TestBatchedKernel:
         red, blue = color_adjacency(random_clique_coloring(n, 3))
         batch = [(h, ()) for h in UNROOTED_PATTERNS] + [(f.graph, f.roots) for f in FLAGS]
         for (h, roots), count in zip(batch, hom_inj_batch(batch, red, blue)):
-            alone = hom_inj_from_matrices(h, red, blue, roots)
+            alone = hom_inj_batch([(h, roots)], red, blue)[0]
             assert (count == alone).all() if roots else count == alone
 
     def test_one_einsum_per_spec_on_small_hosts(self, monkeypatch):
@@ -597,7 +612,7 @@ class TestBatchedKernel:
     def test_rejects_bad_pattern_roots(self, roots, message):
         red, blue = color_adjacency(random_clique_coloring(6, 0))
         with pytest.raises(ValueError, match=re.escape(message)):
-            hom_inj_from_matrices(PATH4, red, blue, roots)
+            hom_inj_batch([(PATH4, roots)], red, blue)
         with pytest.raises(ValueError, match=re.escape(message)):
             hom_inj_batch([(TARGET, ()), (PATH4, roots)], red, blue)
 

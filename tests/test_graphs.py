@@ -1,5 +1,6 @@
 """Graph representation, automorphisms, canonical forms, classification."""
 
+import re
 from itertools import permutations
 
 import pytest
@@ -15,6 +16,7 @@ from flagcert.graphs import (
     classify,
     complete_graph,
     enumerate_template_colorings,
+    pair_actions,
     underlying_automorphisms,
 )
 
@@ -34,6 +36,16 @@ def naive_color_automorphism_count(g: ColoredGraph) -> int:
         if ok:
             count += 1
     return count
+
+
+@st.composite
+def partial_graphs(draw, max_n=6):
+    """Coloured graphs on at most ``max_n`` vertices, each pair red, blue or absent."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    colour = st.sampled_from([None, *Color])
+    colours = draw(st.lists(colour, min_size=len(pairs), max_size=len(pairs)))
+    return ColoredGraph(n, [(u, v, c) for (u, v), c in zip(pairs, colours) if c is not None])
 
 
 # The colour-swap involution on class indices, computed once from the shipped
@@ -104,6 +116,35 @@ class TestUnderlyingAutomorphisms:
     def test_guard_rejects_large(self):
         with pytest.raises(ValueError):
             underlying_automorphisms(complete_graph(9, Color.RED))
+
+    @settings(max_examples=60, deadline=None)
+    @given(partial_graphs())
+    def test_matches_naive_filter(self, g):
+        pairs = set(g.pairs())
+        naive = [
+            perm
+            for perm in permutations(range(g.n))
+            if {tuple(sorted((perm[u], perm[v]))) for u, v in pairs} == pairs
+        ]
+        assert underlying_automorphisms(g) == naive
+
+
+class TestPairActions:
+    @settings(max_examples=60, deadline=None)
+    @given(partial_graphs(), st.data())
+    def test_rows_exactly_for_maps_onto_pairs(self, g, data):
+        # maps need not be injective; a map gets a row exactly when every
+        # edge lands on a pair, and the row names that pair
+        vertex = st.integers(0, max(g.n - 1, 0))
+        maps = data.draw(st.lists(st.tuples(*[vertex] * g.n), max_size=20))
+        pairs = g.pairs()
+        rows = pair_actions(maps, pairs, pairs)
+        images = [[tuple(sorted((m[u], m[v]))) for u, v in pairs] for m in maps]
+        assert [m for m, _ in rows] == [
+            m for m, image in zip(maps, images) if set(image) <= set(pairs)
+        ]
+        for m, row in rows:
+            assert [pairs[k] for k in row] == [tuple(sorted((m[u], m[v]))) for u, v in pairs]
 
 
 class TestAutomorphismCount:
@@ -260,3 +301,28 @@ class TestClassification:
         colorings = enumerate_template_colorings(builtin.template())
         with pytest.raises(ValueError):
             classify(colorings, group, builtin.class_representatives()[:-1])
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # swapping vertices 0 and 3 across the parts sends pair (0, 4) to (3, 4)
+            (lambda c, g, r: (c, (*g, (3, 1, 2, 0, 4, 5)), r),
+             "group elements must preserve the template pairs"),
+            (lambda c, g, r: ((*c, complete_graph(6, Color.RED)), g, r),
+             "colourings must share one vertex count and pair set"),
+            (lambda c, g, r: (c, g, (*r[:-1], r[0])),
+             "reference representatives 0 and 25 are isomorphic"),
+            (lambda c, g, r: (c, g, (*r[:-1], complete_graph(6, Color.RED))),
+             "reference representatives do not match the computed orbits"),
+            (lambda c, g, r: (c, g, r[:-1]),
+             "found 26 isomorphism classes, reference lists 25"),
+        ],
+    )
+    def test_classify_refusals(self, edit, message):
+        colorings, group, reference = edit(
+            tuple(enumerate_template_colorings(builtin.template())),
+            builtin.template_group(),
+            builtin.class_representatives(),
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify(colorings, group, reference)

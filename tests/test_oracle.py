@@ -13,8 +13,8 @@ from flagcert.certificate import builtin_certificate, expand_in_classes, flag_pa
 from flagcert.counting import (
     color_adjacency,
     falling_factorial,
+    hom_inj_batch,
     hom_inj_count,
-    hom_inj_from_matrices,
     subcube_count_table,
     t_inj,
 )
@@ -63,6 +63,7 @@ class TestRandomness:
 
 
 GUARD_MESSAGE = "host with 65 vertices rejected: oracle host checks are limited to n <= 64"
+SMALL_HOST_MESSAGE = "host with {n} vertices rejected: oracle host checks need at least 6 vertices"
 
 
 def _no_counting(*args):
@@ -85,12 +86,9 @@ class TestIdentityChecks:
         assert len(expansions) == 128
 
     def test_small_host_degenerates(self):
-        report = oracle.check_identities(oracle.random_clique_coloring(4, 0))
-        # all densities vanish below six vertices; identities still run
-        by_name = {r.check: r for r in report.records}
-        assert by_name["sum_to_one"].lhs == 0
-        assert not by_name["sum_to_one"].holds
-        assert by_name["double_count"].holds
+        # below six vertices no density is defined, so nothing is checked
+        with pytest.raises(ValueError, match=SMALL_HOST_MESSAGE.format(n=4)):
+            oracle.check_identities(oracle.random_clique_coloring(4, 0))
 
     def test_rejects_non_clique(self):
         with pytest.raises(ValueError):
@@ -145,7 +143,7 @@ class TestFlaggedInequality:
             oracle.check_flagged_inequality(complete_graph(65, Color.RED))
 
     def test_small_host_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=SMALL_HOST_MESSAGE.format(n=5)):
             oracle.check_flagged_inequality(complete_graph(5, Color.RED))
 
     def test_rejects_non_clique(self):
@@ -184,7 +182,7 @@ def _reference_records(g: ColoredGraph):
         lhs, rhs = t_inj(product, g), expanded(product)
         identities += [record(f"expansion_{label}", lhs, rhs, lhs == rhs) for label in labels]
         x_i, x_j = (
-            hom_inj_from_matrices(family.flags[k].graph, red, blue, family.flags[k].roots)
+            hom_inj_batch([(family.flags[k].graph, family.flags[k].roots)], red, blue)[0]
             for k in (i, j)
         )
         gram = int((x_i * x_j).sum())
@@ -194,8 +192,6 @@ def _reference_records(g: ColoredGraph):
             record(f"overlap_surplus_{label}", surplus, Fraction(0), surplus >= 0)
             for label in labels
         ]
-    if g.n < 6:
-        return identities, None
     rhs = sum((c * d[l] for l, c in cert.base.items()), Fraction(0))
     rhs += quad / falling_factorial(g.n, 6)
     return identities, [record("flagged_inequality", target, rhs, target <= rhs), *surpluses]
@@ -215,10 +211,14 @@ class TestEvaluator:
     @settings(max_examples=12, deadline=None)
     @given(cliques())
     def test_records_match_rational_reference(self, g):
+        if g.n < 6:
+            for check in (oracle.check_identities, oracle.check_flagged_inequality):
+                with pytest.raises(ValueError, match=SMALL_HOST_MESSAGE.format(n=g.n)):
+                    check(g)
+            return
         identities, inequality = _reference_records(g)
         assert list(oracle.check_identities(g).records) == identities
-        if inequality is not None:
-            assert list(oracle.check_flagged_inequality(g).records) == inequality
+        assert list(oracle.check_flagged_inequality(g).records) == inequality
 
     def test_sweep_minimum_slack_is_at_the_monochromatic_cliques(self):
         # colourings 0 and 32767 of the sweep are the all-red and all-blue
