@@ -249,15 +249,18 @@ def _golden_numerators_blue() -> dict[tuple[int, int], dict[int, int]]:
     }
 
 
-def golden_expansion(family: str, i: int, j: int) -> dict[int, Fraction]:
-    """Published expansion of flag product (i, j) in the given family.
+def golden_numerators(family: str, i: int, j: int) -> dict[int, int]:
+    """Published expansion of flag product (i, j), nonzero numerators over 72.
 
     ``family`` is "R" or "B"; indices are 1-based and order-insensitive.
-    Returns a dense vector over all 26 class indices.
     """
     table = _GOLDEN_NUMERATORS_RED if family == "R" else _golden_numerators_blue()
-    key = (i, j) if i <= j else (j, i)
-    sparse = table[key]
+    return table[(i, j) if i <= j else (j, i)]
+
+
+def golden_expansion(family: str, i: int, j: int) -> dict[int, Fraction]:
+    """``golden_numerators`` as a dense vector of rationals over all 26 classes."""
+    sparse = golden_numerators(family, i, j)
     return {
         index: Fraction(sparse.get(index, 0), GROUP_ORDER)
         for index in range(1, NUM_CLASSES + 1)

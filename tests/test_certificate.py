@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagcert import builtin
@@ -15,6 +15,7 @@ from flagcert.certificate import (
     MAX_FLAGS,
     Certificate,
     FlagFamily,
+    PsdReport,
     SchemaError,
     SymMatrix,
     builtin_certificate,
@@ -95,6 +96,11 @@ MALFORMED = {
     "superscript_base_key": (lambda: _edited(_set_base_key("\u00b2")), "$.base.\u00b2"),
     # an Arabic-Indic digit one: int() would read it, the writer never emits it
     "arabic_indic_bound": (lambda: _edited(lambda o: o.update(bound="\u0661/64")), "$.bound"),
+    # zero padding reads as the same integer, but the writer never emits it
+    "zero_padded_bound": (
+        lambda: _edited(lambda o: o.update(bound="01/64")),
+        "$.bound: rational '01/64' is not canonical; write 1/64",
+    ),
     # graphs above the counting kernel's 8 vertices are refused where they are read
     "huge_target": (
         lambda: _edited(lambda o: o["target"].update(n=10_000_000)),
@@ -390,6 +396,138 @@ class TestCoefficientReference:
         assert certificate_coefficients(drawn, table) == ordered_coefficients(drawn, table)
 
 
+def fraction_psd_check(m: SymMatrix) -> PsdReport:
+    """Reference: the same LDL^T elimination, carried out in Fractions."""
+    n = m.order
+    s = [list(row) for row in m.rows]
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    perm = list(range(n))
+    pivots: list[Fraction] = []
+
+    k = 0
+    while k < n:
+        p = max(range(k, n), key=lambda i: s[i][i])
+        if s[p][p] == 0:
+            residual_zero = all(
+                s[i][j] == 0 for i in range(k, n) for j in range(k, n)
+            )
+            if residual_zero:
+                pivots.extend([Fraction(0)] * (n - k))
+                break
+            if all(s[i][i] == 0 for i in range(k, n)):
+                return PsdReport(
+                    False,
+                    tuple(pivots),
+                    (),
+                    detail="zero diagonal block with nonzero off-diagonal residue",
+                )
+            p = min(range(k, n), key=lambda i: s[i][i])
+        if p != k:
+            perm[k], perm[p] = perm[p], perm[k]
+            s[k], s[p] = s[p], s[k]
+            for row in s:
+                row[k], row[p] = row[p], row[k]
+            lower[k], lower[p] = lower[p], lower[k]
+        pivot = s[k][k]
+        pivots.append(pivot)
+        row_k = list(s[k])
+        for i in range(k + 1, n):
+            factor = s[i][k] / pivot
+            lower[i][k] = factor
+            if factor:
+                for j in range(k + 1, n):
+                    s[i][j] -= factor * row_k[j]
+            s[i][k] = Fraction(0)
+            s[k][i] = Fraction(0)
+        k += 1
+
+    if any(p < 0 for p in pivots):
+        return PsdReport(False, tuple(pivots), (), detail="negative pivot")
+
+    kernel = []
+    for k, pivot in enumerate(pivots):
+        if pivot != 0:
+            continue
+        y = [Fraction(0)] * n
+        y[k] = Fraction(1)
+        for i in range(k - 1, -1, -1):
+            y[i] = -sum(lower[j][i] * y[j] for j in range(i + 1, n))
+        x = [Fraction(0)] * n
+        for i in range(n):
+            x[perm[i]] = y[i]
+        lead = next(v for v in x if v)
+        kernel.append(tuple(v / lead for v in x))
+    return PsdReport(True, tuple(pivots), tuple(kernel))
+
+
+def _gram(g, m):
+    return [
+        [sum((row[i] * row[j] for row in g), Fraction(0)) for j in range(m)]
+        for i in range(m)
+    ]
+
+
+@st.composite
+def rank_deficient_grams(draw):
+    """G^T G for a drawn r x m rational G with r < m: PSD with a kernel."""
+    m = draw(st.integers(1, 8))
+    r = draw(st.integers(0, m - 1))
+    return SymMatrix(_gram([[draw(SMALL_RATIONALS) for _ in range(m)] for _ in range(r)], m))
+
+
+@st.composite
+def zero_diagonal_residues(draw):
+    """A Gram block beside a zero-diagonal block with off-diagonal mass,
+    shuffled: once the Gram pivots are spent, every diagonal entry left is
+    zero while the residual block is not."""
+    m, k = draw(st.integers(0, 6)), draw(st.integers(2, 4))
+    r = draw(st.integers(0, m))
+    gram = _gram([[draw(SMALL_RATIONALS) for _ in range(m)] for _ in range(r)], m)
+    rows = [[Fraction(0)] * (m + k) for _ in range(m + k)]
+    for i in range(m):
+        rows[i][:m] = gram[i]
+    for i in range(m, m + k):
+        for j in range(i + 1, m + k):
+            rows[i][j] = rows[j][i] = draw(SMALL_RATIONALS)
+    rows[m][m + 1] = rows[m + 1][m] = draw(SMALL_RATIONALS.filter(bool))
+    order = draw(st.permutations(range(m + k)))
+    return SymMatrix([[rows[i][j] for j in order] for i in order])
+
+
+class TestPsdReference:
+    """The integer elimination gives the Fraction reference's report, field by field."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(symmetric_matrices))
+    # after the negative first pivot the later diagonal is stored negated
+    @example(SymMatrix([[Fraction(-1 - i if i == j else 0) for j in range(3)] for i in range(3)]))
+    def test_random_symmetric(self, m):
+        assert psd_check(m) == fraction_psd_check(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rank_deficient_grams())
+    def test_rank_deficient_grams(self, m):
+        report = psd_check(m)
+        assert report.is_psd and report.kernel_basis
+        assert report == fraction_psd_check(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(zero_diagonal_residues())
+    def test_zero_diagonal_with_residue(self, m):
+        report = psd_check(m)
+        assert report.detail == "zero diagonal block with nonzero off-diagonal residue"
+        assert report == fraction_psd_check(m)
+
+    def test_every_single_entry_mutation_of_the_builtin(self):
+        matrix = SymMatrix(builtin.matrix_rows())
+        assert psd_check(matrix) == fraction_psd_check(matrix)
+        for i in range(1, 9):
+            for j in range(i, 9):
+                for delta in (Fraction(1, 128), Fraction(-1, 128)):
+                    mutated = matrix.with_entry(i, j, matrix.entry(i, j) + delta)
+                    assert psd_check(mutated) == fraction_psd_check(mutated), (i, j, delta)
+
+
 class TestVerification:
     def test_builtin_passes(self):
         report = verify_certificate(builtin_certificate())
@@ -543,7 +681,8 @@ class TestSerialization:
         assert format_rational(parse_rational("3/1", "$.x")) == "3"
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "1/0", "1/-2", "a/b", "1.5", "+1/2", "1/64\n", "\u0661/64"):
+        for bad in ("", "1/0", "1/-2", "a/b", "1.5", "+1/2", "1/64\n", "\u0661/64",
+                    "007", "1/064", "01/64", "-0", "-0/1"):
             with pytest.raises(SchemaError):
                 parse_rational(bad, "$.x")
 

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,7 @@ from flagcert.certificate import (
 )
 from flagcert.cli import run
 
-from test_certificate import BEYOND_LIMITS, MALFORMED
+from test_certificate import BEYOND_LIMITS, MALFORMED, _edited
 
 ORACLE_GUARD_ERROR = (
     "error: host with 65 vertices rejected: oracle host checks are limited to n <= 64\n"
@@ -82,6 +83,46 @@ def test_report_formats_agree(name, tmp_path, capsys):
         assert payload["passed"] is (expected == 0)
     if library is not None:
         assert out.out == json.dumps(library().to_dict(), indent=2) + "\n"
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _shifted(family: int, i: int, j: int, delta: Fraction):
+    """Edit: move matrix entry (i, j), 1-based, of one family and its mirror."""
+
+    def edit(obj):
+        matrix = obj["families"][family]["matrix"]
+        value = format_rational(Fraction(matrix[i - 1][j - 1]) + delta)
+        matrix[i - 1][j - 1] = matrix[j - 1][i - 1] = value
+
+    return edit
+
+
+# `verify --format json` output pinned byte for byte, as the Fraction-based
+# verifier wrote it: the builtin certificate and three 1/128 shifts of one
+# entry of the exported certificate
+VERIFY_FIXTURES = {
+    "verify_builtin.json": None,
+    "verify_red_1_1_minus.json": _shifted(0, 1, 1, Fraction(-1, 128)),  # negative pivot
+    "verify_blue_2_3_minus.json": _shifted(1, 2, 3, Fraction(-1, 128)),  # negative pivot
+    "verify_red_2_3_plus.json": _shifted(0, 2, 3, Fraction(1, 128)),  # stays PSD
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(VERIFY_FIXTURES))
+def test_verify_json_matches_fixture(fixture, tmp_path, capsys):
+    edit = VERIFY_FIXTURES[fixture]
+    argv = ["verify", "--format", "json"]
+    if edit is not None:
+        path = tmp_path / "cert.json"
+        path.write_text(_edited(edit), encoding="utf-8")
+        argv += ["--cert", str(path)]
+    status = run(argv)
+    captured = capsys.readouterr()
+    assert captured.out == (FIXTURES / fixture).read_text(encoding="utf-8")
+    assert captured.err == ""
+    assert status == (0 if edit is None else 1)
 
 
 class TestVerify:
