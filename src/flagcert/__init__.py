@@ -7,76 +7,49 @@ semidefinite certificate, and confirms every identity by brute force on
 small concrete hosts.
 """
 
-from .graphs import (
-    ClassTable,
-    Color,
-    ColoredGraph,
-    Flag,
-    alternating_cycle,
-    canonical_form,
-    classify,
-    complete_bipartite,
-    complete_graph,
-    enumerate_template_colorings,
-    underlying_automorphisms,
-)
-from .counting import (
-    alternating_hom_inj_count,
-    density_vector,
-    falling_factorial,
-    hom_inj_count,
-    rooted_hom_inj_count,
-    t_bip,
-    t_inj,
-)
-from .certificate import (
-    Certificate,
-    FlagFamily,
-    PsdReport,
-    SchemaError,
-    SymMatrix,
-    VerificationReport,
-    builtin_certificate,
-    certificate_coefficients,
-    expand_in_classes,
-    flag_product,
-    load_certificate,
-    psd_check,
-    save_certificate,
-    verify_certificate,
-)
+from importlib import import_module
 
-__all__ = [
-    "Certificate",
-    "ClassTable",
-    "Color",
-    "ColoredGraph",
-    "Flag",
-    "FlagFamily",
-    "PsdReport",
-    "SchemaError",
-    "SymMatrix",
-    "VerificationReport",
-    "alternating_cycle",
-    "alternating_hom_inj_count",
-    "builtin_certificate",
-    "canonical_form",
-    "certificate_coefficients",
-    "classify",
-    "complete_bipartite",
-    "complete_graph",
-    "density_vector",
-    "enumerate_template_colorings",
-    "expand_in_classes",
-    "falling_factorial",
-    "flag_product",
-    "hom_inj_count",
-    "load_certificate",
-    "psd_check",
-    "rooted_hom_inj_count",
-    "save_certificate",
-    "t_bip",
-    "t_inj",
-    "underlying_automorphisms",
-    "verify_certificate",
-]
+# Public name -> submodule that defines it.  A name loads its submodule on first
+# use (PEP 562), so a command that never counts never imports numpy.
+_EXPORTS = {
+    "ClassTable": "graphs",
+    "Color": "graphs",
+    "ColoredGraph": "graphs",
+    "Flag": "graphs",
+    "alternating_cycle": "graphs",
+    "canonical_form": "graphs",
+    "classify": "graphs",
+    "complete_bipartite": "graphs",
+    "complete_graph": "graphs",
+    "enumerate_template_colorings": "graphs",
+    "underlying_automorphisms": "graphs",
+    "alternating_hom_inj_count": "counting",
+    "density_vector": "counting",
+    "falling_factorial": "counting",
+    "hom_inj_count": "counting",
+    "rooted_hom_inj_count": "counting",
+    "t_bip": "counting",
+    "t_inj": "counting",
+    "Certificate": "certificate",
+    "FlagFamily": "certificate",
+    "PsdReport": "certificate",
+    "SchemaError": "certificate",
+    "SymMatrix": "certificate",
+    "VerificationReport": "certificate",
+    "builtin_certificate": "certificate",
+    "certificate_coefficients": "certificate",
+    "expand_in_classes": "certificate",
+    "flag_product": "certificate",
+    "load_certificate": "certificate",
+    "psd_check": "certificate",
+    "save_certificate": "certificate",
+    "verify_certificate": "certificate",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)

@@ -24,7 +24,6 @@ from .graphs import (
     alternating_cycle,
     classify,
     complete_bipartite,
-    enumerate_template_colorings,
     underlying_automorphisms,
 )
 
@@ -105,12 +104,13 @@ def template_group() -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=1)
 def class_table() -> ClassTable:
-    """Classification of all 512 template colourings, in published order."""
-    return classify(
-        enumerate_template_colorings(template()),
-        template_group(),
-        class_representatives(),
-    )
+    """Classification of all 512 template colourings, in published order.
+
+    The colourings are passed as their codes 0..511 and the orbits are the
+    images of the 26 representatives under the 72 template symmetries, so no
+    graph is built per colouring.
+    """
+    return classify(range(NUM_COLORINGS), template_group(), class_representatives())
 
 
 # -- flags -------------------------------------------------------------------

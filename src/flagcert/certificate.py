@@ -17,8 +17,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import builtin
-from .counting import MAX_PATTERN_N, subcube_count_table
-from .graphs import ClassTable, Color, ColoredGraph, Flag
+from .graphs import MAX_PATTERN_N, ClassTable, Color, ColoredGraph, Flag
 
 
 class SchemaError(ValueError):
@@ -157,11 +156,16 @@ def psd_check(m: SymMatrix) -> PsdReport:
 # -- flag products and expansions ----------------------------------------------
 
 
+# Flags and graphs are immutable and hash structurally, so a loaded certificate
+# whose flags equal the builtin's reuses the builtin's 72 products; 256 also
+# keeps another certificate's products and bounds what a long process holds.
+@lru_cache(maxsize=256)
 def flag_product(f1: Flag, f2: Flag) -> ColoredGraph:
     """Glue two flags along their roots; the shared root edge appears once.
 
     The output forgets the root markers.  Edges present between the roots in
-    both flags must agree in colour.
+    both flags must agree in colour.  Products are cached and shared between
+    callers, which is safe because graphs are immutable.
     """
     if len(f1.roots) != len(f2.roots):
         raise ValueError("flags must have the same number of roots")
@@ -198,6 +202,8 @@ def flag_product(f1: Flag, f2: Flag) -> ColoredGraph:
 @lru_cache(maxsize=256)
 def _expansion_cached(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
     """``t_bip(p, representative)`` for every class, read off one count table."""
+    from .counting import subcube_count_table  # numpy loads only when counting
+
     counts, maps = subcube_count_table(p, table.n, table.pairs)
     return {e.index: Fraction(int(counts[e.code]), maps) for e in table.classes}
 
@@ -278,12 +284,6 @@ def flag_pairs(cert: Certificate):
                 if i != j:
                     labels += (f"{fam}{j + 1}.{i + 1}",)
                 yield family, i, j, labels, flag_product(family.flags[i], family.flags[j])
-
-
-@lru_cache(maxsize=1)
-def builtin_flag_pairs() -> tuple:
-    """``flag_pairs(builtin_certificate())``, glued once per process."""
-    return tuple(flag_pairs(builtin_certificate()))
 
 
 def certificate_coefficients(
@@ -424,7 +424,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     # 5. golden table: recompute the 72 shipped expansion equations, each
     # value against its shipped numerator over 72, read at every call
     bad_keys = []
-    for family, i, j, labels, product in builtin_flag_pairs():
+    for family, i, j, labels, product in flag_pairs(builtin_certificate()):
         row = builtin.golden_numerators(family.root_edge_color.value, i + 1, j + 1)
         if any(
             v.numerator * builtin.GROUP_ORDER != row.get(index, 0) * v.denominator

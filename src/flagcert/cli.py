@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import builtin, oracle
+from . import builtin
 from .certificate import (
     SchemaError,
     builtin_certificate,
@@ -111,7 +111,8 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _oracle_lines(report: oracle.OracleReport) -> list[str]:
+def _oracle_lines(report) -> list[str]:
+    """Summary line and one line per failed record of an ``oracle.OracleReport``."""
     counts = report.counts
     return [
         f"{counts['checks']} checks: {counts['passed']} passed, {counts['failed']} failed"
@@ -124,6 +125,8 @@ def _oracle_lines(report: oracle.OracleReport) -> list[str]:
 
 
 def _cmd_identities(args) -> int:
+    from . import oracle
+
     oracle.check_host_size(args.n)  # before drawing an n x n colouring
     report = oracle.check_identities(oracle.random_clique_coloring(args.n, args.seed))
     lines = [f"identities on random clique n={args.n} seed={args.seed}"]
@@ -131,6 +134,8 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_inequality(args) -> int:
+    from . import oracle
+
     oracle.check_host_size(args.n)  # before drawing an n x n colouring
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
@@ -149,6 +154,8 @@ def _cmd_inequality(args) -> int:
 
 
 def _cmd_exhaustive(args) -> int:
+    from . import oracle
+
     report = oracle.exhaustive_k6_sweep()
     lines = [
         f"swept {report.hosts} colourings of the 6-clique, {report.checks} checks",
@@ -160,6 +167,8 @@ def _cmd_exhaustive(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
+    from . import oracle
+
     result = oracle.monte_carlo_mean(args.n, args.trials, args.seed)
     lines = [
         f"n={result.n}, trials={result.trials}, seed={result.seed}",

@@ -45,12 +45,11 @@ from math import factorial, prod
 
 import numpy as np
 
-from .graphs import ClassTable, Color, ColoredGraph, Flag, pair_actions
+from .graphs import MAX_PATTERN_N, ClassTable, Color, ColoredGraph, Flag, pair_actions
 
 
 # -- Moebius inversion over quotients ----------------------------------------
 
-MAX_PATTERN_N = 8
 _INT64_MAX = 2**63 - 1
 _LETTERS = "abcdefgh"  # one einsum index per block
 
@@ -313,7 +312,6 @@ def t_bip(h: ColoredGraph, j: ColoredGraph) -> Fraction:
 # -- subcube count tables -------------------------------------------------------
 
 _MAX_TABLE_PAIRS = 16
-_MAX_TABLE_N = 8
 
 
 def _subcube_members(mask: int, bits: int) -> np.ndarray:
@@ -375,10 +373,10 @@ def subcube_count_table(
     vertices, as in ``rooted_hom_inj_count``, and counts only those maps.
     Raises ``ValueError`` when there are none.
     """
-    if len(pairs) > _MAX_TABLE_PAIRS or n > _MAX_TABLE_N:
+    if len(pairs) > _MAX_TABLE_PAIRS or n > MAX_PATTERN_N:
         raise ValueError(
             f"count tables are limited to {_MAX_TABLE_PAIRS} pairs on "
-            f"{_MAX_TABLE_N} vertices"
+            f"{MAX_PATTERN_N} vertices"
         )
     if root_images:
         _check_vertices(root_images, h.n, "pattern")

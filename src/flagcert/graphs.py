@@ -179,7 +179,10 @@ def alternating_cycle(length: int = 6) -> ColoredGraph:
 
 # -- automorphisms ----------------------------------------------------------
 
-_MAX_BRUTE_N = 8
+# Largest pattern or certificate graph on which anything here searches by brute
+# force: the automorphism search (8! maps), the count tables and the batched
+# kernel (Bell(8) = 4140 quotients), and the certificate loader's graph cap.
+MAX_PATTERN_N = 8
 
 
 def pair_actions(maps: Iterable[Sequence[int]], edges: Sequence, pairs: Sequence) -> list:
@@ -206,8 +209,8 @@ def underlying_automorphisms(g: ColoredGraph) -> list[tuple[int, ...]]:
     Exhaustive over all n! permutations, each kept when it sends every pair
     onto a pair; guarded to keep the factorial search honest.
     """
-    if g.n > _MAX_BRUTE_N:
-        raise ValueError(f"brute-force automorphism search limited to n <= {_MAX_BRUTE_N}")
+    if g.n > MAX_PATTERN_N:
+        raise ValueError(f"brute-force automorphism search limited to n <= {MAX_PATTERN_N}")
     pairs = g.pairs()
     return [perm for perm, _ in pair_actions(permutations(range(g.n)), pairs, pairs)]
 
@@ -328,53 +331,56 @@ def _act(action: Sequence[int], code: int) -> int:
 
 
 def classify(
-    colorings: Sequence[ColoredGraph],
+    colorings: Sequence[ColoredGraph | int],
     group: Sequence[Sequence[int]],
     reference: Sequence[ColoredGraph],
 ) -> ClassTable:
     """Partition colourings into isomorphism orbits, aligned to ``reference``.
 
-    Every colouring is read as a code over the pairs of the first one, and the
-    group acts on pair positions; two colourings are isomorphic when some
-    group element carries one code to the other.  ``reference`` fixes the
-    published class order; every orbit must contain exactly one reference
-    representative.  Orbit sizes are cross-checked against the
-    orbit-stabilizer count |group| / aut, where aut counts the group elements
-    fixing the representative's code.
+    The template is the vertex count and pair set of the first reference
+    representative.  Each colouring is a graph on that template or already
+    its colouring code (see ``coloring_code``), so ``range(2 ** len(pairs))``
+    lists every colouring with no graph built.  The group acts on pair
+    positions; the orbits
+    are the images of the reference codes, in the published class order, and
+    each must contain exactly one reference representative and at least one
+    colouring.  A class's multiplicity is the number of colourings in its
+    orbit, cross-checked against the orbit-stabilizer count |group| / aut,
+    where aut counts the group elements fixing the representative's code.
     """
-    n, pairs = (colorings[0].n, colorings[0].pairs()) if colorings else (0, ())
+    n, pairs = (reference[0].n, reference[0].pairs()) if reference else (0, ())
     actions = [row for _, row in pair_actions(group, pairs, pairs)]
     if len(actions) != len(group):
         raise ValueError("group elements must preserve the template pairs")
 
-    orbit_id: dict[int, int] = {}  # code -> least code of its orbit
-    members: dict[int, int] = {}  # orbit id -> colourings in that orbit
-    for g in colorings:
-        code = coloring_code(g, n, pairs)
-        if code is None:
-            raise ValueError("colourings must share one vertex count and pair set")
-        if code not in orbit_id:
-            orbit = {code, *(_act(a, code) for a in actions)}
-            least = min(orbit)
-            for image in orbit:
-                orbit_id[image] = least
-        members[orbit_id[code]] = members.get(orbit_id[code], 0) + 1
-
+    lookup: dict[int, int] = {}  # code -> class index of its orbit
     entries = []
-    ref_ids: dict[int, int] = {}  # orbit id -> reference position
     for pos, rep in enumerate(reference):
         code = coloring_code(rep, n, pairs)
-        if code not in orbit_id:
+        if code is None:
             raise ValueError("reference representatives do not match the computed orbits")
-        oid = orbit_id[code]
-        if oid in ref_ids:
-            raise ValueError(f"reference representatives {ref_ids[oid]} and {pos} are isomorphic")
-        ref_ids[oid] = pos
-        aut = sum(1 for a in actions if _act(a, code) == code)
-        entries.append(ClassEntry(pos + 1, rep, aut, members[oid], code))
-    if len(members) != len(reference):
+        if code in lookup:
+            raise ValueError(f"reference representatives {lookup[code] - 1} and {pos} are isomorphic")
+        images = [_act(a, code) for a in actions]
+        for image in images:
+            lookup[image] = pos + 1
+        entries.append(ClassEntry(pos + 1, rep, images.count(code), 0, code))
+
+    others = set()  # least code of each orbit without a reference representative
+    for g in colorings:
+        code = g if isinstance(g, int) else coloring_code(g, n, pairs)
+        if code is None or not 0 <= code < 1 << len(pairs):
+            raise ValueError("colourings must share one vertex count and pair set")
+        if code in lookup:
+            entries[lookup[code] - 1].multiplicity += 1
+        else:
+            others.add(min(_act(a, code) for a in actions))
+    if not all(e.multiplicity for e in entries):
+        raise ValueError("reference representatives do not match the computed orbits")
+    if others:
         raise ValueError(
-            f"found {len(members)} isomorphism classes, reference lists {len(reference)}"
+            f"found {len(reference) + len(others)} isomorphism classes, "
+            f"reference lists {len(reference)}"
         )
     for e in entries:
         if e.multiplicity * e.aut_count != len(actions):
@@ -382,5 +388,4 @@ def classify(
                 f"orbit of class {e.index}: size {e.multiplicity} * aut {e.aut_count} "
                 f"!= {len(actions)}"
             )
-    lookup = {code: ref_ids[oid] + 1 for code, oid in orbit_id.items()}
     return ClassTable(entries, lookup, n, pairs)

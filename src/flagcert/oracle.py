@@ -20,8 +20,8 @@ import numpy as np
 from . import builtin
 from .certificate import (
     builtin_certificate,
-    builtin_flag_pairs,
     expand_in_classes,
+    flag_pairs,
     format_rational,
 )
 from .counting import (
@@ -248,7 +248,7 @@ def check_identities(g: ColoredGraph) -> OracleReport:
         raise ValueError("identity checks require a coloured clique host")
     check_host_size(g.n)
     cert = builtin_certificate()
-    pairs = builtin_flag_pairs()
+    pairs = tuple(flag_pairs(cert))
     count = _host_counts(g, cert, pairs)
     den, checks = _evaluate(cert, pairs, count, falling_factorial(g.n, 6))
     return OracleReport(tuple(_records(f"clique n={g.n}", den, checks)))
@@ -266,7 +266,7 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
     n = g.n
     check_host_size(n)
     cert = builtin_certificate()
-    pairs = builtin_flag_pairs()
+    pairs = tuple(flag_pairs(cert))
     name = f"clique n={n}"
 
     # each flag's rooted count table over all ordered root pairs (zero on the
@@ -355,7 +355,7 @@ def exhaustive_k6_sweep() -> SweepReport:
     n = 6
     hosts = 1 << 15
     cert = builtin_certificate()
-    pairs = builtin_flag_pairs()
+    pairs = tuple(flag_pairs(cert))
 
     def quad(weights) -> np.ndarray:
         # weight * x_i * x_j summed over flag pairs, with x the flags' rooted

@@ -1,11 +1,15 @@
 """Command-line interface: outputs, exit statuses, format equivalence."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import flagcert
 from flagcert import oracle
 from flagcert.certificate import (
     builtin_certificate,
@@ -353,3 +357,62 @@ class TestOracleCommands:
         status = run(["oracle", "montecarlo", "--n", "1449", "--trials", "1", "--format", "json"])
         assert status == 0
         assert json.loads(capsys.readouterr().out)["n"] == 1449
+
+
+# Which commands import numpy, each in a fresh interpreter: the commands that
+# never count must not.  argv given a scratch directory, exit status, numpy.
+IMPORT_BOUNDARY = {
+    "classify": (lambda tmp: ["classify"], 0, False),
+    "export-cert": (lambda tmp: ["export-cert"], 0, False),
+    "help": (lambda tmp: ["--help"], 0, False),
+    "verify_schema_error": (
+        lambda tmp: ["verify", "--cert", _schema_invalid_path(tmp)], 2, False
+    ),
+    "verify": (lambda tmp: ["verify"], 0, True),
+}
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _schema_invalid_path(tmp_path) -> str:
+    obj = json.loads(save_certificate(builtin_certificate()))
+    obj["target"]["n"] = 9  # above the 8-vertex graph cap
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(IMPORT_BOUNDARY))
+def test_numpy_loads_only_for_commands_that_count(name, tmp_path):
+    argv, expected_status, loads_numpy = IMPORT_BOUNDARY[name]
+    code = (
+        "import json, sys\n"
+        "from flagcert.cli import run\n"
+        "status = run(sys.argv[1:])\n"
+        "print(json.dumps([status, 'numpy' in sys.modules]), file=sys.stderr)\n"
+    )
+    proc = _fresh_python(code, *argv(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    status, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert status == expected_status
+    assert numpy_loaded is loads_numpy
+
+
+def test_every_public_name_imports_from_the_package():
+    code = (
+        "import flagcert\n"
+        "for name in flagcert.__all__:\n"
+        "    exec(f'from flagcert import {name}')\n"
+        "print(len(flagcert.__all__))\n"
+    )
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == len(flagcert.__all__) > 0

@@ -250,6 +250,24 @@ class TestClassification:
         for e in table.classes:
             assert e.multiplicity * e.aut_count == 72
 
+    def test_class_table_matches_canonical_form_partition(self):
+        # every one of the 512 codes against the canonical-form partition of
+        # its colouring graph, with classes aligned to the shipped representatives
+        table = builtin.class_table()
+        group = builtin.template_group()
+        index_of = {
+            canonical_form(rep, group): index
+            for index, rep in enumerate(builtin.class_representatives(), start=1)
+        }
+        colorings = enumerate_template_colorings(builtin.template())
+        assert sorted(table.lookup) == list(range(512))
+        for code, g in enumerate(colorings):
+            assert table.lookup[code] == index_of[canonical_form(g, group)]
+        classes = list(table.lookup.values())
+        for entry in table.classes:
+            assert entry.aut_count == naive_color_automorphism_count(entry.representative)
+            assert entry.multiplicity == classes.count(entry.index)
+
     def test_all_red_class_is_singleton(self):
         table = builtin.class_table()
         assert table.multiplicity(1) == 1
