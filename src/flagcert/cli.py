@@ -82,10 +82,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    if not (1 <= args.i <= 8 and 1 <= args.j <= 8):
-        print("flag indices must be between 1 and 8", file=sys.stderr)
-        return 2
     flags = builtin.red_flags() if args.family == "R" else builtin.blue_flags()
+    if not (1 <= args.i <= len(flags) and 1 <= args.j <= len(flags)):
+        print(f"flag indices must be between 1 and {len(flags)}", file=sys.stderr)
+        return 2
     table = builtin.class_table()
     expansion = expand_in_classes(
         flag_product(flags[args.i - 1], flags[args.j - 1]), table
@@ -96,8 +96,9 @@ def _cmd_expand(args) -> int:
         "j": args.j,
         "expansion": {str(k): format_rational(v) for k, v in expansion.items() if v},
     }
-    # numerators over the 72 template embeddings, as published
-    parts = [f"J{k}: {int(72 * v)}/72" for k, v in sorted(expansion.items()) if v]
+    # numerators over the template's symmetries, as published
+    order = builtin.GROUP_ORDER
+    parts = [f"J{k}: {int(order * v)}/{order}" for k, v in sorted(expansion.items()) if v]
     return _emit(args, obj, [", ".join(parts)], True)
 
 

@@ -45,7 +45,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .graphs import MAX_PATTERN_N, ClassTable, Color, ColoredGraph, Flag, pair_actions
+from .graphs import MAX_PATTERN_N, MAX_TABLE_PAIRS, ClassTable, Color, ColoredGraph, Flag, pair_actions
 
 
 # -- Moebius inversion over quotients ----------------------------------------
@@ -311,8 +311,6 @@ def t_bip(h: ColoredGraph, j: ColoredGraph) -> Fraction:
 
 # -- subcube count tables -------------------------------------------------------
 
-_MAX_TABLE_PAIRS = 16
-
 
 def _subcube_members(mask: int, bits: int) -> np.ndarray:
     """Every ``x < 2**bits`` with ``x & mask == 0``, ascending.
@@ -373,9 +371,9 @@ def subcube_count_table(
     vertices, as in ``rooted_hom_inj_count``, and counts only those maps.
     Raises ``ValueError`` when there are none.
     """
-    if len(pairs) > _MAX_TABLE_PAIRS or n > MAX_PATTERN_N:
+    if len(pairs) > MAX_TABLE_PAIRS or n > MAX_PATTERN_N:
         raise ValueError(
-            f"count tables are limited to {_MAX_TABLE_PAIRS} pairs on "
+            f"count tables are limited to {MAX_TABLE_PAIRS} pairs on "
             f"{MAX_PATTERN_N} vertices"
         )
     if root_images:

@@ -8,6 +8,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
@@ -31,20 +32,25 @@ _COLOR_BIT = {Color.RED: 0, Color.BLUE: 1}
 _BIT_COLOR = (Color.RED, Color.BLUE)
 
 
+@dataclass(frozen=True, slots=True)
 class ColoredGraph:
     """A loopless graph with red/blue edges and possibly missing pairs.
 
-    ``edges`` is normalized to a sorted tuple of ``(u, v, Color)`` with
-    ``u < v``; equality and hashing are structural.
+    ``edges`` may be any iterable of ``(u, v, Color)``; it is normalized to a
+    sorted tuple with ``u < v``.  Equality and hashing are structural.
     """
 
-    __slots__ = ("n", "edges", "_color", "__weakref__", "_hash")
+    n: int
+    edges: tuple[tuple[int, int, Color], ...] = ()
+    _color: dict = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int, Color]] = ()):
+    def __post_init__(self):
+        n = self.n
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         color: dict[tuple[int, int], Color] = {}
-        for u, v, c in edges:
+        for u, v, c in self.edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -55,15 +61,10 @@ class ColoredGraph:
             if key in color:
                 raise ValueError(f"duplicate edge {key}")
             color[key] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "edges", tuple(sorted((u, v, color[(u, v)]) for (u, v) in color))
-        )
+        edges = tuple(sorted((u, v, color[(u, v)]) for (u, v) in color))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_color", color)
-        object.__setattr__(self, "_hash", hash((n, self.edges)))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("ColoredGraph is immutable")
+        object.__setattr__(self, "_hash", hash((n, edges)))
 
     # -- basic queries ----------------------------------------------------
 
@@ -102,14 +103,8 @@ class ColoredGraph:
 
     # -- dunder -----------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ColoredGraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
     def __hash__(self) -> int:
+        # cached: every expansion and product lookup hashes graphs
         return self._hash
 
     def __repr__(self) -> str:
@@ -117,36 +112,20 @@ class ColoredGraph:
         return f"ColoredGraph(n={self.n}, [{body}])"
 
 
+@dataclass(frozen=True, slots=True)
 class Flag:
     """A coloured graph with an ordered tuple of distinguished root vertices."""
 
-    __slots__ = ("graph", "roots", "_hash")
+    graph: ColoredGraph
+    roots: tuple[int, ...]
 
-    def __init__(self, graph: ColoredGraph, roots: Sequence[int]):
-        roots = tuple(roots)
+    def __post_init__(self):
+        roots = tuple(self.roots)
         if len(set(roots)) != len(roots):
-            raise ValueError("roots must be pairwise distinct")
-        if any(not 0 <= r < graph.n for r in roots):
+            raise ValueError("duplicate root indices")
+        if any(not 0 <= r < self.graph.n for r in roots):
             raise ValueError("root index out of range")
-        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "_hash", hash((graph, roots)))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Flag is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Flag)
-            and self.graph == other.graph
-            and self.roots == other.roots
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Flag({self.graph!r}, roots={self.roots})"
 
 
 # -- constructions ---------------------------------------------------------
@@ -183,6 +162,8 @@ def alternating_cycle(length: int = 6) -> ColoredGraph:
 # force: the automorphism search (8! maps), the count tables and the batched
 # kernel (Bell(8) = 4140 quotients), and the certificate loader's graph cap.
 MAX_PATTERN_N = 8
+# Most template pairs whose 2^pairs colourings are listed or tabulated.
+MAX_TABLE_PAIRS = 16
 
 
 def pair_actions(maps: Iterable[Sequence[int]], edges: Sequence, pairs: Sequence) -> list:
@@ -240,20 +221,14 @@ def enumerate_template_colorings(template: ColoredGraph) -> list[ColoredGraph]:
     red for 0, so index 0 is the all-red colouring.
     """
     pairs = template.pairs()
-    if len(pairs) > 16:
-        raise ValueError("template has more than 16 edges; enumeration refused")
-    out = []
-    for index in range(1 << len(pairs)):
-        out.append(
-            ColoredGraph(
-                template.n,
-                (
-                    (u, v, _BIT_COLOR[(index >> k) & 1])
-                    for k, (u, v) in enumerate(pairs)
-                ),
-            )
+    if len(pairs) > MAX_TABLE_PAIRS:
+        raise ValueError(f"template has more than {MAX_TABLE_PAIRS} edges; enumeration refused")
+    return [
+        ColoredGraph(
+            template.n, ((u, v, _BIT_COLOR[(index >> k) & 1]) for k, (u, v) in enumerate(pairs))
         )
-    return out
+        for index in range(1 << len(pairs))
+    ]
 
 
 def coloring_code(g: ColoredGraph, n: int, pairs: Sequence[tuple[int, int]]) -> Optional[int]:
@@ -266,17 +241,15 @@ def coloring_code(g: ColoredGraph, n: int, pairs: Sequence[tuple[int, int]]) -> 
     return sum(1 << k for k, (_, _, c) in enumerate(g.edges) if c is Color.BLUE)
 
 
+@dataclass(slots=True)
 class ClassEntry:
     """One isomorphism class: published index, representative, symmetries."""
 
-    __slots__ = ("index", "representative", "aut_count", "multiplicity", "code")
-
-    def __init__(self, index, representative, aut_count, multiplicity, code):
-        self.index = index
-        self.representative = representative
-        self.aut_count = aut_count
-        self.multiplicity = multiplicity
-        self.code = code
+    index: int
+    representative: ColoredGraph
+    aut_count: int
+    multiplicity: int
+    code: int
 
 
 class ClassTable:

@@ -30,7 +30,7 @@ from flagcert.certificate import (
     verify_certificate,
 )
 from flagcert.counting import t_bip
-from flagcert.graphs import Color
+from flagcert.graphs import Color, ColoredGraph, Flag
 
 from test_graphs import SWAP_INVOLUTION
 
@@ -128,6 +128,35 @@ MALFORMED = {
         lambda: _edited(_repeat_first_family_flags(MAX_FLAGS + 1 - 8)),
         "$.families: 65 flags",
     ),
+    # rules the value types own, refused at the path the reader was reading
+    "edge_out_of_range": (
+        lambda: _edited(lambda o: o["target"]["edges"][-1].__setitem__(1, 6)),
+        "$.target.edges: edge (4,6) out of range for n=6",
+    ),
+    "loop": (
+        lambda: _edited(lambda o: o["target"]["edges"].__setitem__(2, [2, 2, "R"])),
+        "$.target.edges: loop at vertex 2",
+    ),
+    "repeated_pair": (
+        lambda: _edited(lambda o: o["classes"][3]["edges"].insert(1, [0, 3, "B"])),
+        "$.classes[3].edges: duplicate edge (0, 3)",
+    ),
+    "root_out_of_range": (
+        lambda: _edited(lambda o: o["families"][1]["flags"][2].update(roots=[0, 4])),
+        "$.families[1].flags[2].roots: root index out of range",
+    ),
+    "short_matrix_row": (
+        lambda: _edited(lambda o: o["families"][1]["matrix"][3].pop()),
+        "$.families[1]: row 3 has length 7, expected 8",
+    ),
+}
+# The graph, flag or family whose type refuses each of the entries above.
+TYPE_REFUSALS = {
+    "edge_out_of_range": "$.target",
+    "loop": "$.target",
+    "repeated_pair": "$.classes[3]",
+    "root_out_of_range": "$.families[1].flags[2]",
+    "short_matrix_row": "$.families[1]",
 }
 
 
@@ -176,6 +205,35 @@ class TestFlagProduct:
     def test_vertex_count(self):
         p = flag_product(builtin.red_flags()[1], builtin.red_flags()[6])
         assert p.n == 6
+
+
+class TestValueTypes:
+    """Flags and matrices built from equal data are equal, hash equal and frozen."""
+
+    def test_equal_flags_share_one_cached_product(self):
+        f, g = builtin.red_flags()[1], builtin.red_flags()[6]
+        copy = Flag(ColoredGraph(f.graph.n, reversed(f.graph.edges)), list(f.roots))
+        assert copy == f and hash(copy) == hash(f) and copy is not f
+        assert flag_product(copy, g) is flag_product(f, g)
+
+    def test_matrix_equality_and_hash(self):
+        rows = builtin.matrix_rows()
+        m = SymMatrix(rows)
+        same = SymMatrix([[str(x) for x in row] for row in rows])
+        assert same == m and hash(same) == hash(m)
+        assert m.order == 8 and m.rows == tuple(map(tuple, rows))
+        assert m.with_entry(1, 2, Fraction(1)) != m
+        assert m.with_entry(1, 2, m.entry(1, 2)) == m
+
+    def test_matrix_is_frozen_and_slotted(self):
+        m = SymMatrix(builtin.matrix_rows())
+        with pytest.raises(AttributeError):
+            m.rows = ()
+        assert not hasattr(m, "__dict__")
+
+    def test_matrix_rows_must_be_square(self):
+        with pytest.raises(ValueError, match=r"^row 1 has length 1, expected 2$"):
+            SymMatrix([[Fraction(0), Fraction(1)], [Fraction(1)]])
 
 
 class TestExpansions:
@@ -785,6 +843,13 @@ class TestSerialization:
         with pytest.raises(SchemaError) as err:
             load_certificate(make())
         assert where in str(err.value)
+
+    @pytest.mark.parametrize("kind", sorted(TYPE_REFUSALS))
+    def test_type_refusals_name_what_was_read(self, kind):
+        with pytest.raises(SchemaError) as err:
+            load_certificate(MALFORMED[kind][0]())
+        assert err.value.path.startswith(TYPE_REFUSALS[kind])
+        assert str(err.value).startswith(MALFORMED[kind][1])
 
     @pytest.mark.parametrize("make, where", BEYOND_LIMITS)
     def test_text_beyond_interpreter_limits_rejected(self, make, where):

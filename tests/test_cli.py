@@ -1,17 +1,22 @@
 """Command-line interface: outputs, exit statuses, format equivalence."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flagcert
 from flagcert import oracle
 from flagcert.certificate import (
+    SchemaError,
     builtin_certificate,
     format_rational,
     load_certificate,
@@ -219,6 +224,65 @@ class TestVerify:
         assert status == 1
         failing = {c["name"] for c in out["checks"] if not c["passed"]}
         assert "base_vector" in failing
+
+
+def _json_paths(value, path=()):
+    """Every path into a JSON value, its root included."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _json_paths(item, (*path, key))
+
+
+_EXPORTED = save_certificate(builtin_certificate())
+_EXPORTED_PATHS = tuple(_json_paths(json.loads(_EXPORTED)))
+# Wrong types, out-of-range integers and near-valid fragments (an edge, a loop,
+# two roots, a graph) that reach the checks behind the JSON typing.
+_REPLACEMENTS = (
+    None, False, True, -1, 0, 1, 2, 5, 6, 8, 9, 2**70, "X", "R", "1/2",
+    [], [0], [0, 0], [0, 1], [0, 1, "R"], [2, 2, "R"], [[0, 1, "B"]],
+    {}, {"n": 2, "edges": [[0, 1, "R"]]},
+)
+
+
+@st.composite
+def mutated_certificates(draw):
+    """The exported certificate with one value replaced, or one key or element deleted."""
+    obj = json.loads(_EXPORTED)
+    path = draw(st.sampled_from(_EXPORTED_PATHS))
+    if path and draw(st.booleans()):
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+    else:
+        value = draw(st.sampled_from(_REPLACEMENTS))
+        if not path:
+            return json.dumps(value)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return json.dumps(obj, indent=2)
+
+
+class TestReaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(text=mutated_certificates())
+    def test_mutations_end_in_a_report_or_a_schema_error(self, text, tmp_path_factory):
+        try:
+            report = verify_certificate(load_certificate(text))
+        except SchemaError:
+            expected = 2
+        else:
+            assert report.to_dict()["passed"] is report.passed
+            expected = 0 if report.passed else 1
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(text, encoding="utf-8")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            status = run(["verify", "--cert", str(path)])
+        assert status == expected
+        assert err.getvalue().startswith("schema error:") is (status == 2)
 
 
 class TestClassify:

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from flagcert import builtin
 from flagcert.graphs import (
+    ClassEntry,
     Color,
     ColoredGraph,
+    Flag,
     alternating_cycle,
     canonical_form,
     classify,
@@ -99,6 +101,53 @@ class TestColoredGraph:
         for v in range(6):
             colors = [g.edge_color(v, w) for w in range(6) if g.edge_color(v, w)]
             assert sorted(c.value for c in colors) == ["B", "R"]
+
+
+class TestValueTypes:
+    """Graphs and flags are frozen, slotted, and equal exactly when their fields are."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(partial_graphs(), st.randoms(use_true_random=False))
+    def test_edge_order_and_orientation_do_not_matter(self, g, rnd):
+        edges = [(v, u, c) if rnd.random() < 0.5 else (u, v, c) for u, v, c in g.edges]
+        rnd.shuffle(edges)
+        other = ColoredGraph(g.n, edges)
+        assert other == g and hash(other) == hash(g)
+        assert other.edges == g.edges
+
+    def test_equality_reads_every_field(self):
+        g = alternating_cycle(6)
+        assert g != ColoredGraph(6, g.edges[1:])
+        assert g != ColoredGraph(7, g.edges)
+        assert g != g.swap_colors()
+        flag = Flag(g, (0, 1))
+        assert flag == Flag(ColoredGraph(6, reversed(g.edges)), [0, 1])
+        assert hash(flag) == hash(Flag(g, [0, 1]))
+        assert flag != Flag(g, (1, 0))
+        assert flag != Flag(g.swap_colors(), (0, 1))
+
+    def test_fields_are_read_only(self):
+        g = alternating_cycle(6)
+        flag = Flag(g, (0, 1))
+        for obj, name, value in ((g, "n", 5), (g, "edges", ()), (flag, "roots", (1, 0))):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, value)
+        assert g.n == 6 and flag.roots == (0, 1)
+
+    def test_no_instance_dict(self):
+        g = alternating_cycle(6)
+        entry = builtin.class_table().entry(1)
+        for obj in (g, Flag(g, (0, 1)), entry):
+            assert not hasattr(obj, "__dict__")
+        assert isinstance(entry, ClassEntry)
+
+    def test_flag_roots(self):
+        g = alternating_cycle(6)
+        assert Flag(g, [2, 0]).roots == (2, 0)
+        with pytest.raises(ValueError, match="^duplicate root indices$"):
+            Flag(g, (0, 0))
+        with pytest.raises(ValueError, match="^root index out of range$"):
+            Flag(g, (0, 6))
 
 
 class TestUnderlyingAutomorphisms:
