@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import builtin
-from .graphs import MAX_PATTERN_N, ClassTable, Color, ColoredGraph, Flag
+from .graphs import MAX_PATTERN_N, ClassTable, Color, ColoredGraph, Flag, shape_maps
 
 
 class SchemaError(ValueError):
@@ -192,15 +193,40 @@ def flag_product(f1: Flag, f2: Flag) -> ColoredGraph:
     return ColoredGraph(n, ((u, v, c) for (u, v), c in merged.items()))
 
 
+# The builtin's 73 patterns have two edge shapes; 32 bounds a long process.
+@lru_cache(maxsize=32)
+def _pulled_counts(
+    k: int, shape: tuple[tuple[int, int], ...], table: ClassTable
+) -> tuple[int, tuple[dict[int, int], ...]]:
+    """Maps of a k-vertex edge shape onto the template, and what each class pulls back.
+
+    A map with row ``row`` (see ``graphs.shape_maps``) pulls a colouring code
+    back to the word whose bit e is bit row[e] of the code: the edges it
+    makes blue.  Returns the number of maps and, per class in table order, a
+    dict from each pulled-back word to the number of maps giving it.
+    """
+    rows = shape_maps(k, shape, table.n, table.pairs)
+    counts = tuple(
+        Counter(sum(((e.code >> p) & 1) << i for i, p in enumerate(row)) for row in rows)
+        for e in table.classes
+    )
+    return len(rows), counts
+
+
 # A certificate has 73 patterns (its target and 72 flag products), and the
 # golden check adds the builtin's; 256 keeps both and bounds a long process.
 @lru_cache(maxsize=256)
 def _expansion_cached(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
-    """``t_bip(p, representative)`` for every class, read off one count table."""
-    from .counting import subcube_count_table  # numpy loads only when counting
+    """``t_bip(p, representative)`` for every class, in Python integers.
 
-    counts, maps = subcube_count_table(p, table.n, table.pairs)
-    return {e.index: Fraction(int(counts[e.code]), maps) for e in table.classes}
+    Of the maps of p's edge shape onto the template, class l's density is
+    the share under which l's colouring pulls back to exactly p's colours.
+    """
+    maps, counts = _pulled_counts(p.n, p.pairs(), table)
+    if not maps:
+        raise ValueError("pattern does not embed in the template")
+    blue = sum(1 << i for i, (_, _, c) in enumerate(p.edges) if c is Color.BLUE)
+    return {e.index: Fraction(words.get(blue, 0), maps) for e, words in zip(table.classes, counts)}
 
 
 def expand_in_classes(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
@@ -279,6 +305,12 @@ def flag_pairs(cert: Certificate):
                 if i != j:
                     labels += (f"{fam}{j + 1}.{i + 1}",)
                 yield family, i, j, labels, flag_product(family.flags[i], family.flags[j])
+
+
+@lru_cache(maxsize=1)
+def _builtin_pairs() -> tuple:
+    """``flag_pairs`` of the builtin certificate, glued once per process."""
+    return tuple(flag_pairs(builtin_certificate()))
 
 
 def certificate_coefficients(
@@ -418,7 +450,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
     # 5. golden table: recompute the shipped expansion equations, each value
     # against its shipped numerator over the group order, read at every call
-    golden = list(flag_pairs(builtin_certificate()))
+    golden = _builtin_pairs()
     bad_keys = []
     for family, i, j, labels, product in golden:
         row = builtin.golden_numerators(family.root_edge_color.value, i + 1, j + 1)
@@ -570,8 +602,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 # The PSD check does m^3 integer work per family of m flags; this bounds it.  One
-# dense 64-flag family verifies in 0.14-0.17 s on a 2-CPU Xeon container (0.69-0.87 s
-# when the elimination ran in Fractions).
+# dense 64-flag family loads and verifies in 0.13-0.19 s on a 2-CPU Xeon container,
+# 0.19-0.22 s as a process's first verify (0.69-0.87 s when the elimination ran in
+# Fractions).
 MAX_FLAGS = 64
 
 

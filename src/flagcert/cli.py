@@ -14,21 +14,13 @@ import sys
 from fractions import Fraction
 
 from . import builtin
-from .certificate import (
-    SchemaError,
-    builtin_certificate,
-    expand_in_classes,
-    flag_product,
-    format_rational,
-    load_certificate,
-    save_certificate,
-    verify_certificate,
-)
 
 _BUILTIN_NAMES = ("c6a",)
 
 
 def _approx(x: Fraction) -> str:
+    from .certificate import format_rational
+
     return f"{format_rational(x)} (approx. {float(x):.6g})"
 
 
@@ -43,6 +35,8 @@ def _emit(args, obj, lines: list[str], passed: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .certificate import builtin_certificate, format_rational, load_certificate, verify_certificate
+
     if args.cert:
         with open(args.cert, "r", encoding="utf-8") as fh:
             cert = load_certificate(fh.read())
@@ -86,6 +80,8 @@ def _cmd_expand(args) -> int:
     if not (1 <= args.i <= len(flags) and 1 <= args.j <= len(flags)):
         print(f"flag indices must be between 1 and {len(flags)}", file=sys.stderr)
         return 2
+    from .certificate import expand_in_classes, flag_product, format_rational
+
     table = builtin.class_table()
     expansion = expand_in_classes(
         flag_product(flags[args.i - 1], flags[args.j - 1]), table
@@ -103,6 +99,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .certificate import builtin_certificate, save_certificate
+
     text = save_certificate(builtin_certificate())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -247,11 +245,11 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        from .certificate import SchemaError
+
+        kind = "schema error" if isinstance(exc, SchemaError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -5,8 +5,9 @@ every colouring of a small labelled host at once: each injective map of the
 pattern's edges onto host pairs fixes the colours of the pairs it covers, so
 it matches exactly the colourings in one subcube, and adding the subcubes
 gives an integer table over all 2^pairs colourings; pinning pattern
-vertices to host vertices gives rooted counts the same way.  The verifier,
-the classifier and the exhaustive sweep read their counts from these tables.
+vertices to host vertices gives rooted counts the same way.  The exhaustive
+sweep reads its counts from these tables.  The maps come from
+``graphs.shape_maps``, which the verifier reads in plain integers instead.
 
 ``hom_inj_batch`` counts a list of patterns in one concrete host, given its
 red and blue adjacency matrices, by Moebius inversion over the partition
@@ -40,12 +41,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import factorial, prod
 
 import numpy as np
 
-from .graphs import MAX_PATTERN_N, MAX_TABLE_PAIRS, ClassTable, Color, ColoredGraph, Flag, pair_actions
+from .graphs import MAX_PATTERN_N, MAX_TABLE_PAIRS, ClassTable, Color, ColoredGraph, Flag, shape_maps
 
 
 # -- Moebius inversion over quotients ----------------------------------------
@@ -335,16 +335,13 @@ def _embeddings(
     pairs: tuple[tuple[int, int], ...],
     pinned: tuple[tuple[int, int], ...],
 ):
-    """Injective maps of a k-vertex edge shape that send every edge onto a pair.
+    """The maps of ``graphs.shape_maps`` as arrays, with their free colourings.
 
-    Only maps sending each pinned (pattern vertex, host vertex) as given are
-    kept.  Returns (positions, free, inverse): positions[m, e] is the pair
-    index that map m gives edge e, and free[inverse[m]] lists the colourings
-    that are zero on every pair map m covers.  Shared by all colourings of a
-    shape.
+    Returns (positions, free, inverse): positions[m, e] is the pair index
+    that map m gives edge e, and free[inverse[m]] lists the colourings that
+    are zero on every pair map m covers.  Shared by all colourings of a shape.
     """
-    maps = (m for m in permutations(range(n), k) if all(m[a] == b for a, b in pinned))
-    rows = [row for _, row in pair_actions(maps, shape, pairs)]
+    rows = shape_maps(k, shape, n, pairs, pinned)
     positions = np.array(rows, dtype=np.int64).reshape(len(rows), len(shape))
     # distinct edges land on distinct pairs, so each row sums to its mask
     masks, inverse = np.unique(

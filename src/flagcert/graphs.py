@@ -118,6 +118,7 @@ class Flag:
 
     graph: ColoredGraph
     roots: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         roots = tuple(self.roots)
@@ -126,6 +127,11 @@ class Flag:
         if any(not 0 <= r < self.graph.n for r in roots):
             raise ValueError("root index out of range")
         object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "_hash", hash((self.graph, roots)))
+
+    def __hash__(self) -> int:
+        # cached: every flag_product lookup hashes both flags
+        return self._hash
 
 
 # -- constructions ---------------------------------------------------------
@@ -182,6 +188,19 @@ def pair_actions(maps: Iterable[Sequence[int]], edges: Sequence, pairs: Sequence
         if None not in row:
             out.append((m, row))
     return out
+
+
+def shape_maps(k: int, shape: Sequence, n: int, pairs: Sequence, pinned: Sequence = ()) -> list:
+    """Injective maps of a k-vertex edge shape onto host pairs, as pair positions.
+
+    The host has vertices 0..n-1 and the labelled ``pairs``.  Every map of
+    0..k-1 into the host that sends each edge of ``shape`` onto a pair, and
+    each pinned (shape vertex, host vertex) as given, yields the row of
+    ``pair_actions``: entry e is the position in ``pairs`` of edge e's image.
+    Its readers cache what they build from the rows, one entry per shape.
+    """
+    maps = (m for m in permutations(range(n), k) if all(m[a] == b for a, b in pinned))
+    return [row for _, row in pair_actions(maps, shape, pairs)]
 
 
 def underlying_automorphisms(g: ColoredGraph) -> list[tuple[int, ...]]:

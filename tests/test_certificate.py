@@ -21,6 +21,7 @@ from flagcert.certificate import (
     builtin_certificate,
     certificate_coefficients,
     expand_in_classes,
+    flag_pairs,
     flag_product,
     format_rational,
     load_certificate,
@@ -29,7 +30,7 @@ from flagcert.certificate import (
     save_certificate,
     verify_certificate,
 )
-from flagcert.counting import t_bip
+from flagcert.counting import subcube_count_table, t_bip
 from flagcert.graphs import Color, ColoredGraph, Flag
 
 from test_graphs import SWAP_INVOLUTION
@@ -236,7 +237,45 @@ class TestValueTypes:
             SymMatrix([[Fraction(0), Fraction(1)], [Fraction(1)]])
 
 
+def _count_table_expansion(p: ColoredGraph, table) -> dict[int, Fraction]:
+    """The expansion read off the numpy subcube count table of the sweep."""
+    counts, maps = subcube_count_table(p, table.n, table.pairs)
+    return {e.index: Fraction(int(counts[e.code]), maps) for e in table.classes}
+
+
+def _expansion_paths_agree(p: ColoredGraph) -> None:
+    table = builtin.class_table()
+    try:
+        expected = _count_table_expansion(p, table)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            expand_in_classes(p, table)
+        return
+    assert expand_in_classes(p, table) == expected
+
+
+@st.composite
+def six_vertex_patterns(draw):
+    """Coloured edge subsets of the 6-clique; those over 9 edges never embed."""
+    pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    colours = draw(st.lists(st.sampled_from(list(Color)), min_size=len(chosen), max_size=len(chosen)))
+    return ColoredGraph(6, [(u, v, c) for (u, v), c in zip(chosen, colours)])
+
+
 class TestExpansions:
+    @settings(max_examples=150, deadline=None)
+    @given(six_vertex_patterns())
+    def test_pulled_counts_match_count_table(self, p):
+        _expansion_paths_agree(p)
+
+    def test_builtin_patterns_match_count_table(self):
+        cert = builtin_certificate()
+        patterns = [cert.target] + [product for *_, product in flag_pairs(cert)]
+        assert len(patterns) == 73
+        for p in patterns:
+            _expansion_paths_agree(p)
+
     def test_all_red_product_expansion(self):
         table = builtin.class_table()
         p = flag_product(builtin.red_flags()[0], builtin.red_flags()[0])
@@ -817,6 +856,26 @@ class TestSerialization:
         text = _edited(_repeat_first_family_flags(MAX_FLAGS - 8))
         with pytest.raises(SchemaError, match=r"\$\.families\[0\]\.matrix: expected 56 rows"):
             load_certificate(text)
+
+    def test_dense_sixty_four_flag_family_verifies(self):
+        # the PSD cap's worst case: one family of 64 flags (the red ones
+        # repeated) under a dense, diagonally dominant matrix
+        def dense(obj):
+            family = obj["families"][0]
+            family["flags"] = (family["flags"] * 8)[:MAX_FLAGS]
+            family["matrix"] = [
+                ["64" if i == j else format_rational(Fraction((i * j) % 7 - 3, 128))
+                 for j in range(MAX_FLAGS)]
+                for i in range(MAX_FLAGS)
+            ]
+            obj["families"] = [family]
+
+        report = verify_certificate(load_certificate(_edited(dense)))
+        passed = {c.name: c.passed for c in report.checks}
+        assert passed == {
+            "classification": True, "base_vector": True, "psd_family_R": True,
+            "coefficients": False, "golden_expansions": True,
+        }
 
     def test_target_fits_the_template(self):
         # the 3+3 template has six vertices: a six-vertex target is read, a

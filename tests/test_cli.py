@@ -423,17 +423,24 @@ class TestOracleCommands:
         assert json.loads(capsys.readouterr().out)["n"] == 1449
 
 
-# Which commands import numpy, each in a fresh interpreter: the commands that
-# never count must not.  argv given a scratch directory, exit status, numpy.
+# Which commands import numpy, each in a fresh interpreter: only the oracle's
+# host and sweep counts need it; the verifier counts in Python integers.
+# `oracle exhaustive` shows that the harness sees numpy when it loads.  argv
+# given a scratch directory, exit status, numpy.
 IMPORT_BOUNDARY = {
     "classify": (lambda tmp: ["classify"], 0, False),
     "export-cert": (lambda tmp: ["export-cert"], 0, False),
+    "expand": (lambda tmp: ["expand", "--family", "R", "--i", "2", "--j", "3"], 0, False),
     "help": (lambda tmp: ["--help"], 0, False),
+    "oracle_exhaustive": (lambda tmp: ["oracle", "exhaustive"], 0, True),
     "verify_schema_error": (
         lambda tmp: ["verify", "--cert", _schema_invalid_path(tmp)], 2, False
     ),
-    "verify": (lambda tmp: ["verify"], 0, True),
+    "verify": (lambda tmp: ["verify"], 0, False),
+    "verify_exported": (lambda tmp: ["verify", "--cert", _exported_path(tmp)], 0, False),
 }
+# Commands that need no certificate never import its module.
+CERTIFICATE_FREE = ("classify", "help")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -443,6 +450,12 @@ def _schema_invalid_path(tmp_path) -> str:
     obj["target"]["n"] = 9  # above the 8-vertex graph cap
     path = tmp_path / "invalid.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def _exported_path(tmp_path) -> str:
+    path = tmp_path / "exported.json"
+    path.write_text(save_certificate(builtin_certificate()), encoding="utf-8")
     return str(path)
 
 
@@ -461,13 +474,15 @@ def test_numpy_loads_only_for_commands_that_count(name, tmp_path):
         "import json, sys\n"
         "from flagcert.cli import run\n"
         "status = run(sys.argv[1:])\n"
-        "print(json.dumps([status, 'numpy' in sys.modules]), file=sys.stderr)\n"
+        "loaded = [m in sys.modules for m in ('numpy', 'flagcert.certificate')]\n"
+        "print(json.dumps([status, *loaded]), file=sys.stderr)\n"
     )
     proc = _fresh_python(code, *argv(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    status, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
+    status, numpy_loaded, certificate_loaded = json.loads(proc.stderr.splitlines()[-1])
     assert status == expected_status
     assert numpy_loaded is loads_numpy
+    assert certificate_loaded is (name not in CERTIFICATE_FREE)
 
 
 def test_every_public_name_imports_from_the_package():
