@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import builtin
-from .graphs import MAX_PATTERN_N, ClassTable, Color, ColoredGraph, Flag, shape_maps
+from .graphs import MAX_PATTERN_N, ClassTable, Color, ColoredGraph, Flag, pulled_densities
 
 
 class SchemaError(ValueError):
@@ -193,40 +192,13 @@ def flag_product(f1: Flag, f2: Flag) -> ColoredGraph:
     return ColoredGraph(n, ((u, v, c) for (u, v), c in merged.items()))
 
 
-# The builtin's 73 patterns have two edge shapes; 32 bounds a long process.
-@lru_cache(maxsize=32)
-def _pulled_counts(
-    k: int, shape: tuple[tuple[int, int], ...], table: ClassTable
-) -> tuple[int, tuple[dict[int, int], ...]]:
-    """Maps of a k-vertex edge shape onto the template, and what each class pulls back.
-
-    A map with row ``row`` (see ``graphs.shape_maps``) pulls a colouring code
-    back to the word whose bit e is bit row[e] of the code: the edges it
-    makes blue.  Returns the number of maps and, per class in table order, a
-    dict from each pulled-back word to the number of maps giving it.
-    """
-    rows = shape_maps(k, shape, table.n, table.pairs)
-    counts = tuple(
-        Counter(sum(((e.code >> p) & 1) << i for i, p in enumerate(row)) for row in rows)
-        for e in table.classes
-    )
-    return len(rows), counts
-
-
 # A certificate has 73 patterns (its target and 72 flag products), and the
 # golden check adds the builtin's; 256 keeps both and bounds a long process.
 @lru_cache(maxsize=256)
 def _expansion_cached(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
-    """``t_bip(p, representative)`` for every class, in Python integers.
-
-    Of the maps of p's edge shape onto the template, class l's density is
-    the share under which l's colouring pulls back to exactly p's colours.
-    """
-    maps, counts = _pulled_counts(p.n, p.pairs(), table)
-    if not maps:
-        raise ValueError("pattern does not embed in the template")
-    blue = sum(1 << i for i, (_, _, c) in enumerate(p.edges) if c is Color.BLUE)
-    return {e.index: Fraction(words.get(blue, 0), maps) for e, words in zip(table.classes, counts)}
+    """``t_bip(p, representative)`` for every class: one ``graphs.pulled_densities`` call."""
+    densities = pulled_densities(p, table.n, table.pairs, tuple(e.code for e in table.classes))
+    return dict(zip(table.indices, densities))
 
 
 def expand_in_classes(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
@@ -392,9 +364,10 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     """Run the full verification pipeline; failures land in the report.
 
     Checks, in order: template classification, base vector against the
-    target's conditional densities, PSD status of every family
-    matrix, all class coefficients against the claimed bound, and the shipped
-    golden expansion table.
+    target's conditional densities, PSD status of every family matrix, all
+    class coefficients against the claimed bound, and the golden expansion
+    table: a self-test of shipped data, which re-derives the builtin's table
+    whatever certificate is given.
     """
     checks: list[CheckResult] = []
     table = builtin.class_table()

@@ -35,11 +35,16 @@ def _emit(args, obj, lines: list[str], passed: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .certificate import builtin_certificate, format_rational, load_certificate, verify_certificate
+    from .certificate import SchemaError, builtin_certificate, format_rational, load_certificate
+    from .certificate import verify_certificate
 
     if args.cert:
         with open(args.cert, "r", encoding="utf-8") as fh:
-            cert = load_certificate(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise SchemaError("$", f"not UTF-8 text: {exc}") from exc
+        cert = load_certificate(text)
     else:
         cert = builtin_certificate()
     report = verify_certificate(cert)

@@ -6,8 +6,8 @@ pattern's edges onto host pairs fixes the colours of the pairs it covers, so
 it matches exactly the colourings in one subcube, and adding the subcubes
 gives an integer table over all 2^pairs colourings; pinning pattern
 vertices to host vertices gives rooted counts the same way.  The exhaustive
-sweep reads its counts from these tables.  The maps come from
-``graphs.shape_maps``, which the verifier reads in plain integers instead.
+sweep reads its counts from these tables; ``t_bip`` and the verifier's
+expansions count the same maps in Python ints (``graphs.pulled_densities``).
 
 ``hom_inj_batch`` counts a list of patterns in one concrete host, given its
 red and blue adjacency matrices, by Moebius inversion over the partition
@@ -45,7 +45,8 @@ from math import factorial, prod
 
 import numpy as np
 
-from .graphs import MAX_PATTERN_N, MAX_TABLE_PAIRS, ClassTable, Color, ColoredGraph, Flag, shape_maps
+from .graphs import MAX_PATTERN_N, MAX_TABLE_PAIRS, ClassTable, Color, ColoredGraph, Flag
+from .graphs import coloring_code, pulled_densities, shape_maps
 
 
 # -- Moebius inversion over quotients ----------------------------------------
@@ -297,16 +298,11 @@ def density_vector(g: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
 def t_bip(h: ColoredGraph, j: ColoredGraph) -> Fraction:
     """Conditional density of the pattern among template embeddings.
 
-    The fraction of injective adjacency-preserving maps of the underlying
-    graph of ``h`` into the underlying graph of ``j`` that also preserve
-    every edge colour of ``h``.
+    Of the injective maps of h's edge shape onto j's pairs, the share that
+    pull j's colours back to exactly h's: ``graphs.pulled_densities`` at j's
+    one colouring code, so templates over 8 vertices are refused.
     """
-    shadow_h = h.all_red_underlying()
-    shadow_j = j.all_red_underlying()
-    den = hom_inj_count(shadow_h, shadow_j)
-    if den == 0:
-        raise ValueError("pattern does not embed in the template")
-    return Fraction(hom_inj_count(h, j), den)
+    return pulled_densities(h, j.n, j.pairs(), (coloring_code(j, j.n, j.pairs()),))[0]
 
 
 # -- subcube count tables -------------------------------------------------------
@@ -356,17 +352,16 @@ def subcube_count_table(
     n: int,
     pairs: tuple[tuple[int, int], ...],
     root_images: dict[int, int] | None = None,
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Colour-preserving injective counts of ``h`` in every colouring of a host.
 
     The host has vertices 0..n-1 and the labelled pairs ``pairs``; colouring
     ``x`` makes pair k blue when bit k of ``x`` is set and red otherwise.
-    Returns ``(table, maps)``: ``table[x]`` equals ``hom_inj_count(h, host_x)``
-    for each of the ``2**len(pairs)`` colourings, and ``maps`` counts the
-    injective maps sending every edge of ``h`` onto a host pair, the
-    denominator of ``t_bip``.  ``root_images`` pins pattern vertices to host
-    vertices, as in ``rooted_hom_inj_count``, and counts only those maps.
-    Raises ``ValueError`` when there are none.
+    Returns the table whose entry ``x`` equals ``hom_inj_count(h, host_x)``
+    for each of the ``2**len(pairs)`` colourings.  ``root_images`` pins
+    pattern vertices to host vertices, as in ``rooted_hom_inj_count``, and
+    counts only those maps.  Raises ``ValueError`` when no injective map
+    sends every edge of ``h`` onto a host pair.
     """
     if len(pairs) > MAX_TABLE_PAIRS or n > MAX_PATTERN_N:
         raise ValueError(
@@ -383,10 +378,7 @@ def subcube_count_table(
         raise ValueError("pattern does not embed in the template")
     blue = [e for e, (_, _, c) in enumerate(h.edges) if c is Color.BLUE]
     values = (np.int64(1) << positions[:, blue]).sum(axis=1)
-    table = np.bincount(
-        (free[inverse] + values[:, None]).ravel(), minlength=1 << len(pairs)
-    )
-    return table, len(positions)
+    return np.bincount((free[inverse] + values[:, None]).ravel(), minlength=1 << len(pairs))
 
 
 # -- closed-form count of the alternating 6-cycle ------------------------------

@@ -1,4 +1,4 @@
-"""Edge-coloured graphs, isomorphism machinery and template classification.
+"""Edge-coloured graphs, isomorphism, template classification and pulled densities.
 
 Vertices are integers 0..n-1.  Edges are unordered pairs carrying one of two
 colours; absent pairs are non-edges.  Everything here is immutable after
@@ -8,7 +8,10 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
@@ -93,14 +96,6 @@ class ColoredGraph:
     def swap_colors(self) -> "ColoredGraph":
         return ColoredGraph(self.n, ((u, v, c.swapped) for u, v, c in self.edges))
 
-    def all_red_underlying(self) -> "ColoredGraph":
-        """The underlying graph with every edge recoloured red.
-
-        Colour-blind counting problems reduce to colour-preserving ones on
-        these monochromatic shadows.
-        """
-        return ColoredGraph(self.n, ((u, v, Color.RED) for u, v, _ in self.edges))
-
     # -- dunder -----------------------------------------------------------
 
     def __hash__(self) -> int:
@@ -165,8 +160,8 @@ def alternating_cycle(length: int = 6) -> ColoredGraph:
 # -- automorphisms ----------------------------------------------------------
 
 # Largest pattern or certificate graph on which anything here searches by brute
-# force: the automorphism search (8! maps), the count tables and the batched
-# kernel (Bell(8) = 4140 quotients), and the certificate loader's graph cap.
+# force: the automorphism search (8! maps), count tables, pulled densities, the
+# batched kernel (Bell(8) = 4140 quotients), and the certificate loader's cap.
 MAX_PATTERN_N = 8
 # Most template pairs whose 2^pairs colourings are listed or tabulated.
 MAX_TABLE_PAIRS = 16
@@ -201,6 +196,37 @@ def shape_maps(k: int, shape: Sequence, n: int, pairs: Sequence, pinned: Sequenc
     """
     maps = (m for m in permutations(range(n), k) if all(m[a] == b for a, b in pinned))
     return [row for _, row in pair_actions(maps, shape, pairs)]
+
+
+# The verifier reads the 26 class codes per edge shape (the builtin's 73
+# patterns have two), t_bip one code; 64 bounds what a long process holds.
+@lru_cache(maxsize=64)
+def _pulled_counts(k: int, shape: tuple, n: int, pairs: tuple, codes: tuple) -> tuple:
+    """Maps of a k-vertex edge shape onto host pairs, and per code the words they pull it to."""
+    rows = shape_maps(k, shape, n, pairs)
+    return len(rows), tuple(
+        Counter(sum(((code >> p) & 1) << e for e, p in enumerate(row)) for row in rows)
+        for code in codes
+    )
+
+
+def pulled_densities(h: ColoredGraph, n: int, pairs: Sequence, codes: Sequence[int]) -> tuple:
+    """Density of pattern ``h`` in each colouring ``codes`` of a small labelled host.
+
+    The host has vertices 0..n-1 and the sorted ``pairs``, coloured as in
+    ``coloring_code``.  A map of h's edge shape onto the pairs, with row
+    ``row`` (see ``shape_maps``), pulls a code back to the word whose bit e
+    is bit row[e] of the code; the density is the share of maps that pull
+    it back to h's own word.  Hosts over ``MAX_PATTERN_N`` vertices are
+    refused before any enumeration; a pattern with no map raises ValueError.
+    """
+    if n > MAX_PATTERN_N:
+        raise ValueError(f"host with {n} vertices rejected: limit is {MAX_PATTERN_N} vertices")
+    maps, counts = _pulled_counts(h.n, h.pairs(), n, tuple(pairs), tuple(codes))
+    if not maps:
+        raise ValueError("pattern does not embed in the template")
+    word = coloring_code(h, h.n, h.pairs())
+    return tuple(Fraction(words.get(word, 0), maps) for words in counts)
 
 
 def underlying_automorphisms(g: ColoredGraph) -> list[tuple[int, ...]]:

@@ -239,7 +239,9 @@ class TestValueTypes:
 
 def _count_table_expansion(p: ColoredGraph, table) -> dict[int, Fraction]:
     """The expansion read off the numpy subcube count table of the sweep."""
-    counts, maps = subcube_count_table(p, table.n, table.pairs)
+    counts = subcube_count_table(p, table.n, table.pairs)
+    # each map matches the colourings of one subcube, one per free pair bit
+    maps = int(counts.sum()) >> (len(table.pairs) - p.edge_count)
     return {e.index: Fraction(int(counts[e.code]), maps) for e in table.classes}
 
 

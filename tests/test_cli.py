@@ -183,6 +183,19 @@ class TestVerify:
         assert where in captured.err
         assert captured.out == ""
 
+    # a UTF-16 byte-order mark, and the exported certificate in UTF-16
+    @pytest.mark.parametrize(
+        "data", [b"\xff\xfe{}", save_certificate(builtin_certificate()).encode("utf-16")]
+    )
+    def test_non_utf8_certificate_is_a_schema_error(self, data, tmp_path, capsys):
+        path = tmp_path / "encoded.json"
+        path.write_bytes(data)
+        status = run(["verify", "--cert", str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err.startswith("schema error: $: not UTF-8 text: 'utf-8' codec can't decode")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("make, where", BEYOND_LIMITS)
     def test_certificate_beyond_interpreter_limits_exit_2(self, make, where, tmp_path, capsys):
         path = tmp_path / "oversized.json"

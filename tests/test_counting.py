@@ -1,16 +1,17 @@
 """Counting operations and density functionals against independent oracles."""
 
+import math
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flagcert import builtin, counting
+from flagcert import builtin, counting, graphs
 from flagcert.certificate import builtin_certificate, expand_in_classes, flag_pairs
 from flagcert.counting import (
     CLOSED_FORM_MAX_N,
@@ -162,6 +163,18 @@ def _count_maps(
     return count
 
 
+def _shadow(g: ColoredGraph) -> ColoredGraph:
+    return ColoredGraph(g.n, ((u, v, Color.RED) for u, v, _ in g.edges))
+
+
+def _backtracking_t_bip(h: ColoredGraph, j: ColoredGraph) -> Fraction:
+    """t_bip by backtracking: colour-preserving maps over the shadows' maps."""
+    maps = _count_maps(_shadow(h), _shadow(j))
+    if not maps:
+        raise ValueError("pattern does not embed in the template")
+    return Fraction(_count_maps(h, j), maps)
+
+
 def blown_up_alternating_counts(red, blue, size: int) -> tuple[int, int]:
     """Closed alternating 6-walks of a small host, and injective copies in its blow-up.
 
@@ -239,9 +252,7 @@ class TestHomCount:
 class TestHomInjCount:
     def test_cycle_into_template_underlying(self):
         # 2 * 3! * 3! once a bipartition side is chosen
-        shadow_cycle = TARGET.all_red_underlying()
-        shadow_template = builtin.template().all_red_underlying()
-        assert hom_inj_count(shadow_cycle, shadow_template) == 72
+        assert hom_inj_count(_shadow(TARGET), _shadow(builtin.template())) == 72
 
     def test_zero_when_host_smaller(self):
         assert hom_inj_count(TARGET, complete_graph(5, Color.RED)) == 0
@@ -340,6 +351,18 @@ class TestDensities:
         assert total == 1
 
 
+@st.composite
+def colored_patterns(draw, min_n=2, max_n=7):
+    """Coloured graphs on min_n..max_n vertices; many do not embed in K3,3."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9))
+    colours = draw(
+        st.lists(st.sampled_from(list(Color)), min_size=len(chosen), max_size=len(chosen))
+    )
+    return ColoredGraph(n, [(u, v, c) for (u, v), c in zip(chosen, colours)])
+
+
 class TestTBip:
     def test_published_target_values(self):
         table = builtin.class_table()
@@ -358,17 +381,40 @@ class TestTBip:
         with pytest.raises(ValueError):
             t_bip(triangle, builtin.class_table().representative(1))
 
+    @settings(max_examples=100, deadline=None)
+    @given(colored_patterns(), st.integers(0, 511))
+    def test_matches_backtracking_in_every_template_colouring(self, h, code):
+        j = enumerate_template_colorings(builtin.template())[code]
+        try:
+            expected = _backtracking_t_bip(h, j)
+        except ValueError:
+            with pytest.raises(ValueError, match="^pattern does not embed in the template$"):
+                t_bip(h, j)
+            return
+        assert t_bip(h, j) == expected
 
-@st.composite
-def colored_patterns(draw, min_n=2, max_n=7):
-    """Coloured graphs on min_n..max_n vertices; many do not embed in K3,3."""
-    n = draw(st.integers(min_n, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9))
-    colours = draw(
-        st.lists(st.sampled_from(list(Color)), min_size=len(chosen), max_size=len(chosen))
-    )
-    return ColoredGraph(n, [(u, v, c) for (u, v), c in zip(chosen, colours)])
+    def test_never_reaches_the_quotient_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("t_bip called the quotient kernel")
+
+        monkeypatch.setattr(counting, "hom_inj_batch", refuse)
+        self.test_published_target_values()
+        self.test_all_red_pattern_saturates_all_red_class()
+
+    def test_templates_up_to_eight_vertices(self):
+        path = ColoredGraph(3, [(0, 1, Color.RED), (1, 2, Color.BLUE)])
+        j = ColoredGraph(8, [(0, 1, Color.RED), (1, 2, Color.BLUE), (2, 3, Color.RED)])
+        # the middle vertex goes to 1 or 2, its ends to that vertex's neighbours
+        # in either order; one order per middle keeps the colours
+        assert t_bip(path, j) == Fraction(2, 4) == _backtracking_t_bip(path, j)
+
+    def test_refuses_a_large_template_before_enumerating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("maps were enumerated")
+
+        monkeypatch.setattr(graphs, "shape_maps", refuse)
+        with pytest.raises(ValueError, match="^host with 40 vertices rejected: limit is 8 vertices$"):
+            t_bip(TARGET, complete_graph(40, Color.RED))
 
 
 class TestSubcubeCountTable:
@@ -377,25 +423,30 @@ class TestSubcubeCountTable:
     def test_expansion_matches_backtracking(self, h):
         table = builtin.class_table()
         try:
-            expected = {l: t_bip(h, table.representative(l)) for l in table.indices}
+            expected = {l: _backtracking_t_bip(h, table.representative(l)) for l in table.indices}
         except ValueError:
             with pytest.raises(ValueError, match="does not embed"):
                 expand_in_classes(h, table)
+            with pytest.raises(ValueError, match="does not embed"):
+                t_bip(h, table.representative(1))
             return
         assert expand_in_classes(h, table) == expected
+        assert {l: t_bip(h, table.representative(l)) for l in table.indices} == expected
 
     @settings(max_examples=40, deadline=None)
     @given(colored_patterns(max_n=6), st.integers(0, 511))
     def test_every_entry_is_a_host_count(self, h, code):
         tmpl = builtin.template()
         try:
-            counts, maps = subcube_count_table(h, tmpl.n, tmpl.pairs())
+            counts = subcube_count_table(h, tmpl.n, tmpl.pairs())
         except ValueError:
-            assert hom_inj_count(h.all_red_underlying(), tmpl) == 0
+            assert hom_inj_count(_shadow(h), tmpl) == 0
             return
         host = enumerate_template_colorings(tmpl)[code]
         assert counts[code] == hom_inj_count(h, host)
-        assert maps == hom_inj_count(h.all_red_underlying(), tmpl)
+        # each map matches the colourings of one subcube, one per free pair bit
+        free = len(tmpl.pairs()) - h.edge_count
+        assert counts.sum() == hom_inj_count(_shadow(h), tmpl) << free
 
     @settings(max_examples=40, deadline=None)
     @given(colored_patterns(max_n=6), st.integers(0, 511), st.data())
@@ -405,9 +456,9 @@ class TestSubcubeCountTable:
         u, v = data.draw(st.permutations(range(tmpl.n)))[:2]
         flag = Flag(h, (a, b))
         try:
-            counts, _ = subcube_count_table(h, tmpl.n, tmpl.pairs(), {a: u, b: v})
+            counts = subcube_count_table(h, tmpl.n, tmpl.pairs(), {a: u, b: v})
         except ValueError:
-            shadow = Flag(h.all_red_underlying(), (a, b))
+            shadow = Flag(_shadow(h), (a, b))
             assert rooted_hom_inj_count(shadow, tmpl, u, v) == 0
             return
         host = enumerate_template_colorings(tmpl)[code]
@@ -615,6 +666,45 @@ class TestBatchedKernel:
             hom_inj_batch([(PATH4, roots)], red, blue)
         with pytest.raises(ValueError, match=re.escape(message)):
             hom_inj_batch([(TARGET, ()), (PATH4, roots)], red, blue)
+
+
+K6_PAIRS = tuple((u, v) for u in range(6) for v in range(u + 1, 6))
+
+
+class TestSixSubsetLinearity:
+    """The quotient kernel's host counts against the sweep's subcube tables.
+
+    An injective map of a 6-vertex pattern into a clique host has one 6-set S
+    as image, so inj(P, g) is the sum over 6-sets S of inj(P, g[S]): the
+    pattern's K6 table read at the colouring code of g[S].  A rooted map of a
+    k-vertex flag lies in C(n - k, 6 - k) of the 6-sets holding its roots.
+    """
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(6, 9), st.integers(0, 2**32 - 1))
+    @example(7, 3)
+    @example(8, 0)
+    @example(9, 5)
+    def test_host_counts_are_sums_over_six_sets(self, n, seed):
+        g = random_clique_coloring(n, seed)
+        batch = [(h, ()) for h in UNROOTED_PATTERNS] + [(f.graph, f.roots) for f in FLAGS]
+        counts = hom_inj_batch(batch, *color_adjacency(g))
+        subsets = np.array(list(combinations(range(n), 6)))
+        # bit k of g[S]'s code: the colour of S's k-th pair, as in the sweep
+        codes = sum(
+            np.array([g.edge_color(u, v) is Color.BLUE for u, v in subsets[:, [a, b]]]) << k
+            for k, (a, b) in enumerate(K6_PAIRS)
+        )
+        assert len(UNROOTED_PATTERNS) == 99 and all(h.n == 6 for h in UNROOTED_PATTERNS)
+        for h, count in zip(UNROOTED_PATTERNS, counts):
+            assert count == subcube_count_table(h, 6, K6_PAIRS)[codes].sum(), h
+        for f, rooted in zip(FLAGS, counts[len(UNROOTED_PATTERNS):]):
+            total = np.zeros((n, n), dtype=np.int64)
+            for a, b in permutations(range(6), 2):
+                pinned = subcube_count_table(f.graph, 6, K6_PAIRS, dict(zip(f.roots, (a, b))))
+                np.add.at(total, (subsets[:, a], subsets[:, b]), pinned[codes])
+            k = f.graph.n
+            assert np.array_equal(rooted * math.comb(n - k, 6 - k), total), f
 
 
 class TestBlowUp:
