@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -28,9 +29,18 @@ def _status(ok: bool) -> str:
     return "pass" if ok else "FAIL"
 
 
+def _write(text: str) -> None:
+    """Write ``text`` to stdout; a reader that closed the pipe early gets no more."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the buffer is flushed again at exit: send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(args, obj, lines: list[str], passed: bool) -> int:
     """Print one report as JSON or text lines; exit status 0 if it passed, else 1."""
-    print(json.dumps(obj, indent=2) if args.format == "json" else "\n".join(lines))
+    _write((json.dumps(obj, indent=2) if args.format == "json" else "\n".join(lines)) + "\n")
     return 0 if passed else 1
 
 
@@ -111,7 +121,7 @@ def _cmd_export(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _write(text)
     return 0
 
 

@@ -22,10 +22,10 @@ quotient that puts both colours on one pair has none either and is dropped.
 Equal quotients are merged and those whose summed mu is zero dropped.
 Pinned roots stay in separate blocks and become free indices, which gives
 the whole rooted table at once.  Quotients of all the patterns that differ
-only in which colour each edge reads share an einsum spec, and each spec
-is one ``np.einsum`` with a batch index over those quotients: the 656
-quotients of the oracle's 99 identity patterns need 33 specs.  Each oracle
-host check and each ``density_vector`` makes one call.
+only in which colour each edge reads share an einsum spec and are counted
+in batched ``np.einsum`` calls: the 656 quotients of the oracle's 99
+identity patterns need 33 specs.  One plan per pattern list and host size
+lists the calls; each oracle host check and ``density_vector`` runs one.
 
 Counts are int64.  For a k-vertex pattern on an n-vertex host every einsum
 partial sum is a partial hom count, at most n^k, and every signed running
@@ -107,49 +107,52 @@ def _quotients(h: ColoredGraph, pinned: tuple[int, ...] = ()):
 _BATCH_ENTRIES = 2**16
 
 
-# A host check asks for one batch (99 patterns for identities, 93 for the
-# inequality); 64 also keeps the one-pattern batches of hom_inj_count et al.
+# Each host check asks for one plan: `oracle inequality --n 10 --count 4`
+# makes 1 miss and 3 hits.  64 also keeps the one-pattern plans of
+# hom_inj_count et al. on a few host sizes.
 @lru_cache(maxsize=64)
-def _batch_plan(patterns: tuple[tuple[ColoredGraph, tuple[int, ...]], ...]):
-    """Every quotient of ``patterns`` grouped by einsum spec, equal rows merged.
+def _batch_plan(patterns: tuple[tuple[ColoredGraph, tuple[int, ...]], ...], n: int):
+    """The einsum calls that count ``patterns`` on an n-vertex host.
 
-    Returns ``(spec, bits, scatter)`` per spec: ``spec`` has a batch index z
-    on every term and on the output, row r of ``bits`` lists each term's
-    operand (0 red, 1 blue, 2 ones), and ``scatter`` holds ``(row, pattern,
-    weight)``.  The empty pattern's one quotient has no term and is left out.
+    Quotients sharing a spec are its rows, equal rows merged; a call takes at
+    most max(1, 2^16 // n^3) rows.  Returns ``(spec, bits, ones, path,
+    scatter)`` per call: ``spec`` has a batch index z on every term and the
+    output unless the call has one row (numpy's matmul steps squeeze a size-1
+    axis by a copying reduction); ``bits[k]`` is edge term k's colour (0 red,
+    1 blue) per row, a scalar for one row; ``ones`` serve blocks that meet no
+    edge; ``path`` is the greedy order with n^3 intermediates per row (numpy's
+    default leaves K3,3 quotients no order better than n^6), planned once per
+    spec and call size; ``scatter`` holds ``(row, pattern, weight)``.  The
+    empty pattern's one quotient has no term and is left out.
     """
+    step = max(1, _BATCH_ENTRIES // max(n, 1) ** 3)
     groups: dict[str, dict[tuple[int, ...], int]] = {}
-    scatter: dict[str, list[tuple[int, int, int]]] = {}
+    scatter: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
     for p, (h, roots) in enumerate(patterns):
         for spec, operands, weight in _quotients(h, roots):
             if operands:
                 rows = groups.setdefault(spec, {})
                 row = rows.setdefault(operands, len(rows))
-                scatter.setdefault(spec, []).append((row, p, weight))
+                scatter.setdefault((spec, row // step), []).append((row % step, p, weight))
+    paths: dict[tuple[str, int], list] = {}
     out = []
     for spec, rows in groups.items():
-        terms, output = spec.split("->")
-        batched = ",".join("z" + t for t in terms.split(",")) + "->z" + output
-        bits = np.array(list(rows), dtype=np.intp)
+        *terms, output = spec.replace("->", ",").split(",")
+        batched = ",".join("z" + t for t in terms) + "->z" + output
+        edges = sum(len(t) == 2 for t in terms)  # edge terms come first
+        bits = np.array(list(rows), dtype=np.intp)[:, :edges].T
         bits.flags.writeable = False  # shared by every caller of the cached plan
-        out.append((batched, bits, tuple(scatter[spec])))
+        for start in range(0, len(rows), step):
+            chunk = bits[:, start : start + step]
+            size = chunk.shape[1]
+            call, chunk = (spec, chunk[:, 0]) if size == 1 else (batched, chunk)
+            shapes = [chunk.shape[1:] + (n,) * len(t) for t in terms]
+            if (call, size) not in paths:
+                dummies = [np.broadcast_to(np.int64(0), shape) for shape in shapes]
+                paths[call, size] = np.einsum_path(call, *dummies, optimize=("greedy", size * n**3))[0]
+            ones = tuple(np.broadcast_to(np.int64(1), shape) for shape in shapes[edges:])
+            out.append((call, chunk, ones, paths[call, size], tuple(scatter[spec, start // step])))
     return tuple(out)
-
-
-# A spec is run with at most two batch sizes per host size (full calls and the
-# remainder); the oracle's two checks use 37 to 47 keys per host size, so
-# 1024 keeps those of twenty sizes.
-@lru_cache(maxsize=1024)
-def _einsum_path(spec: str, n: int, rows: int):
-    """Greedy contraction order for a batch of ``rows`` on an n-vertex host.
-
-    The memory limit admits n^3 intermediates per row; numpy's default (the
-    largest operand, n^2 per row) leaves K3,3 quotients no order better than
-    n^6.
-    """
-    shapes = [tuple(rows if c == "z" else n for c in term) for term in spec.split("->")[0].split(",")]
-    dummies = [np.broadcast_to(np.int64(0), shape) for shape in shapes]
-    return np.einsum_path(spec, *dummies, optimize=("greedy", rows * n**3))[0]
 
 
 def _check_kernel_size(k: int, n: int) -> None:
@@ -172,15 +175,13 @@ def hom_inj_batch(patterns, red, blue) -> list:
     """Injective colour-preserving maps of each ``(h, roots)`` into one host.
 
     ``red`` and ``blue`` are the host's int64 0/1 adjacency matrices with
-    zero diagonals.  All quotients of all patterns sharing an einsum spec
-    are counted together: row r of a call reads, for each edge term, the
-    red or blue matrix as its colour bit says.  A call batches at most
-    max(1, 2^16 // n^3) rows, so its intermediates hold at most
-    max(2^16, n^3) entries: one row per call from n = 40 on.  Returns one
-    count per pattern, in order: without roots a Python int; with two roots
-    the n x n int64 table whose entry [u, v] counts the maps sending the
-    first root to u and the second to v, zero on the diagonal.  Roots must be
-    none or two distinct vertices of their pattern.
+    zero diagonals.  Runs the patterns' plan for this host size: row r of a
+    call reads, for each edge term, the red or blue matrix as its colour bit
+    says, and a call's intermediates hold at most max(2^16, n^3) entries.
+    Returns one count per pattern, in order: without roots a Python int;
+    with two roots the n x n int64 table whose entry [u, v] counts the maps
+    sending the first root to u and the second to v, zero on the diagonal.
+    Roots must be none or two distinct vertices of their pattern.
     """
     red = np.asarray(red, dtype=np.int64)
     blue = np.asarray(blue, dtype=np.int64)
@@ -196,22 +197,10 @@ def hom_inj_batch(patterns, red, blue) -> list:
     # the empty pattern has one map and no quotient in the plan
     totals = [np.zeros((n, n), dtype=np.int64) if roots else int(h.n == 0) for h, roots in patterns]
     colours = np.stack([red, blue])
-    step = max(1, _BATCH_ENTRIES // max(n, 1) ** 3)
-    for spec, bits, scatter in _batch_plan(patterns):
-        edges = [len(term) == 3 for term in spec.split("->")[0].split(",")]
-        homs = []
-        for start in range(0, len(bits), step):
-            chunk = bits[start : start + step]
-            ones = np.broadcast_to(np.int64(1), (len(chunk), n))
-            operands = [colours[chunk[:, k]] if edge else ones for k, edge in enumerate(edges)]
-            if len(chunk) == 1:
-                # numpy's matmul steps squeeze a size-1 axis by a copying reduction
-                one = spec.replace("z", "")
-                operands = [op[0] for op in operands]
-                homs.append(np.einsum(one, *operands, optimize=_einsum_path(one, n, 1))[None])
-            else:
-                homs.append(np.einsum(spec, *operands, optimize=_einsum_path(spec, n, len(chunk))))
-        hom = np.concatenate(homs)
+    for spec, bits, ones, path, scatter in _batch_plan(patterns, n):
+        hom = np.einsum(spec, *colours[bits], *ones, optimize=path)
+        if bits.ndim == 1:
+            hom = hom[None]  # a one-row call has no batch axis
         if hom.ndim == 1:
             hom = hom.tolist()  # plain counts are summed as Python ints
         for row, p, weight in scatter:
@@ -321,8 +310,8 @@ def _subcube_members(mask: int, bits: int) -> np.ndarray:
     return arr
 
 
-# A verify plus the exhaustive sweep uses six edge shapes; 32 keeps every
-# shape of a run and bounds what a long process holds.
+# `oracle exhaustive` makes 4 misses and 111 hits (verify never comes here);
+# 32 keeps every key of a run and bounds what a long process holds.
 @lru_cache(maxsize=32)
 def _embeddings(
     k: int,

@@ -508,3 +508,30 @@ def test_every_public_name_imports_from_the_package():
     proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == len(flagcert.__all__) > 0
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early changes neither stderr nor the status."""
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (lambda tmp: ["classify"], 0),
+            (lambda tmp: ["verify", "--cert", _shifted_certificate_path(tmp)], 1),
+            (lambda tmp: ["export-cert"], 0),
+        ],
+        ids=["classify", "verify_shifted", "export-cert"],
+    )
+    def test_status_and_silence(self, argv, status, tmp_path):
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "flagcert.cli", *argv(tmp_path)],
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                stdout=write, stderr=subprocess.PIPE, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.stderr == b""
+        assert proc.returncode == status

@@ -16,6 +16,7 @@ from flagcert.certificate import builtin_certificate, expand_in_classes, flag_pa
 from flagcert.counting import (
     CLOSED_FORM_MAX_N,
     MAX_PATTERN_N,
+    _batch_plan,
     _quotients,
     alternating_hom_inj_count,
     alternating_hom_inj_from_matrices,
@@ -615,6 +616,19 @@ def expected_count(h: ColoredGraph, roots: tuple[int, ...], g: ColoredGraph):
 PATH4 = ColoredGraph(4, [(0, 1, Color.RED), (1, 2, Color.BLUE), (2, 3, Color.RED)])
 
 
+def _count_einsum_paths(monkeypatch) -> list:
+    """Record the spec of every later ``np.einsum_path`` call."""
+    calls = []
+    einsum_path = np.einsum_path
+
+    def counted(spec, *operands, **kwargs):
+        calls.append(spec)
+        return einsum_path(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counted)
+    return calls
+
+
 class TestBatchedKernel:
     @settings(max_examples=80, deadline=None)
     @given(pattern_batches(), partial_hosts(max_n=6))
@@ -649,6 +663,23 @@ class TestBatchedKernel:
         hom_inj_batch([(h, ()) for h in UNROOTED_PATTERNS], red, blue)
         specs = {spec for h in UNROOTED_PATTERNS for spec, _, _ in _quotients(h)}
         assert len(calls) == len(set(calls)) == len(specs) == 33
+
+    def test_a_second_host_of_the_same_size_reuses_the_plan(self, monkeypatch):
+        batch = [(h, ()) for h in UNROOTED_PATTERNS] + [(f.graph, f.roots) for f in FLAGS]
+        hom_inj_batch(batch, *color_adjacency(random_clique_coloring(12, 1)))
+        paths = _count_einsum_paths(monkeypatch)
+        hom_inj_batch(batch, *color_adjacency(random_clique_coloring(12, 2)))
+        assert paths == []
+
+    def test_one_path_per_spec_when_every_row_is_a_call(self, monkeypatch):
+        # at n = 41 each row is a call of its own: the 656 quotients merge
+        # into 607 rows, and the 33 specs each need one contraction order
+        patterns = tuple((h, ()) for h in UNROOTED_PATTERNS)
+        _batch_plan.cache_clear()
+        paths = _count_einsum_paths(monkeypatch)
+        hom_inj_batch(patterns, *color_adjacency(random_clique_coloring(41, 1)))
+        assert len(_batch_plan(patterns, 41)) == 607
+        assert len(paths) == len(set(paths)) == 33
 
     @pytest.mark.parametrize(
         "roots, message",
