@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from . import builtin
 from .graphs import MAX_PATTERN_N, ClassTable, Color, ColoredGraph, Flag, pulled_densities
@@ -232,15 +233,18 @@ class FlagFamily:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Serializable proof object for one density bound."""
+    """Serializable proof object for one density bound; ``base`` is stored as a read-only copy."""
 
     name: str
     template_parts: tuple[int, int]
     target: ColoredGraph
-    base: dict[int, Fraction]
+    base: Mapping[int, Fraction]
     families: tuple[FlagFamily, ...]
     bound: Fraction
     classes: Optional[tuple[ColoredGraph, ...]] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "base", MappingProxyType(dict(self.base)))
 
 
 @lru_cache(maxsize=1)
@@ -251,7 +255,7 @@ def builtin_certificate() -> Certificate:
         name="alternating-6-cycle",
         template_parts=builtin.TEMPLATE_PARTS,
         target=builtin.target(),
-        base=dict(builtin.BASE_VECTOR),
+        base=builtin.BASE_VECTOR,
         families=(
             FlagFamily(Color.RED, builtin.red_flags(), matrix),
             FlagFamily(Color.BLUE, builtin.blue_flags(), matrix),

@@ -93,8 +93,7 @@ def _cmd_classify(args) -> int:
 def _cmd_expand(args) -> int:
     flags = builtin.red_flags() if args.family == "R" else builtin.blue_flags()
     if not (1 <= args.i <= len(flags) and 1 <= args.j <= len(flags)):
-        print(f"flag indices must be between 1 and {len(flags)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"flag indices must be between 1 and {len(flags)}")
     from .certificate import expand_in_classes, flag_product, format_rational
 
     table = builtin.class_table()

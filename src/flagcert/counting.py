@@ -181,19 +181,15 @@ def hom_inj_batch(patterns, red, blue) -> list:
     Returns one count per pattern, in order: without roots a Python int;
     with two roots the n x n int64 table whose entry [u, v] counts the maps
     sending the first root to u and the second to v, zero on the diagonal.
-    Roots must be none or two distinct vertices of their pattern.
+    ``Flag(h, roots)`` checks each item's roots; the kernel pins none or two.
     """
     red = np.asarray(red, dtype=np.int64)
     blue = np.asarray(blue, dtype=np.int64)
     n = red.shape[0]
-    patterns = tuple((h, tuple(roots)) for h, roots in patterns)
+    patterns = tuple((h, Flag(h, roots).roots) for h, roots in patterns)
     _check_kernel_size(max((h.n for h, _ in patterns), default=0), n)
-    for h, roots in patterns:
-        if len(roots) not in (0, 2):
-            raise ValueError("pin no roots or exactly two")
-        _check_vertices(roots, h.n, "pattern")
-        if len(set(roots)) != len(roots):
-            raise ValueError("pattern roots must be distinct")
+    if any(len(roots) not in (0, 2) for _, roots in patterns):
+        raise ValueError("pin no roots or exactly two")
     # the empty pattern has one map and no quotient in the plan
     totals = [np.zeros((n, n), dtype=np.int64) if roots else int(h.n == 0) for h, roots in patterns]
     colours = np.stack([red, blue])
@@ -230,7 +226,7 @@ def hom_inj_count(h: ColoredGraph, g: ColoredGraph) -> int:
 
 def rooted_hom_inj_count(f: Flag, g: ColoredGraph, u: int, v: int) -> int:
     """Injective colour homs of the flag pinning root 1 to u and root 2 to v."""
-    _check_vertices((u, v), g.n, "host")
+    _check_vertices((u, v), g.n)
     if u == v:
         raise ValueError("root images must be distinct")
     if len(f.roots) != 2:
@@ -240,11 +236,11 @@ def rooted_hom_inj_count(f: Flag, g: ColoredGraph, u: int, v: int) -> int:
     return int(hom_inj_batch([(f.graph, f.roots)], *color_adjacency(g))[0][u, v])
 
 
-def _check_vertices(vertices, n: int, what: str) -> None:
-    """Refuse pinned vertices that are not ints in 0..n-1."""
+def _check_vertices(vertices, n: int) -> None:
+    """Refuse host vertices, the images of pinned roots, that are not ints in 0..n-1."""
     for w in vertices:
         if type(w) is not int or not 0 <= w < n:
-            raise ValueError(f"root {w!r} is not a vertex of the {n}-vertex {what}")
+            raise ValueError(f"root {w!r} is not a vertex of the {n}-vertex host")
 
 
 def falling_factorial(n: int, k: int) -> int:
@@ -349,8 +345,9 @@ def subcube_count_table(
     Returns the table whose entry ``x`` equals ``hom_inj_count(h, host_x)``
     for each of the ``2**len(pairs)`` colourings.  ``root_images`` pins
     pattern vertices to host vertices, as in ``rooted_hom_inj_count``, and
-    counts only those maps.  Raises ``ValueError`` when no injective map
-    sends every edge of ``h`` onto a host pair.
+    counts only those maps; ``Flag(h, keys)`` checks its keys.  Raises
+    ``ValueError`` when no injective map sends every edge of ``h`` onto a
+    host pair.
     """
     if len(pairs) > MAX_TABLE_PAIRS or n > MAX_PATTERN_N:
         raise ValueError(
@@ -358,8 +355,8 @@ def subcube_count_table(
             f"{MAX_PATTERN_N} vertices"
         )
     if root_images:
-        _check_vertices(root_images, h.n, "pattern")
-        _check_vertices(root_images.values(), n, "host")
+        Flag(h, tuple(root_images))
+        _check_vertices(root_images.values(), n)
     shape = tuple((u, v) for u, v, _ in h.edges)
     pinned = tuple(sorted(root_images.items())) if root_images else ()
     positions, free, inverse = _embeddings(h.n, shape, n, tuple(pairs), pinned)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class Color(enum.Enum):
@@ -39,25 +40,25 @@ _BIT_COLOR = (Color.RED, Color.BLUE)
 class ColoredGraph:
     """A loopless graph with red/blue edges and possibly missing pairs.
 
-    ``edges`` may be any iterable of ``(u, v, Color)``; it is normalized to a
-    sorted tuple with ``u < v``.  Equality and hashing are structural.
+    ``n`` and the endpoints are plain ints (not bools).  ``edges`` may be any
+    iterable of ``(u, v, Color)``; it is normalized to a sorted tuple with
+    ``u < v``, the only edge index.  Equality and hashing are structural.
     """
 
     n: int
     edges: tuple[tuple[int, int, Color], ...] = ()
-    _color: dict = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
         color: dict[tuple[int, int], Color] = {}
         for u, v, c in self.edges:
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u!r},{v!r}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if not isinstance(c, Color):
                 raise ValueError(f"edge ({u},{v}) colour must be a Color")
             key = (u, v) if u < v else (v, u)
@@ -66,13 +67,12 @@ class ColoredGraph:
             color[key] = c
         edges = tuple(sorted((u, v, color[(u, v)]) for (u, v) in color))
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_color", color)
         object.__setattr__(self, "_hash", hash((n, edges)))
 
     # -- basic queries ----------------------------------------------------
 
     def edge_color(self, u: int, v: int) -> Optional[Color]:
-        return self._color.get((u, v) if u < v else (v, u))
+        return next((c for a, b, c in self.edges if (a, b) in ((u, v), (v, u))), None)
 
     @property
     def edge_count(self) -> int:
@@ -109,7 +109,7 @@ class ColoredGraph:
 
 @dataclass(frozen=True, slots=True)
 class Flag:
-    """A coloured graph with an ordered tuple of distinguished root vertices."""
+    """A coloured graph with an ordered tuple of distinct root vertices, each a plain int."""
 
     graph: ColoredGraph
     roots: tuple[int, ...]
@@ -117,10 +117,11 @@ class Flag:
 
     def __post_init__(self):
         roots = tuple(self.roots)
+        for r in roots:
+            if type(r) is not int or not 0 <= r < self.graph.n:
+                raise ValueError(f"root {r!r} is not a vertex of the {self.graph.n}-vertex graph")
         if len(set(roots)) != len(roots):
             raise ValueError("duplicate root indices")
-        if any(not 0 <= r < self.graph.n for r in roots):
-            raise ValueError("root index out of range")
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "_hash", hash((self.graph, roots)))
 
@@ -286,7 +287,7 @@ def coloring_code(g: ColoredGraph, n: int, pairs: Sequence[tuple[int, int]]) -> 
     return sum(1 << k for k, (_, _, c) in enumerate(g.edges) if c is Color.BLUE)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ClassEntry:
     """One isomorphism class: published index, representative, symmetries."""
 
@@ -297,19 +298,20 @@ class ClassEntry:
     code: int
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ClassTable:
     """Isomorphism classes of template colourings, in a fixed reference order.
 
+    Built by ``classify``; read-only, hashed by identity.  The read-only
     ``lookup`` sends the colouring code (see ``coloring_code``) of every
     classified colouring of the template's ``n`` vertices and ``pairs`` to
     its class index.
     """
 
-    def __init__(self, classes: list[ClassEntry], lookup: dict[int, int], n: int, pairs):
-        self.classes = classes
-        self.lookup = lookup
-        self.n = n
-        self.pairs = tuple(pairs)
+    classes: tuple[ClassEntry, ...]
+    lookup: Mapping[int, int]
+    n: int
+    pairs: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -317,9 +319,6 @@ class ClassTable:
     @property
     def indices(self) -> range:
         return range(1, len(self.classes) + 1)
-
-    def entry(self, index: int) -> ClassEntry:
-        return self.classes[index - 1]
 
     def representative(self, index: int) -> ColoredGraph:
         return self.classes[index - 1].representative
@@ -372,7 +371,7 @@ def classify(
         raise ValueError("group elements must preserve the template pairs")
 
     lookup: dict[int, int] = {}  # code -> class index of its orbit
-    entries = []
+    fixed = []  # per representative: index, graph, group elements fixing it, code
     for pos, rep in enumerate(reference):
         code = coloring_code(rep, n, pairs)
         if code is None:
@@ -382,17 +381,15 @@ def classify(
         images = [_act(a, code) for a in actions]
         for image in images:
             lookup[image] = pos + 1
-        entries.append(ClassEntry(pos + 1, rep, images.count(code), 0, code))
+        fixed.append((pos + 1, rep, images.count(code), code))
 
-    others = set()  # least code of each orbit without a reference representative
-    for g in colorings:
-        code = g if isinstance(g, int) else coloring_code(g, n, pairs)
-        if code is None or not 0 <= code < 1 << len(pairs):
-            raise ValueError("colourings must share one vertex count and pair set")
-        if code in lookup:
-            entries[lookup[code] - 1].multiplicity += 1
-        else:
-            others.add(min(_act(a, code) for a in actions))
+    codes = [g if isinstance(g, int) else coloring_code(g, n, pairs) for g in colorings]
+    if not all(code is not None and 0 <= code < 1 << len(pairs) for code in codes):
+        raise ValueError("colourings must share one vertex count and pair set")
+    multiplicity = Counter(lookup.get(code) for code in codes)  # by class index
+    # least code of each orbit without a reference representative
+    others = {min(_act(a, code) for a in actions) for code in codes if code not in lookup}
+    entries = tuple(ClassEntry(k, rep, aut, multiplicity[k], code) for k, rep, aut, code in fixed)
     if not all(e.multiplicity for e in entries):
         raise ValueError("reference representatives do not match the computed orbits")
     if others:
@@ -406,4 +403,4 @@ def classify(
                 f"orbit of class {e.index}: size {e.multiplicity} * aut {e.aut_count} "
                 f"!= {len(actions)}"
             )
-    return ClassTable(entries, lookup, n, pairs)
+    return ClassTable(entries, MappingProxyType(lookup), n, pairs)

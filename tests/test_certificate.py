@@ -144,7 +144,7 @@ MALFORMED = {
     ),
     "root_out_of_range": (
         lambda: _edited(lambda o: o["families"][1]["flags"][2].update(roots=[0, 4])),
-        "$.families[1].flags[2].roots: root index out of range",
+        "$.families[1].flags[2].roots: root 4 is not a vertex of the 4-vertex graph",
     ),
     "short_matrix_row": (
         lambda: _edited(lambda o: o["families"][1]["matrix"][3].pop()),
@@ -640,6 +640,23 @@ class TestVerification:
             "coefficients",
             "golden_expansions",
         ]
+
+    def test_shared_builtins_refuse_writes(self):
+        # the class table and certificate serve every later caller in the process
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            builtin.class_table().classes[0].multiplicity = 0
+        with pytest.raises(TypeError):
+            builtin_certificate().base[1] = Fraction(5)
+        assert 1 not in builtin_certificate().base
+        assert verify_certificate(builtin_certificate()).passed
+
+    def test_base_is_a_copy_of_the_mapping_given(self):
+        cert = builtin_certificate()
+        base = dict(cert.base)
+        copy = dataclasses.replace(cert, base=base)
+        base[1] = Fraction(5)
+        assert copy.base == cert.base and 1 not in copy.base
+        assert save_certificate(copy) == save_certificate(cert)
 
     def test_verification_deterministic(self):
         a = verify_certificate(builtin_certificate())

@@ -335,6 +335,7 @@ class TestExpand:
 
     def test_bad_index_exit_2(self, capsys):
         assert run(["expand", "--family", "R", "--i", "0", "--j", "1"]) == 2
+        assert capsys.readouterr().err == "error: flag indices must be between 1 and 8\n"
 
 
 class TestUsageErrors:

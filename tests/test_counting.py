@@ -41,6 +41,8 @@ from flagcert.graphs import (
 )
 from flagcert.oracle import _random_clique_matrices, random_clique_coloring
 
+from test_graphs import PATH4
+
 
 def naive_hom_count(h: ColoredGraph, g: ColoredGraph, injective: bool) -> int:
     """Independent oracle: enumerate every map without pruning."""
@@ -467,15 +469,19 @@ class TestSubcubeCountTable:
 
     @pytest.mark.parametrize("bad", [-1, 6, 1.0])
     def test_rejects_pinned_vertices_outside_their_graph(self, bad):
+        # the pattern side is Flag's rule (tests/test_graphs.py)
         flag = builtin.blue_flags()[0]
         tmpl = builtin.template()
         a, b = flag.roots
         host = re.escape(f"root {bad!r} is not a vertex of the {tmpl.n}-vertex host")
         with pytest.raises(ValueError, match=host):
             subcube_count_table(flag.graph, tmpl.n, tmpl.pairs(), {a: bad, b: 0})
-        pattern = re.escape(f"root {bad!r} is not a vertex of the {flag.graph.n}-vertex pattern")
-        with pytest.raises(ValueError, match=pattern):
-            subcube_count_table(flag.graph, tmpl.n, tmpl.pairs(), {bad: 1, b: 0})
+
+    def test_pattern_roots_are_refused_as_flag_refuses_them(self):
+        flag = builtin.blue_flags()[0]
+        tmpl = builtin.template()
+        with pytest.raises(ValueError, match="^root 6 is not a vertex of the 4-vertex graph$"):
+            subcube_count_table(flag.graph, tmpl.n, tmpl.pairs(), {6: 1, flag.roots[1]: 0})
 
     def test_rejects_oversized_hosts(self):
         pairs = tuple((u, v) for u in range(7) for v in range(u + 1, 7))
@@ -613,9 +619,6 @@ def expected_count(h: ColoredGraph, roots: tuple[int, ...], g: ColoredGraph):
     ]
 
 
-PATH4 = ColoredGraph(4, [(0, 1, Color.RED), (1, 2, Color.BLUE), (2, 3, Color.RED)])
-
-
 def _count_einsum_paths(monkeypatch) -> list:
     """Record the spec of every later ``np.einsum_path`` call."""
     calls = []
@@ -681,21 +684,20 @@ class TestBatchedKernel:
         assert len(_batch_plan(patterns, 41)) == 607
         assert len(paths) == len(set(paths)) == 33
 
+    # the kernel pins no roots or two; the other root rules are Flag's
+    # (tests/test_graphs.py), which the kernel applies to each item
     @pytest.mark.parametrize(
         "roots, message",
         [
-            ((-1, 0), "root -1 is not a vertex of the 4-vertex pattern"),
-            ((0, 5), "root 5 is not a vertex of the 4-vertex pattern"),
-            ((1, 1), "pattern roots must be distinct"),
-            ((0, 1.0), "root 1.0 is not a vertex of the 4-vertex pattern"),
             ((0,), "pin no roots or exactly two"),
+            ((0, 5), "root 5 is not a vertex of the 4-vertex graph"),
         ],
     )
     def test_rejects_bad_pattern_roots(self, roots, message):
         red, blue = color_adjacency(random_clique_coloring(6, 0))
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             hom_inj_batch([(PATH4, roots)], red, blue)
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             hom_inj_batch([(TARGET, ()), (PATH4, roots)], red, blue)
 
 

@@ -1,8 +1,10 @@
 """Graph representation, automorphisms, canonical forms, classification."""
 
 import re
+from dataclasses import FrozenInstanceError
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +50,14 @@ def partial_graphs(draw, max_n=6):
     colour = st.sampled_from([None, *Color])
     colours = draw(st.lists(colour, min_size=len(pairs), max_size=len(pairs)))
     return ColoredGraph(n, [(u, v, c) for (u, v), c in zip(pairs, colours) if c is not None])
+
+
+# Everything that is not a plain int: a vertex count, endpoint or root must be one.
+NOT_INTS = st.one_of(
+    st.floats(), st.booleans(), st.text(max_size=3), st.none(), st.integers(0, 5).map(np.int64)
+)
+
+PATH4 = ColoredGraph(4, [(0, 1, Color.RED), (1, 2, Color.BLUE), (2, 3, Color.RED)])
 
 
 # The colour-swap involution on class indices, computed once from the shipped
@@ -136,7 +146,7 @@ class TestValueTypes:
 
     def test_no_instance_dict(self):
         g = alternating_cycle(6)
-        entry = builtin.class_table().entry(1)
+        entry = builtin.class_table().classes[0]
         for obj in (g, Flag(g, (0, 1)), entry):
             assert not hasattr(obj, "__dict__")
         assert isinstance(entry, ClassEntry)
@@ -146,8 +156,65 @@ class TestValueTypes:
         assert Flag(g, [2, 0]).roots == (2, 0)
         with pytest.raises(ValueError, match="^duplicate root indices$"):
             Flag(g, (0, 0))
-        with pytest.raises(ValueError, match="^root index out of range$"):
+        with pytest.raises(ValueError, match="^root 6 is not a vertex of the 6-vertex graph$"):
             Flag(g, (0, 6))
+
+    # the roots the counting kernel and the count tables once checked themselves
+    @pytest.mark.parametrize(
+        "graph, roots, message",
+        [
+            (PATH4, (-1, 0), "root -1 is not a vertex of the 4-vertex graph"),
+            (PATH4, (0, 5), "root 5 is not a vertex of the 4-vertex graph"),
+            (PATH4, (1, 1), "duplicate root indices"),
+            (PATH4, (0, 1.0), "root 1.0 is not a vertex of the 4-vertex graph"),
+            (builtin.blue_flags()[0].graph, (-1, 1), "root -1 is not a vertex of the 4-vertex graph"),
+            (builtin.blue_flags()[0].graph, (6, 1), "root 6 is not a vertex of the 4-vertex graph"),
+            (builtin.blue_flags()[0].graph, (1.0, 1), "root 1.0 is not a vertex of the 4-vertex graph"),
+        ],
+    )
+    def test_flag_refuses_roots_outside_its_graph(self, graph, roots, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Flag(graph, roots)
+
+    def test_indices_that_are_not_ints_are_refused(self):
+        g = ColoredGraph(6)
+        for make in (
+            lambda: Flag(g, (0.5, 1)),
+            lambda: Flag(g, (0, True)),
+            lambda: ColoredGraph(2.5, ()),
+            lambda: ColoredGraph(3, [(0, 1.5, Color.RED)]),
+            lambda: ColoredGraph(3, [(True, 2, Color.RED)]),
+        ):
+            with pytest.raises(ValueError):
+                make()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_only_plain_ints_index_vertices(self, n, data):
+        bad = data.draw(NOT_INTS)
+        u, v = data.draw(st.permutations(range(n)))[:2]
+        g = ColoredGraph(n, [(u, v, Color.RED)])
+        assert g.edges == ((min(u, v), max(u, v), Color.RED),)
+        assert Flag(g, (u, v)).roots == (u, v)
+        for make in (
+            lambda: ColoredGraph(bad),
+            lambda: ColoredGraph(n, [(bad, v, Color.RED)]),
+            lambda: ColoredGraph(n, [(u, bad, Color.RED)]),
+            lambda: Flag(g, (bad,)),
+            lambda: Flag(g, (u, bad)),
+        ):
+            with pytest.raises(ValueError):
+                make()
+
+    def test_class_table_is_read_only(self):
+        # a write to an entry is refused too (tests/test_certificate.py)
+        table = builtin.class_table()
+        with pytest.raises(FrozenInstanceError):
+            table.lookup = {}
+        with pytest.raises(TypeError):
+            table.lookup[0] = 2
+        assert isinstance(table.classes, tuple)
+        assert builtin.class_table() is table and table.multiplicity(1) == 1
 
 
 class TestUnderlyingAutomorphisms:
@@ -202,13 +269,13 @@ class TestAutomorphismCount:
     def test_monochromatic_extremes(self):
         table = builtin.class_table()
         for index in (1, 26):
-            assert table.entry(index).aut_count == 72
+            assert table.classes[index - 1].aut_count == 72
             assert naive_color_automorphism_count(table.representative(index)) == 72
 
     def test_blue_perfect_matching(self):
         # stabilizer of a perfect matching inside the template group
         table = builtin.class_table()
-        assert table.entry(4).aut_count == 12
+        assert table.classes[3].aut_count == 12
         assert naive_color_automorphism_count(table.representative(4)) == 12
 
     def test_matches_naive_oracle_on_all_representatives(self):
@@ -218,7 +285,7 @@ class TestAutomorphismCount:
     def test_swap_preserves_count(self):
         table = builtin.class_table()
         for entry in table.classes:
-            swapped = table.entry(SWAP_INVOLUTION[entry.index])
+            swapped = table.classes[SWAP_INVOLUTION[entry.index] - 1]
             assert entry.aut_count == swapped.aut_count
             assert naive_color_automorphism_count(
                 entry.representative.swap_colors()
