@@ -249,22 +249,15 @@ def _golden_numerators_blue() -> dict[tuple[int, int], dict[int, int]]:
     }
 
 
-def golden_numerators(family: str, i: int, j: int) -> dict[int, int]:
-    """Published expansion of flag product (i, j), nonzero numerators over 72.
+def golden_numerators(family: str, i: int, j: int) -> tuple[int, ...]:
+    """Published expansion of flag product (i, j): numerators over 72, class k at k - 1.
 
-    ``family`` is "R" or "B"; indices are 1-based and order-insensitive.
+    ``family`` is "R" or "B"; indices are 1-based and order-insensitive.  A
+    new tuple, so no caller can write to the shipped rows.
     """
     table = _GOLDEN_NUMERATORS_RED if family == "R" else _golden_numerators_blue()
-    return table[(i, j) if i <= j else (j, i)]
-
-
-def golden_expansion(family: str, i: int, j: int) -> dict[int, Fraction]:
-    """``golden_numerators`` as a dense vector of rationals over all 26 classes."""
-    sparse = golden_numerators(family, i, j)
-    return {
-        index: Fraction(sparse.get(index, 0), GROUP_ORDER)
-        for index in range(1, NUM_CLASSES + 1)
-    }
+    row = table[(i, j) if i <= j else (j, i)]
+    return tuple(map(row.get, range(1, NUM_CLASSES + 1), (0,) * NUM_CLASSES))
 
 
 def golden_pairs() -> list[tuple[str, int, int]]:

@@ -196,15 +196,15 @@ def flag_product(f1: Flag, f2: Flag) -> ColoredGraph:
 # A certificate has 73 patterns (its target and 72 flag products), and the
 # golden check adds the builtin's; 256 keeps both and bounds a long process.
 @lru_cache(maxsize=256)
-def _expansion_cached(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
-    """``t_bip(p, representative)`` for every class: one ``graphs.pulled_densities`` call."""
-    densities = pulled_densities(p, table.n, table.pairs, tuple(e.code for e in table.classes))
-    return dict(zip(table.indices, densities))
+def _expansion_cached(p: ColoredGraph, table: ClassTable) -> tuple[int, tuple[int, ...]]:
+    """``pulled_densities`` at every class code: ``(maps, counts)``, read-only ints."""
+    return pulled_densities(p, table.n, table.pairs, tuple(e.code for e in table.classes))
 
 
 def expand_in_classes(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
     """Conditional densities of the pattern across all template classes."""
-    return dict(_expansion_cached(p, table))
+    maps, counts = _expansion_cached(p, table)
+    return {index: Fraction(c, maps) for index, c in zip(table.indices, counts)}
 
 
 # -- the certificate -------------------------------------------------------------
@@ -295,25 +295,27 @@ def certificate_coefficients(
     """Per-class coefficient of the certificate's upper-bound expression.
 
     base(l) plus the full ordered double sum of matrix entries against the
-    expansions of the glued flag products, one term per unordered pair.  The
-    sum runs over integer numerators with one common denominator, the lcm of
-    the base denominators and of every weight times expansion denominator;
-    one Fraction per class is built at the end.
+    expansions of the glued flag products, one term per unordered pair.  A
+    product's expansion is its cached match counts over its map count, so
+    the sum runs over integers with one common denominator, the lcm of the
+    base denominators and of every weight denominator times map count; one
+    Fraction per class is built at the end.
     """
-    base = {index: cert.base.get(index, Fraction(0)) for index in table.indices}
-    terms = []  # (class, numerator, denominator) of each nonzero weight * value
+    base = [cert.base.get(index, 0) for index in table.indices]
+    terms = []  # (numerator, denominator, counts) of each nonzero weight / maps
     for family, i, j, labels, product in flag_pairs(cert):
-        weight = len(labels) * family.matrix.rows[i][j]
+        weight = family.matrix.rows[i][j]
         if weight:
-            terms += (
-                (index, weight.numerator * v.numerator, weight.denominator * v.denominator)
-                for index, v in _expansion_cached(product, table).items() if v
-            )
-    den = math.lcm(*(v.denominator for v in base.values()), *(d for *_, d in terms))
-    nums = {index: v.numerator * (den // v.denominator) for index, v in base.items()}
-    for index, num, d in terms:
-        nums[index] += num * (den // d)
-    return {index: Fraction(num, den) for index, num in nums.items()}
+            maps, counts = _expansion_cached(product, table)
+            terms.append((len(labels) * weight.numerator, weight.denominator * maps, counts))
+    den = math.lcm(*(v.denominator for v in base), *(d for _, d, _ in terms))
+    nums = [v.numerator * (den // v.denominator) for v in base]
+    for num, d, counts in terms:
+        scale = num * (den // d)
+        for k, c in enumerate(counts):
+            if c:
+                nums[k] += scale * c
+    return {index: Fraction(num, den) for index, num in zip(table.indices, nums)}
 
 
 # -- verification -----------------------------------------------------------------
@@ -397,8 +399,10 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
     # 2. base vector ties the linear part to the target's densities
     try:
-        expected = _expansion_cached(cert.target, table)
-        bad = [k for k in table.indices if cert.base.get(k, Fraction(0)) != expected[k]]
+        maps, counts = _expansion_cached(cert.target, table)
+        base = [cert.base.get(k, 0) for k in table.indices]
+        bad = [k for k, v, c in zip(table.indices, base, counts)
+               if v.numerator * maps != c * v.denominator]
         base_ok = not bad
         base_detail = "matches target densities" if base_ok else f"mismatch at {bad}"
     except ValueError as exc:
@@ -425,16 +429,14 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         coefficients = {}
         checks.append(CheckResult("coefficients", False, str(exc)))
 
-    # 5. golden table: recompute the shipped expansion equations, each value
-    # against its shipped numerator over the group order, read at every call
+    # 5. golden table: recompute the shipped expansion equations, each count over
+    # its map count against its shipped numerator over the group order, read at every call
     golden = _builtin_pairs()
     bad_keys = []
     for family, i, j, labels, product in golden:
         row = builtin.golden_numerators(family.root_edge_color.value, i + 1, j + 1)
-        if any(
-            v.numerator * builtin.GROUP_ORDER != row.get(index, 0) * v.denominator
-            for index, v in _expansion_cached(product, table).items()
-        ):
+        maps, counts = _expansion_cached(product, table)
+        if [c * builtin.GROUP_ORDER for c in counts] != [num * maps for num in row]:
             bad_keys.append(labels[0])
     detail = f"mismatch at {bad_keys}" if bad_keys else f"{len(golden)} equations reproduced"
     checks.append(CheckResult("golden_expansions", not bad_keys, detail))
@@ -494,6 +496,9 @@ def _require_keys(obj: dict, path: str, required: Sequence[str], optional: Seque
         raise SchemaError(path, f"unknown fields {sorted(unknown)}")
 
 
+_COLOR_OF = {c.value: c for c in Color}  # "R"/"B" -> Color, without the enum's lookup
+
+
 def _graph_to_obj(g: ColoredGraph) -> dict:
     return {"n": g.n, "edges": [[u, v, c.value] for u, v, c in g.edges]}
 
@@ -521,7 +526,7 @@ def _graph_from_obj(obj, path: str, roots: bool = False):
         u, v, cval = item
         if cval not in ("R", "B"):
             raise SchemaError(f"{path}.edges[{k}]", f"colour must be 'R' or 'B', got {cval!r}")
-        edges.append((u, v, Color(cval)))
+        edges.append((u, v, _COLOR_OF[cval]))
     try:
         graph = ColoredGraph(n, edges)
     except ValueError as exc:
@@ -681,7 +686,7 @@ def load_certificate(text: str) -> Certificate:
                 raise SchemaError(f"{fpath}.matrix[{i}]", f"expected {m} entries")
             rows.append([parse_rational(x, f"{fpath}.matrix[{i}][{j}]") for j, x in enumerate(row)])
         try:
-            families.append(FlagFamily(Color(cval), flags, SymMatrix(rows)))
+            families.append(FlagFamily(_COLOR_OF[cval], flags, SymMatrix(rows)))
         except ValueError as exc:
             raise SchemaError(fpath, str(exc)) from exc
 

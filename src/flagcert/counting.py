@@ -287,7 +287,8 @@ def t_bip(h: ColoredGraph, j: ColoredGraph) -> Fraction:
     pull j's colours back to exactly h's: ``graphs.pulled_densities`` at j's
     one colouring code, so templates over 8 vertices are refused.
     """
-    return pulled_densities(h, j.n, j.pairs(), (coloring_code(j, j.n, j.pairs()),))[0]
+    maps, (count,) = pulled_densities(h, j.n, j.pairs(), (coloring_code(j, j.n, j.pairs()),))
+    return Fraction(count, maps)
 
 
 # -- subcube count tables -------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from types import MappingProxyType
@@ -212,14 +211,16 @@ def _pulled_counts(k: int, shape: tuple, n: int, pairs: tuple, codes: tuple) -> 
 
 
 def pulled_densities(h: ColoredGraph, n: int, pairs: Sequence, codes: Sequence[int]) -> tuple:
-    """Density of pattern ``h`` in each colouring ``codes`` of a small labelled host.
+    """Maps of pattern ``h`` into a small labelled host, and per colouring the matches.
 
     The host has vertices 0..n-1 and the sorted ``pairs``, coloured as in
     ``coloring_code``.  A map of h's edge shape onto the pairs, with row
     ``row`` (see ``shape_maps``), pulls a code back to the word whose bit e
-    is bit row[e] of the code; the density is the share of maps that pull
-    it back to h's own word.  Hosts over ``MAX_PATTERN_N`` vertices are
-    refused before any enumeration; a pattern with no map raises ValueError.
+    is bit row[e] of the code.  Returns ``(maps, counts)``: the number of
+    maps, and per code in ``codes`` the number that pull it back to h's own
+    word, so h's density in that colouring is count / maps.  Hosts over
+    ``MAX_PATTERN_N`` vertices are refused before any enumeration; a pattern
+    with no map raises ValueError.
     """
     if n > MAX_PATTERN_N:
         raise ValueError(f"host with {n} vertices rejected: limit is {MAX_PATTERN_N} vertices")
@@ -227,7 +228,7 @@ def pulled_densities(h: ColoredGraph, n: int, pairs: Sequence, codes: Sequence[i
     if not maps:
         raise ValueError("pattern does not embed in the template")
     word = coloring_code(h, h.n, h.pairs())
-    return tuple(Fraction(words.get(word, 0), maps) for words in counts)
+    return maps, tuple(words.get(word, 0) for words in counts)
 
 
 def underlying_automorphisms(g: ColoredGraph) -> list[tuple[int, ...]]:

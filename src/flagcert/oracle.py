@@ -18,12 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from . import builtin
-from .certificate import (
-    builtin_certificate,
-    expand_in_classes,
-    flag_pairs,
-    format_rational,
-)
+from .certificate import _expansion_cached, builtin_certificate, flag_pairs, format_rational
 from .counting import (
     alternating_hom_inj_from_matrices,
     check_closed_form_size,
@@ -167,14 +162,19 @@ def _evaluate(cert, pairs, count, perms: int, quad=None, identities=True):
     indices = table.indices if identities else cert.base
     classes = {l: table.multiplicity(l) * count(table.representative(l)) for l in indices}
     patterns = (cert.target, *(product for *_, product in pairs))
-    expansions = [expand_in_classes(p, table) for p in patterns] if identities else []
-    rationals = [c for expansion in expansions for c in expansion.values()]
+    # each nonzero class of an expansion as (class, matches, maps)
+    expansions = [
+        [(l, c, maps) for l, c in zip(table.indices, counts) if c]
+        for maps, counts in (_expansion_cached(p, table) for p in patterns if identities)
+    ]
+    base = [(l, v.numerator, v.denominator) for l, v in cert.base.items()]
+    dens = [d // math.gcd(num, d) for terms in expansions for _, num, d in terms]
     if quad is not None:
-        rationals += [*cert.base.values(), *(f.matrix.rows[i][j] for f, i, j, _, _ in pairs)]
-    scale = math.lcm(*(c.denominator for c in rationals))
+        dens += [d for *_, d in base] + [f.matrix.rows[i][j].denominator for f, i, j, _, _ in pairs]
+    scale = math.lcm(*dens)
 
-    def combined(coefficients: dict):  # only nonzero classes: three or four per expansion
-        return sum(int(scale * c) * classes[l] for l, c in coefficients.items() if c)
+    def combined(terms):  # (class, numerator, denominator), three or four per expansion
+        return sum(scale * num // d * classes[l] for l, num, d in terms)
 
     def checks():
         target = scale * count(cert.target)
@@ -187,8 +187,8 @@ def _evaluate(cert, pairs, count, perms: int, quad=None, identities=True):
                 lhs, rhs = scale * count(product), combined(expansion)
                 yield "expansions", [f"expansion_{x}" for x in labels], lhs, rhs, lhs == rhs
         if quad is not None:
-            weights = [int(scale * len(lab) * f.matrix.rows[i][j]) for f, i, j, lab, _ in pairs]
-            rhs = combined(cert.base) + quad(weights)
+            weights = [len(lab) * f.matrix.rows[i][j] for f, i, j, lab, _ in pairs]
+            rhs = combined(base) + quad([scale * w.numerator // w.denominator for w in weights])
             yield "flagged_inequality", ["flagged_inequality"], target, rhs, target <= rhs
 
     return scale * perms, checks()

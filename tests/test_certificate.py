@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from flagcert import builtin
 from flagcert.certificate import (
     MAX_FLAGS,
+    _expansion_cached,
     Certificate,
     FlagFamily,
     PsdReport,
@@ -43,6 +45,28 @@ def _edited(edit):
     obj = json.loads(save_certificate(builtin_certificate()))
     edit(obj)
     return json.dumps(obj, indent=2)
+
+
+def _shifted(family: int, i: int, j: int, delta: Fraction):
+    """Edit: move matrix entry (i, j), 1-based, of one family and its mirror."""
+
+    def edit(obj):
+        matrix = obj["families"][family]["matrix"]
+        value = format_rational(Fraction(matrix[i - 1][j - 1]) + delta)
+        matrix[i - 1][j - 1] = matrix[j - 1][i - 1] = value
+
+    return edit
+
+
+# The certificates whose `verify --format json` output is pinned byte for byte
+# in tests/fixtures, as the Fraction-based verifier wrote it: the builtin and
+# three 1/128 shifts of one entry of the exported certificate
+VERIFY_FIXTURES = {
+    "verify_builtin.json": None,
+    "verify_red_1_1_minus.json": _shifted(0, 1, 1, Fraction(-1, 128)),  # negative pivot
+    "verify_blue_2_3_minus.json": _shifted(1, 2, 3, Fraction(-1, 128)),  # negative pivot
+    "verify_red_2_3_plus.json": _shifted(0, 2, 3, Fraction(1, 128)),  # stays PSD
+}
 
 
 def _class_on_seven_vertices(obj):
@@ -192,6 +216,11 @@ def frac72(sparse):
     }
 
 
+def golden_fractions(family, i, j):
+    """The shipped golden row of flag product (i, j) as rationals over all 26 classes."""
+    return {k: Fraction(num, 72) for k, num in enumerate(builtin.golden_numerators(family, i, j), 1)}
+
+
 class TestFlagProduct:
     def test_all_red_product(self):
         p = flag_product(builtin.red_flags()[0], builtin.red_flags()[0])
@@ -308,7 +337,7 @@ class TestExpansions:
         for fam, i, j in builtin.golden_pairs():
             flags = families[fam]
             p = flag_product(flags[i - 1], flags[j - 1])
-            assert expand_in_classes(p, table) == builtin.golden_expansion(fam, i, j), (
+            assert expand_in_classes(p, table) == golden_fractions(fam, i, j), (
                 fam,
                 i,
                 j,
@@ -319,8 +348,8 @@ class TestExpansions:
         # class-index involution of the colour swap
         for i in range(1, 9):
             for j in range(i, 9):
-                red = builtin.golden_expansion("R", i, j)
-                blue = builtin.golden_expansion("B", i, j)
+                red = golden_fractions("R", i, j)
+                blue = golden_fractions("B", i, j)
                 assert blue == {SWAP_INVOLUTION[l]: v for l, v in red.items()}
 
 
@@ -479,7 +508,53 @@ def symmetric_matrices(draw, m=8):
     return SymMatrix(rows)
 
 
+def fraction_coefficients(cert, table):
+    """Reference: the coefficient sum as the verifier ran it over Fraction expansions."""
+    base = {index: cert.base.get(index, Fraction(0)) for index in table.indices}
+    terms = []  # (class, numerator, denominator) of each nonzero weight * value
+    for family, i, j, labels, product in flag_pairs(cert):
+        weight = len(labels) * family.matrix.rows[i][j]
+        if weight:
+            terms += (
+                (index, weight.numerator * v.numerator, weight.denominator * v.denominator)
+                for index, v in expand_in_classes(product, table).items() if v
+            )
+    den = math.lcm(*(v.denominator for v in base.values()), *(d for *_, d in terms))
+    nums = {index: v.numerator * (den // v.denominator) for index, v in base.items()}
+    for index, num, d in terms:
+        nums[index] += num * (den // d)
+    return {index: Fraction(num, den) for index, num in nums.items()}
+
+
+@st.composite
+def shifted_builtins(draw):
+    """The builtin with 1-4 entries of one family's matrix, and their mirrors, moved by k/128."""
+    cert = builtin_certificate()
+    fam = draw(st.integers(0, 1))
+    matrix = cert.families[fam].matrix
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        k = draw(st.integers(-16, 16).filter(bool))
+        matrix = matrix.with_entry(i, j, matrix.entry(i, j) + Fraction(k, 128))
+    families = list(cert.families)
+    families[fam] = FlagFamily(families[fam].root_edge_color, families[fam].flags, matrix)
+    return dataclasses.replace(cert, families=tuple(families))
+
+
 class TestCoefficientReference:
+    @settings(max_examples=60, deadline=None)
+    @given(shifted_builtins())
+    def test_shifted_builtin_matches_the_fraction_sum(self, cert):
+        table = builtin.class_table()
+        assert certificate_coefficients(cert, table) == fraction_coefficients(cert, table)
+
+    @pytest.mark.parametrize("fixture", sorted(VERIFY_FIXTURES))
+    def test_fixture_certificates_match_the_fraction_sum(self, fixture):
+        edit = VERIFY_FIXTURES[fixture]
+        cert = builtin_certificate() if edit is None else load_certificate(_edited(edit))
+        table = builtin.class_table()
+        assert certificate_coefficients(cert, table) == fraction_coefficients(cert, table)
+
     @settings(max_examples=30, deadline=None)
     @given(symmetric_matrices(), symmetric_matrices())
     def test_unordered_pairs_match_the_ordered_double_sum(self, red, blue):
@@ -648,6 +723,26 @@ class TestVerification:
         with pytest.raises(TypeError):
             builtin_certificate().base[1] = Fraction(5)
         assert 1 not in builtin_certificate().base
+        for family in "RB":
+            with pytest.raises(TypeError):
+                builtin.golden_numerators(family, 1, 1)[26] = 0
+        table = builtin.class_table()
+        target = builtin_certificate().target
+        with pytest.raises(TypeError):
+            _expansion_cached(target, table)[4] = 0
+        with pytest.raises(TypeError):
+            _expansion_cached(target, table)[1][3] = 0
+        assert verify_certificate(builtin_certificate()).passed
+
+    def test_expansions_are_fresh_dicts_of_the_cached_counts(self):
+        table = builtin.class_table()
+        target = builtin_certificate().target
+        expansion = expand_in_classes(target, table)
+        assert expansion == {
+            index: builtin.BASE_VECTOR.get(index, Fraction(0)) for index in table.indices
+        }
+        expansion[4] = Fraction(0)
+        assert expand_in_classes(target, table)[4] == Fraction(1, 6)
         assert verify_certificate(builtin_certificate()).passed
 
     def test_base_is_a_copy_of_the_mapping_given(self):

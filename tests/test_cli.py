@@ -25,7 +25,7 @@ from flagcert.certificate import (
 )
 from flagcert.cli import run
 
-from test_certificate import BEYOND_LIMITS, MALFORMED, _edited
+from test_certificate import BEYOND_LIMITS, MALFORMED, VERIFY_FIXTURES, _edited
 
 ORACLE_GUARD_ERROR = (
     "error: host with 65 vertices rejected: oracle host checks are limited to n <= 64\n"
@@ -97,28 +97,6 @@ def test_report_formats_agree(name, tmp_path, capsys):
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _shifted(family: int, i: int, j: int, delta: Fraction):
-    """Edit: move matrix entry (i, j), 1-based, of one family and its mirror."""
-
-    def edit(obj):
-        matrix = obj["families"][family]["matrix"]
-        value = format_rational(Fraction(matrix[i - 1][j - 1]) + delta)
-        matrix[i - 1][j - 1] = matrix[j - 1][i - 1] = value
-
-    return edit
-
-
-# `verify --format json` output pinned byte for byte, as the Fraction-based
-# verifier wrote it: the builtin certificate and three 1/128 shifts of one
-# entry of the exported certificate
-VERIFY_FIXTURES = {
-    "verify_builtin.json": None,
-    "verify_red_1_1_minus.json": _shifted(0, 1, 1, Fraction(-1, 128)),  # negative pivot
-    "verify_blue_2_3_minus.json": _shifted(1, 2, 3, Fraction(-1, 128)),  # negative pivot
-    "verify_red_2_3_plus.json": _shifted(0, 2, 3, Fraction(1, 128)),  # stays PSD
-}
-
-
 @pytest.mark.parametrize("fixture", sorted(VERIFY_FIXTURES))
 def test_verify_json_matches_fixture(fixture, tmp_path, capsys):
     edit = VERIFY_FIXTURES[fixture]
@@ -132,6 +110,24 @@ def test_verify_json_matches_fixture(fixture, tmp_path, capsys):
     assert captured.out == (FIXTURES / fixture).read_text(encoding="utf-8")
     assert captured.err == ""
     assert status == (0 if edit is None else 1)
+
+
+# `oracle --format json` output pinned byte for byte, as the Fraction-based
+# evaluator wrote it
+ORACLE_FIXTURES = {
+    "oracle_identities_n10_seed1.json": ["identities", "--n", "10", "--seed", "1"],
+    "oracle_inequality_n10_seed1.json": ["inequality", "--n", "10", "--seed", "1"],
+    "oracle_exhaustive.json": ["exhaustive"],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(ORACLE_FIXTURES))
+def test_oracle_json_matches_fixture(fixture, capsys):
+    status = run(["oracle", *ORACLE_FIXTURES[fixture], "--format", "json"])
+    captured = capsys.readouterr()
+    assert captured.out == (FIXTURES / fixture).read_text(encoding="utf-8")
+    assert captured.err == ""
+    assert status == 0
 
 
 class TestVerify:
