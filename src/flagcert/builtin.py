@@ -81,19 +81,11 @@ def target() -> ColoredGraph:
 @lru_cache(maxsize=1)
 def class_representatives() -> tuple[ColoredGraph, ...]:
     tmpl = template()
-    blue_sets = {k: {tuple(sorted(p)) for p in v} for k, v in _CLASS_BLUE_PAIRS.items()}
     reps = []
     for index in range(1, NUM_CLASSES + 1):
-        blue = blue_sets[index]
-        reps.append(
-            ColoredGraph(
-                tmpl.n,
-                (
-                    (u, v, Color.BLUE if (u, v) in blue else Color.RED)
-                    for u, v in tmpl.pairs()
-                ),
-            )
-        )
+        blue = {tuple(sorted(p)) for p in _CLASS_BLUE_PAIRS[index]}
+        edges = [(u, v, Color.BLUE if (u, v) in blue else Color.RED) for u, v in tmpl.pairs]
+        reps.append(ColoredGraph(tmpl.n, edges))
     return tuple(reps)
 
 
@@ -135,10 +127,7 @@ _RED_FAMILY_PATTERNS = (
 
 
 def _flag_from_pattern(pattern: str) -> Flag:
-    colors = {"R": Color.RED, "B": Color.BLUE}
-    edges = [
-        (u, v, colors[pattern[k]]) for k, (u, v) in enumerate(_FLAG_PAIRS)
-    ]
+    edges = [(u, v, Color(c)) for (u, v), c in zip(_FLAG_PAIRS, pattern)]
     return Flag(ColoredGraph(4, edges), (0, 1))
 
 

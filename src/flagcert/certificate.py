@@ -39,7 +39,7 @@ class SymMatrix:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in self.rows)
         m = len(rows)
         for i, row in enumerate(rows):
             if len(row) != m:
@@ -198,7 +198,7 @@ def flag_product(f1: Flag, f2: Flag) -> ColoredGraph:
 @lru_cache(maxsize=256)
 def _expansion_cached(p: ColoredGraph, table: ClassTable) -> tuple[int, tuple[int, ...]]:
     """``pulled_densities`` at every class code: ``(maps, counts)``, read-only ints."""
-    return pulled_densities(p, table.n, table.pairs, tuple(e.code for e in table.classes))
+    return pulled_densities(p, table.n, table.pairs, tuple(e.representative.blue for e in table.classes))
 
 
 def expand_in_classes(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
@@ -531,7 +531,7 @@ def _graph_from_obj(obj, path: str, roots: bool = False):
         graph = ColoredGraph(n, edges)
     except ValueError as exc:
         raise SchemaError(f"{path}.edges", str(exc)) from exc
-    if graph.edges != tuple(edges):  # the writer's order: u < v, pairs increasing
+    if list(graph.pairs) != [(u, v) for u, v, _ in edges]:  # the writer's order: u < v, increasing
         raise SchemaError(f"{path}.edges", "edge pairs must be u < v and strictly increasing")
     if not roots:
         return graph

@@ -45,8 +45,8 @@ from math import factorial, prod
 
 import numpy as np
 
-from .graphs import MAX_PATTERN_N, MAX_TABLE_PAIRS, ClassTable, Color, ColoredGraph, Flag
-from .graphs import coloring_code, pulled_densities, shape_maps
+from .graphs import MAX_PATTERN_N, MAX_TABLE_PAIRS, ClassTable, ColoredGraph, Flag
+from .graphs import pulled_densities, shape_maps
 
 
 # -- Moebius inversion over quotients ----------------------------------------
@@ -66,8 +66,8 @@ def _quotients(h: ColoredGraph, pinned: tuple[int, ...] = ()):
     ones vector for a block that meets no edge.
     """
     earlier: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
-    for u, v, c in h.edges:
-        earlier[v].append((u, 0 if c is Color.RED else 1))
+    for k, (u, v) in enumerate(h.pairs):
+        earlier[v].append((u, (h.blue >> k) & 1))
     block = [0] * h.n
     weights: dict = {}
 
@@ -208,13 +208,14 @@ def hom_inj_batch(patterns, red, blue) -> list:
 
 
 def color_adjacency(g: ColoredGraph):
-    red = np.zeros((g.n, g.n), dtype=np.int64)
-    blue = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v, c in g.edges:
-        m = red if c is Color.RED else blue
-        m[u, v] = 1
-        m[v, u] = 1
-    return red, blue
+    """Red and blue int64 0/1 adjacency matrices: pair k is blue when bit k of ``g.blue`` is."""
+    m = g.edge_count
+    word = np.frombuffer(g.blue.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+    bits = np.unpackbits(word, count=m, bitorder="little")
+    u, v = np.array(g.pairs, dtype=np.intp).reshape(m, 2).T
+    red_blue = np.zeros((2, g.n, g.n), dtype=np.int64)
+    red_blue[bits, u, v] = red_blue[bits, v, u] = 1
+    return red_blue[0], red_blue[1]
 
 
 def hom_inj_count(h: ColoredGraph, g: ColoredGraph) -> int:
@@ -287,7 +288,7 @@ def t_bip(h: ColoredGraph, j: ColoredGraph) -> Fraction:
     pull j's colours back to exactly h's: ``graphs.pulled_densities`` at j's
     one colouring code, so templates over 8 vertices are refused.
     """
-    maps, (count,) = pulled_densities(h, j.n, j.pairs(), (coloring_code(j, j.n, j.pairs()),))
+    maps, (count,) = pulled_densities(h, j.n, j.pairs, (j.blue,))
     return Fraction(count, maps)
 
 
@@ -358,12 +359,11 @@ def subcube_count_table(
     if root_images:
         Flag(h, tuple(root_images))
         _check_vertices(root_images.values(), n)
-    shape = tuple((u, v) for u, v, _ in h.edges)
     pinned = tuple(sorted(root_images.items())) if root_images else ()
-    positions, free, inverse = _embeddings(h.n, shape, n, tuple(pairs), pinned)
+    positions, free, inverse = _embeddings(h.n, h.pairs, n, tuple(pairs), pinned)
     if not len(positions):
         raise ValueError("pattern does not embed in the template")
-    blue = [e for e, (_, _, c) in enumerate(h.edges) if c is Color.BLUE]
+    blue = [e for e in range(h.edge_count) if (h.blue >> e) & 1]
     values = (np.int64(1) << positions[:, blue]).sum(axis=1)
     return np.bincount((free[inverse] + values[:, None]).ravel(), minlength=1 << len(pairs))
 

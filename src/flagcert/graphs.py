@@ -1,8 +1,11 @@
 """Edge-coloured graphs, isomorphism, template classification and pulled densities.
 
 Vertices are integers 0..n-1.  Edges are unordered pairs carrying one of two
-colours; absent pairs are non-edges.  Everything here is immutable after
-construction and safe to share between threads.
+colours; absent pairs are non-edges.  A graph is stored as ``n``, its sorted
+``pairs`` and its ``blue`` word, whose bit k is set when pair k is blue: the
+colouring code of the template classes.  Counters read that word; ``Color``
+appears only where graphs are built or shown.  Everything here is immutable
+after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -30,30 +33,31 @@ class Color(enum.Enum):
         return self.value
 
 
-# Integer codes used in canonical encodings and colouring codes.
-_COLOR_BIT = {Color.RED: 0, Color.BLUE: 1}
-_BIT_COLOR = (Color.RED, Color.BLUE)
+_BIT_COLOR = (Color.RED, Color.BLUE)  # bit k of a colouring word -> colour of pair k
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ColoredGraph:
     """A loopless graph with red/blue edges and possibly missing pairs.
 
     ``n`` and the endpoints are plain ints (not bools).  ``edges`` may be any
-    iterable of ``(u, v, Color)``; it is normalized to a sorted tuple with
-    ``u < v``, the only edge index.  Equality and hashing are structural.
+    iterable of ``(u, v, Color)``.  The graph stores ``n``, the sorted tuple
+    ``pairs`` of present ``(u, v)`` with ``u < v``, and the int ``blue``
+    whose bit k is set when pair k is blue (its colouring code); ``edges`` is
+    the sorted ``(u, v, Color)`` tuple derived from them.  Equality and
+    hashing are structural.
     """
 
+    __slots__ = ("n", "pairs", "blue", "_hash")
     n: int
-    edges: tuple[tuple[int, int, Color], ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    pairs: tuple[tuple[int, int], ...]
+    blue: int
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, edges: Iterable[tuple[int, int, Color]] = ()):
         if type(n) is not int or n < 0:
             raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
-        color: dict[tuple[int, int], Color] = {}
-        for u, v, c in self.edges:
+        bit: dict[tuple[int, int], str] = {}  # pair -> "1" when blue, else "0"
+        for u, v, c in edges:
             if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u!r},{v!r}) out of range for n={n}")
             if u == v:
@@ -61,25 +65,32 @@ class ColoredGraph:
             if not isinstance(c, Color):
                 raise ValueError(f"edge ({u},{v}) colour must be a Color")
             key = (u, v) if u < v else (v, u)
-            if key in color:
+            if key in bit:
                 raise ValueError(f"duplicate edge {key}")
-            color[key] = c
-        edges = tuple(sorted((u, v, color[(u, v)]) for (u, v) in color))
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_hash", hash((n, edges)))
+            bit[key] = "1" if c is Color.BLUE else "0"
+        pairs = tuple(sorted(bit))
+        # one base-2 parse, last pair first, keeps large hosts linear
+        blue = int("0" + "".join([bit[p] for p in reversed(pairs)]), 2)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "blue", blue)
+        object.__setattr__(self, "_hash", hash((n, pairs, blue)))
 
     # -- basic queries ----------------------------------------------------
 
+    @property
+    def edges(self) -> tuple[tuple[int, int, Color], ...]:
+        """The sorted ``(u, v, Color)`` triples, ``u < v``."""
+        bits = format(self.blue, f"0{len(self.pairs)}b")[::-1]  # bit k first, linear in the pairs
+        return tuple((u, v, _BIT_COLOR[b == "1"]) for (u, v), b in zip(self.pairs, bits))
+
     def edge_color(self, u: int, v: int) -> Optional[Color]:
-        return next((c for a, b, c in self.edges if (a, b) in ((u, v), (v, u))), None)
+        k = next((k for k, pair in enumerate(self.pairs) if pair in ((u, v), (v, u))), None)
+        return None if k is None else _BIT_COLOR[(self.blue >> k) & 1]
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Present pairs, sorted."""
-        return tuple((u, v) for u, v, _ in self.edges)
+        return len(self.pairs)
 
     def is_clique(self) -> bool:
         return self.edge_count == self.n * (self.n - 1) // 2
@@ -217,18 +228,17 @@ def pulled_densities(h: ColoredGraph, n: int, pairs: Sequence, codes: Sequence[i
     ``coloring_code``.  A map of h's edge shape onto the pairs, with row
     ``row`` (see ``shape_maps``), pulls a code back to the word whose bit e
     is bit row[e] of the code.  Returns ``(maps, counts)``: the number of
-    maps, and per code in ``codes`` the number that pull it back to h's own
-    word, so h's density in that colouring is count / maps.  Hosts over
+    maps, and per code in ``codes`` the number that pull it back to
+    ``h.blue``, so h's density in that colouring is count / maps.  Hosts over
     ``MAX_PATTERN_N`` vertices are refused before any enumeration; a pattern
     with no map raises ValueError.
     """
     if n > MAX_PATTERN_N:
         raise ValueError(f"host with {n} vertices rejected: limit is {MAX_PATTERN_N} vertices")
-    maps, counts = _pulled_counts(h.n, h.pairs(), n, tuple(pairs), tuple(codes))
+    maps, counts = _pulled_counts(h.n, h.pairs, n, tuple(pairs), tuple(codes))
     if not maps:
         raise ValueError("pattern does not embed in the template")
-    word = coloring_code(h, h.n, h.pairs())
-    return maps, tuple(words.get(word, 0) for words in counts)
+    return maps, tuple(words.get(h.blue, 0) for words in counts)
 
 
 def underlying_automorphisms(g: ColoredGraph) -> list[tuple[int, ...]]:
@@ -239,8 +249,7 @@ def underlying_automorphisms(g: ColoredGraph) -> list[tuple[int, ...]]:
     """
     if g.n > MAX_PATTERN_N:
         raise ValueError(f"brute-force automorphism search limited to n <= {MAX_PATTERN_N}")
-    pairs = g.pairs()
-    return [perm for perm, _ in pair_actions(permutations(range(g.n)), pairs, pairs)]
+    return [perm for perm, _ in pair_actions(permutations(range(g.n)), g.pairs, g.pairs)]
 
 
 # -- canonical forms and classification -------------------------------------
@@ -250,11 +259,8 @@ def canonical_form(g: ColoredGraph, group: Sequence[Sequence[int]]) -> tuple:
     best = None
     for perm in group:
         code = sorted(
-            (
-                ((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])),
-                _COLOR_BIT[c],
-            )
-            for u, v, c in g.edges
+            (((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])), (g.blue >> k) & 1)
+            for k, (u, v) in enumerate(g.pairs)
         )
         if best is None or code < best:
             best = code
@@ -267,7 +273,7 @@ def enumerate_template_colorings(template: ColoredGraph) -> list[ColoredGraph]:
     Deterministic order: pairs sorted, colouring index read as bits with
     red for 0, so index 0 is the all-red colouring.
     """
-    pairs = template.pairs()
+    pairs = template.pairs
     if len(pairs) > MAX_TABLE_PAIRS:
         raise ValueError(f"template has more than {MAX_TABLE_PAIRS} edges; enumeration refused")
     return [
@@ -283,9 +289,9 @@ def coloring_code(g: ColoredGraph, n: int, pairs: Sequence[tuple[int, int]]) -> 
 
     ``None`` unless ``g`` has ``n`` vertices and exactly the sorted ``pairs``.
     """
-    if g.n != n or g.pairs() != tuple(pairs):
+    if g.n != n or g.pairs != tuple(pairs):
         return None
-    return sum(1 << k for k, (_, _, c) in enumerate(g.edges) if c is Color.BLUE)
+    return g.blue
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,7 +302,6 @@ class ClassEntry:
     representative: ColoredGraph
     aut_count: int
     multiplicity: int
-    code: int
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -366,13 +371,13 @@ def classify(
     orbit, cross-checked against the orbit-stabilizer count |group| / aut,
     where aut counts the group elements fixing the representative's code.
     """
-    n, pairs = (reference[0].n, reference[0].pairs()) if reference else (0, ())
+    n, pairs = (reference[0].n, reference[0].pairs) if reference else (0, ())
     actions = [row for _, row in pair_actions(group, pairs, pairs)]
     if len(actions) != len(group):
         raise ValueError("group elements must preserve the template pairs")
 
     lookup: dict[int, int] = {}  # code -> class index of its orbit
-    fixed = []  # per representative: index, graph, group elements fixing it, code
+    fixed = []  # per representative: index, graph, group elements fixing it
     for pos, rep in enumerate(reference):
         code = coloring_code(rep, n, pairs)
         if code is None:
@@ -382,7 +387,7 @@ def classify(
         images = [_act(a, code) for a in actions]
         for image in images:
             lookup[image] = pos + 1
-        fixed.append((pos + 1, rep, images.count(code), code))
+        fixed.append((pos + 1, rep, images.count(code)))
 
     codes = [g if isinstance(g, int) else coloring_code(g, n, pairs) for g in colorings]
     if not all(code is not None and 0 <= code < 1 << len(pairs) for code in codes):
@@ -390,7 +395,7 @@ def classify(
     multiplicity = Counter(lookup.get(code) for code in codes)  # by class index
     # least code of each orbit without a reference representative
     others = {min(_act(a, code) for a in actions) for code in codes if code not in lookup}
-    entries = tuple(ClassEntry(k, rep, aut, multiplicity[k], code) for k, rep, aut, code in fixed)
+    entries = tuple(ClassEntry(k, rep, aut, multiplicity[k]) for k, rep, aut in fixed)
     if not all(e.multiplicity for e in entries):
         raise ValueError("reference representatives do not match the computed orbits")
     if others:

@@ -261,6 +261,13 @@ class TestValueTypes:
             m.rows = ()
         assert not hasattr(m, "__dict__")
 
+    def test_matrix_keeps_fraction_entries_and_converts_the_rest(self):
+        half = Fraction(1, 2)
+        m = SymMatrix([[half, 3], [3, "1/4"]])
+        assert m.rows[0][0] is half
+        assert [type(x) for row in m.rows for x in row] == [Fraction] * 4
+        assert m.rows == ((half, Fraction(3)), (Fraction(3), Fraction(1, 4)))
+
     def test_matrix_rows_must_be_square(self):
         with pytest.raises(ValueError, match=r"^row 1 has length 1, expected 2$"):
             SymMatrix([[Fraction(0), Fraction(1)], [Fraction(1)]])
@@ -271,7 +278,7 @@ def _count_table_expansion(p: ColoredGraph, table) -> dict[int, Fraction]:
     counts = subcube_count_table(p, table.n, table.pairs)
     # each map matches the colourings of one subcube, one per free pair bit
     maps = int(counts.sum()) >> (len(table.pairs) - p.edge_count)
-    return {e.index: Fraction(int(counts[e.code]), maps) for e in table.classes}
+    return {e.index: Fraction(int(counts[e.representative.blue]), maps) for e in table.classes}
 
 
 def _expansion_paths_agree(p: ColoredGraph) -> None:

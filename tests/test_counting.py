@@ -441,14 +441,14 @@ class TestSubcubeCountTable:
     def test_every_entry_is_a_host_count(self, h, code):
         tmpl = builtin.template()
         try:
-            counts = subcube_count_table(h, tmpl.n, tmpl.pairs())
+            counts = subcube_count_table(h, tmpl.n, tmpl.pairs)
         except ValueError:
             assert hom_inj_count(_shadow(h), tmpl) == 0
             return
         host = enumerate_template_colorings(tmpl)[code]
         assert counts[code] == hom_inj_count(h, host)
         # each map matches the colourings of one subcube, one per free pair bit
-        free = len(tmpl.pairs()) - h.edge_count
+        free = len(tmpl.pairs) - h.edge_count
         assert counts.sum() == hom_inj_count(_shadow(h), tmpl) << free
 
     @settings(max_examples=40, deadline=None)
@@ -459,7 +459,7 @@ class TestSubcubeCountTable:
         u, v = data.draw(st.permutations(range(tmpl.n)))[:2]
         flag = Flag(h, (a, b))
         try:
-            counts = subcube_count_table(h, tmpl.n, tmpl.pairs(), {a: u, b: v})
+            counts = subcube_count_table(h, tmpl.n, tmpl.pairs, {a: u, b: v})
         except ValueError:
             shadow = Flag(_shadow(h), (a, b))
             assert rooted_hom_inj_count(shadow, tmpl, u, v) == 0
@@ -475,13 +475,13 @@ class TestSubcubeCountTable:
         a, b = flag.roots
         host = re.escape(f"root {bad!r} is not a vertex of the {tmpl.n}-vertex host")
         with pytest.raises(ValueError, match=host):
-            subcube_count_table(flag.graph, tmpl.n, tmpl.pairs(), {a: bad, b: 0})
+            subcube_count_table(flag.graph, tmpl.n, tmpl.pairs, {a: bad, b: 0})
 
     def test_pattern_roots_are_refused_as_flag_refuses_them(self):
         flag = builtin.blue_flags()[0]
         tmpl = builtin.template()
         with pytest.raises(ValueError, match="^root 6 is not a vertex of the 4-vertex graph$"):
-            subcube_count_table(flag.graph, tmpl.n, tmpl.pairs(), {6: 1, flag.roots[1]: 0})
+            subcube_count_table(flag.graph, tmpl.n, tmpl.pairs, {6: 1, flag.roots[1]: 0})
 
     def test_rejects_oversized_hosts(self):
         pairs = tuple((u, v) for u in range(7) for v in range(u + 1, 7))

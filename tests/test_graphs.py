@@ -18,6 +18,7 @@ from flagcert.graphs import (
     alternating_cycle,
     canonical_form,
     classify,
+    coloring_code,
     complete_graph,
     enumerate_template_colorings,
     pair_actions,
@@ -125,6 +126,30 @@ class TestValueTypes:
         assert other == g and hash(other) == hash(g)
         assert other.edges == g.edges
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 8), st.data())
+    def test_pairs_and_blue_word_encode_the_edges(self, n, data):
+        all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.permutations(all_pairs))[: data.draw(st.integers(0, len(all_pairs)))]
+        size = len(chosen)
+        colours = data.draw(st.lists(st.sampled_from(Color), min_size=size, max_size=size))
+        flips = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        given_edges = [(v, u, c) if f else (u, v, c) for (u, v), c, f in zip(chosen, colours, flips)]
+        g = ColoredGraph(n, given_edges)
+        expected = tuple(sorted(zip(chosen, colours)))
+        assert g.edges == tuple((u, v, c) for (u, v), c in expected)
+        assert g.pairs == tuple(p for p, _ in expected)
+        assert g.blue == sum(1 << k for k, (_, c) in enumerate(expected) if c is Color.BLUE)
+        assert coloring_code(g, g.n, g.pairs) == g.blue
+        assert g.swap_colors().blue == g.blue ^ ((1 << g.edge_count) - 1)
+        perm = data.draw(st.permutations(range(n)))
+        inverse = [0] * n
+        for i, p in enumerate(perm):
+            inverse[p] = i
+        assert g.relabel(perm).relabel(inverse) == g
+        other = ColoredGraph(n, data.draw(st.permutations(given_edges)))
+        assert other == g and hash(other) == hash(g)
+
     def test_equality_reads_every_field(self):
         g = alternating_cycle(6)
         assert g != ColoredGraph(6, g.edges[1:])
@@ -139,10 +164,11 @@ class TestValueTypes:
     def test_fields_are_read_only(self):
         g = alternating_cycle(6)
         flag = Flag(g, (0, 1))
-        for obj, name, value in ((g, "n", 5), (g, "edges", ()), (flag, "roots", (1, 0))):
+        fields = ((g, "n", 5), (g, "pairs", ()), (g, "blue", 0), (g, "edges", ()), (flag, "roots", (1, 0)))
+        for obj, name, value in fields:
             with pytest.raises(AttributeError):
                 setattr(obj, name, value)
-        assert g.n == 6 and flag.roots == (0, 1)
+        assert g.n == 6 and g.edge_count == 6 and g.blue and flag.roots == (0, 1)
 
     def test_no_instance_dict(self):
         g = alternating_cycle(6)
@@ -236,7 +262,7 @@ class TestUnderlyingAutomorphisms:
     @settings(max_examples=60, deadline=None)
     @given(partial_graphs())
     def test_matches_naive_filter(self, g):
-        pairs = set(g.pairs())
+        pairs = set(g.pairs)
         naive = [
             perm
             for perm in permutations(range(g.n))
@@ -253,7 +279,7 @@ class TestPairActions:
         # edge lands on a pair, and the row names that pair
         vertex = st.integers(0, max(g.n - 1, 0))
         maps = data.draw(st.lists(st.tuples(*[vertex] * g.n), max_size=20))
-        pairs = g.pairs()
+        pairs = g.pairs
         rows = pair_actions(maps, pairs, pairs)
         images = [[tuple(sorted((m[u], m[v]))) for u, v in pairs] for m in maps]
         assert [m for m, _ in rows] == [

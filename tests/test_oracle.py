@@ -56,7 +56,7 @@ class TestRandomness:
         for n, seed in ((1, 5), (9, 42), (13, 77), (10, -1), (10, 2**64 + 5)):
             g = oracle.random_clique_coloring(n, seed)
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            assert g.pairs() == tuple(pairs)
+            assert g.pairs == tuple(pairs)
             for k, (u, v) in enumerate(pairs):
                 blue = oracle.stream_value(seed, k) & 1 == 1
                 assert (g.edge_color(u, v) is Color.BLUE) == blue
