@@ -13,12 +13,13 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from . import builtin
-from .graphs import MAX_PATTERN_N, ClassTable, Color, ColoredGraph, Flag, pulled_densities
+from .graphs import MAX_PATTERN_N, ClassTable, Color, ColoredGraph, Flag
 
 
 class SchemaError(ValueError):
@@ -193,17 +194,9 @@ def flag_product(f1: Flag, f2: Flag) -> ColoredGraph:
     return ColoredGraph(n, ((u, v, c) for (u, v), c in merged.items()))
 
 
-# A certificate has 73 patterns (its target and 72 flag products), and the
-# golden check adds the builtin's; 256 keeps both and bounds a long process.
-@lru_cache(maxsize=256)
-def _expansion_cached(p: ColoredGraph, table: ClassTable) -> tuple[int, tuple[int, ...]]:
-    """``pulled_densities`` at every class code: ``(maps, counts)``, read-only ints."""
-    return pulled_densities(p, table.n, table.pairs, tuple(e.representative.blue for e in table.classes))
-
-
 def expand_in_classes(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
     """Conditional densities of the pattern across all template classes."""
-    maps, counts = _expansion_cached(p, table)
+    maps, counts = table.expansion(p)
     return {index: Fraction(c, maps) for index, c in zip(table.indices, counts)}
 
 
@@ -226,14 +219,16 @@ class FlagFamily:
                 raise ValueError(f"flag {k} must have exactly two roots")
             c = f.graph.edge_color(*f.roots)
             if c != self.root_edge_color:
-                raise ValueError(
-                    f"flag {k} root edge colour {c} does not match family"
-                )
+                letter = None if c is None else c.value
+                raise ValueError(f"flag {k} root edge colour {letter} does not match family")
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Serializable proof object for one density bound; ``base`` is stored as a read-only copy."""
+    """Serializable proof object for one density bound; ``base`` is stored as a read-only copy.
+
+    Not slotted, so ``flag_pairs`` caches in ``__dict__``; equality compares the fields alone.
+    """
 
     name: str
     template_parts: tuple[int, int]
@@ -245,6 +240,25 @@ class Certificate:
 
     def __post_init__(self):
         object.__setattr__(self, "base", MappingProxyType(dict(self.base)))
+
+    @cached_property
+    def flag_pairs(self) -> tuple:
+        """Every unordered flag pair i <= j (0-based) of every family, glued once.
+
+        Each entry is (family, i, j, labels, product): ``labels`` names the
+        one or two ordered pairs, such as ``R1.2`` and ``R2.1``, that glue to
+        ``product``.  Both orders glue to isomorphic graphs, so one product
+        serves both.
+        """
+        pairs = []
+        for family in self.families:
+            fam = family.root_edge_color.value
+            for i, j in combinations_with_replacement(range(len(family.flags)), 2):
+                labels = (f"{fam}{i + 1}.{j + 1}",)
+                if i != j:
+                    labels += (f"{fam}{j + 1}.{i + 1}",)
+                pairs.append((family, i, j, labels, flag_product(family.flags[i], family.flags[j])))
+        return tuple(pairs)
 
 
 @lru_cache(maxsize=1)
@@ -265,30 +279,6 @@ def builtin_certificate() -> Certificate:
     )
 
 
-def flag_pairs(cert: Certificate):
-    """Every unordered flag pair i <= j (0-based) of every family.
-
-    Yields (family, i, j, labels, product): ``labels`` names the one or two
-    ordered pairs, such as ``R1.2`` and ``R2.1``, that glue to ``product``.
-    Both orders glue to isomorphic graphs, so one product serves both.
-    """
-    for family in cert.families:
-        fam = family.root_edge_color.value
-        m = len(family.flags)
-        for i in range(m):
-            for j in range(i, m):
-                labels = (f"{fam}{i + 1}.{j + 1}",)
-                if i != j:
-                    labels += (f"{fam}{j + 1}.{i + 1}",)
-                yield family, i, j, labels, flag_product(family.flags[i], family.flags[j])
-
-
-@lru_cache(maxsize=1)
-def _builtin_pairs() -> tuple:
-    """``flag_pairs`` of the builtin certificate, glued once per process."""
-    return tuple(flag_pairs(builtin_certificate()))
-
-
 def certificate_coefficients(
     cert: Certificate, table: ClassTable
 ) -> dict[int, Fraction]:
@@ -303,10 +293,10 @@ def certificate_coefficients(
     """
     base = [cert.base.get(index, 0) for index in table.indices]
     terms = []  # (numerator, denominator, counts) of each nonzero weight / maps
-    for family, i, j, labels, product in flag_pairs(cert):
+    for family, i, j, labels, product in cert.flag_pairs:
         weight = family.matrix.rows[i][j]
         if weight:
-            maps, counts = _expansion_cached(product, table)
+            maps, counts = table.expansion(product)
             terms.append((len(labels) * weight.numerator, weight.denominator * maps, counts))
     den = math.lcm(*(v.denominator for v in base), *(d for _, d, _ in terms))
     nums = [v.numerator * (den // v.denominator) for v in base]
@@ -399,7 +389,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
     # 2. base vector ties the linear part to the target's densities
     try:
-        maps, counts = _expansion_cached(cert.target, table)
+        maps, counts = table.expansion(cert.target)
         base = [cert.base.get(k, 0) for k in table.indices]
         bad = [k for k, v, c in zip(table.indices, base, counts)
                if v.numerator * maps != c * v.denominator]
@@ -431,11 +421,11 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
     # 5. golden table: recompute the shipped expansion equations, each count over
     # its map count against its shipped numerator over the group order, read at every call
-    golden = _builtin_pairs()
+    golden = builtin_certificate().flag_pairs
     bad_keys = []
     for family, i, j, labels, product in golden:
         row = builtin.golden_numerators(family.root_edge_color.value, i + 1, j + 1)
-        maps, counts = _expansion_cached(product, table)
+        maps, counts = table.expansion(product)
         if [c * builtin.GROUP_ORDER for c in counts] != [num * maps for num in row]:
             bad_keys.append(labels[0])
     detail = f"mismatch at {bad_keys}" if bad_keys else f"{len(golden)} equations reproduced"

@@ -224,8 +224,9 @@ def _pulled_counts(k: int, shape: tuple, n: int, pairs: tuple, codes: tuple) -> 
 def pulled_densities(h: ColoredGraph, n: int, pairs: Sequence, codes: Sequence[int]) -> tuple:
     """Maps of pattern ``h`` into a small labelled host, and per colouring the matches.
 
-    The host has vertices 0..n-1 and the sorted ``pairs``, coloured as in
-    ``coloring_code``.  A map of h's edge shape onto the pairs, with row
+    The host has vertices 0..n-1 and the sorted ``pairs``; a colouring of
+    them is a code whose bit k is set when pair k is blue, as in a graph's
+    ``blue`` word.  A map of h's edge shape onto the pairs, with row
     ``row`` (see ``shape_maps``), pulls a code back to the word whose bit e
     is bit row[e] of the code.  Returns ``(maps, counts)``: the number of
     maps, and per code in ``codes`` the number that pull it back to
@@ -284,16 +285,6 @@ def enumerate_template_colorings(template: ColoredGraph) -> list[ColoredGraph]:
     ]
 
 
-def coloring_code(g: ColoredGraph, n: int, pairs: Sequence[tuple[int, int]]) -> Optional[int]:
-    """Colouring code of ``g`` over a template: bit k set when pair k is blue.
-
-    ``None`` unless ``g`` has ``n`` vertices and exactly the sorted ``pairs``.
-    """
-    if g.n != n or g.pairs != tuple(pairs):
-        return None
-    return g.blue
-
-
 @dataclass(frozen=True, slots=True)
 class ClassEntry:
     """One isomorphism class: published index, representative, symmetries."""
@@ -309,9 +300,9 @@ class ClassTable:
     """Isomorphism classes of template colourings, in a fixed reference order.
 
     Built by ``classify``; read-only, hashed by identity.  The read-only
-    ``lookup`` sends the colouring code (see ``coloring_code``) of every
+    ``lookup`` sends the colouring code (the ``blue`` word) of every
     classified colouring of the template's ``n`` vertices and ``pairs`` to
-    its class index.
+    its class index.  The table owns the pattern expansions over its classes.
     """
 
     classes: tuple[ClassEntry, ...]
@@ -334,7 +325,17 @@ class ClassTable:
 
     def class_of(self, g: ColoredGraph) -> Optional[int]:
         """Class index of a colouring of the template; None for any other graph."""
-        return self.lookup.get(coloring_code(g, self.n, self.pairs))
+        if (g.n, g.pairs) != (self.n, self.pairs):
+            return None
+        return self.lookup.get(g.blue)
+
+    # A certificate has 73 patterns (its target and 72 flag products), and the
+    # golden check adds the builtin's; 256 keeps both and bounds a long process.
+    @lru_cache(maxsize=256)
+    def expansion(self, p: ColoredGraph) -> tuple[int, tuple[int, ...]]:
+        """``pulled_densities`` of ``p`` at every class code: ``(maps, counts)``, read-only ints."""
+        codes = tuple(e.representative.blue for e in self.classes)
+        return pulled_densities(p, self.n, self.pairs, codes)
 
     def swap_involution(self) -> dict[int, int]:
         """Index map induced by swapping every edge colour of a representative."""
@@ -362,14 +363,14 @@ def classify(
 
     The template is the vertex count and pair set of the first reference
     representative.  Each colouring is a graph on that template or already
-    its colouring code (see ``coloring_code``), so ``range(2 ** len(pairs))``
+    its colouring code (its ``blue`` word), so ``range(2 ** len(pairs))``
     lists every colouring with no graph built.  The group acts on pair
-    positions; the orbits
-    are the images of the reference codes, in the published class order, and
-    each must contain exactly one reference representative and at least one
-    colouring.  A class's multiplicity is the number of colourings in its
-    orbit, cross-checked against the orbit-stabilizer count |group| / aut,
-    where aut counts the group elements fixing the representative's code.
+    positions; the orbits are the images of the reference codes, in the
+    published class order, and each must contain exactly one reference
+    representative and at least one colouring.  A class's multiplicity is
+    the number of colourings in its orbit, cross-checked against the
+    orbit-stabilizer count |group| / aut, where aut counts the group
+    elements fixing the representative's code.
     """
     n, pairs = (reference[0].n, reference[0].pairs) if reference else (0, ())
     actions = [row for _, row in pair_actions(group, pairs, pairs)]
@@ -379,9 +380,9 @@ def classify(
     lookup: dict[int, int] = {}  # code -> class index of its orbit
     fixed = []  # per representative: index, graph, group elements fixing it
     for pos, rep in enumerate(reference):
-        code = coloring_code(rep, n, pairs)
-        if code is None:
+        if (rep.n, rep.pairs) != (n, pairs):
             raise ValueError("reference representatives do not match the computed orbits")
+        code = rep.blue
         if code in lookup:
             raise ValueError(f"reference representatives {lookup[code] - 1} and {pos} are isomorphic")
         images = [_act(a, code) for a in actions]
@@ -389,8 +390,10 @@ def classify(
             lookup[image] = pos + 1
         fixed.append((pos + 1, rep, images.count(code)))
 
-    codes = [g if isinstance(g, int) else coloring_code(g, n, pairs) for g in colorings]
-    if not all(code is not None and 0 <= code < 1 << len(pairs) for code in codes):
+    # a graph off the template gets code -1, which the range check refuses
+    codes = [g if isinstance(g, int) else g.blue if (g.n, g.pairs) == (n, pairs) else -1
+             for g in colorings]
+    if not all(0 <= code < 1 << len(pairs) for code in codes):
         raise ValueError("colourings must share one vertex count and pair set")
     multiplicity = Counter(lookup.get(code) for code in codes)  # by class index
     # least code of each orbit without a reference representative

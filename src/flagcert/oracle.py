@@ -18,7 +18,7 @@ from itertools import permutations
 import numpy as np
 
 from . import builtin
-from .certificate import _expansion_cached, builtin_certificate, flag_pairs, format_rational
+from .certificate import builtin_certificate, format_rational
 from .counting import (
     alternating_hom_inj_from_matrices,
     check_closed_form_size,
@@ -36,12 +36,17 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _TRIAL_SALT = 0xD1342543DE82EF95
 
 
-def mix64(z: int) -> int:
-    """The splitmix64 finalizer; the one mixing function used everywhere."""
+def mix64(z):
+    """The one splitmix64 finalizer: of an int mod 2**64, or in place on a uint64 array."""
     z &= _MASK64
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK64
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z &= _MASK64
+    z ^= z >> 31
+    return z
 
 
 def stream_value(seed: int, index: int) -> int:
@@ -83,11 +88,7 @@ def _random_clique_matrices(n: int, seed: int):
     z = np.arange(1, n * (n - 1) // 2 + 1, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
     z += np.uint64(seed & _MASK64)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z = mix64(z)
     z &= np.uint64(1)
     blue = np.zeros((n, n))
     blue[np.triu_indices(n, k=1)] = z
@@ -144,20 +145,20 @@ class OracleReport:
 # -- the certificate's checks as integer identities ---------------------------------
 
 
-def _evaluate(cert, pairs, count, perms: int, quad=None, identities=True):
+def _evaluate(cert, count, perms: int, quad=None, identities=True):
     """Both sides of the certificate's checks as integers over one denominator.
 
     ``count(pattern)`` counts a six-vertex pattern, a Python int for one host
     or an int64 table for many, and a density is a count over ``perms`` =
     (n)_6.  The identities are checked when ``identities`` is set, and the
     flagged inequality when its rooted part ``quad(weights)`` is given: the
-    sum over ``pairs`` of ``weights[k]`` times pair k's Gram sum.  Returns
-    ``(den, checks)``, where ``den`` is ``perms`` times the lcm of the
-    denominators those checks use and ``checks`` yields ``(group, names,
-    lhs, rhs, holds)`` with both sides over ``den``, one name per ordered
-    check.
+    sum over ``cert.flag_pairs`` of ``weights[k]`` times pair k's Gram sum.
+    Returns ``(den, checks)``, where ``den`` is ``perms`` times the lcm of
+    the denominators those checks use and ``checks`` yields ``(group,
+    names, lhs, rhs, holds)`` with both sides over ``den``, one name per
+    ordered check.
     """
-    table = builtin.class_table()
+    table, pairs = builtin.class_table(), cert.flag_pairs
     # multiplicity-weighted class counts; the inequality alone needs only the base
     indices = table.indices if identities else cert.base
     classes = {l: table.multiplicity(l) * count(table.representative(l)) for l in indices}
@@ -165,7 +166,7 @@ def _evaluate(cert, pairs, count, perms: int, quad=None, identities=True):
     # each nonzero class of an expansion as (class, matches, maps)
     expansions = [
         [(l, c, maps) for l, c in zip(table.indices, counts) if c]
-        for maps, counts in (_expansion_cached(p, table) for p in patterns if identities)
+        for maps, counts in (table.expansion(p) for p in patterns if identities)
     ]
     base = [(l, v.numerator, v.denominator) for l, v in cert.base.items()]
     dens = [d // math.gcd(num, d) for terms in expansions for _, num, d in terms]
@@ -222,7 +223,7 @@ def _records(name: str, den: int, checks) -> list[OracleRecord]:
     ]
 
 
-def _host_counts(g: ColoredGraph, cert, pairs, identities=True, flags=()):
+def _host_counts(g: ColoredGraph, cert, identities=True, flags=()):
     """Every count a host check reads, from one ``hom_inj_batch`` call.
 
     Counts the classes ``_evaluate`` reads (all 26 for the identities, the
@@ -232,7 +233,7 @@ def _host_counts(g: ColoredGraph, cert, pairs, identities=True, flags=()):
     """
     table = builtin.class_table()
     patterns = [table.representative(l) for l in (table.indices if identities else cert.base)]
-    patterns += [cert.target, *(product for *_, product in pairs)]
+    patterns += [cert.target, *(product for *_, product in cert.flag_pairs)]
     batch = [(p, ()) for p in patterns] + [(f.graph, f.roots) for f in flags]
     return dict(zip([*patterns, *flags], hom_inj_batch(batch, *color_adjacency(g)))).__getitem__
 
@@ -250,9 +251,8 @@ def check_identities(g: ColoredGraph) -> OracleReport:
         raise ValueError("identity checks require a coloured clique host")
     check_host_size(g.n)
     cert = builtin_certificate()
-    pairs = tuple(flag_pairs(cert))
-    count = _host_counts(g, cert, pairs)
-    den, checks = _evaluate(cert, pairs, count, falling_factorial(g.n, 6))
+    count = _host_counts(g, cert)
+    den, checks = _evaluate(cert, count, falling_factorial(g.n, 6))
     return OracleReport(tuple(_records(f"clique n={g.n}", den, checks)))
 
 
@@ -268,14 +268,14 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
     n = g.n
     check_host_size(n)
     cert = builtin_certificate()
-    pairs = tuple(flag_pairs(cert))
+    pairs = cert.flag_pairs
     name = f"clique n={n}"
 
     # each flag's rooted count table over all ordered root pairs (zero on the
     # diagonal); their Gram sums give both the quadratic form and, against
     # the count of the glued product, the overlap surplus
     flags = [f for family in cert.families for f in family.flags]
-    count = _host_counts(g, cert, pairs, identities=False, flags=flags)
+    count = _host_counts(g, cert, identities=False, flags=flags)
     grams = [int((count(f.flags[i]) * count(f.flags[j])).sum()) for f, i, j, _, _ in pairs]
     surpluses = []
     for gram, (*_, labels, product) in zip(grams, pairs):
@@ -286,7 +286,7 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
         )
 
     den, checks = _evaluate(
-        cert, pairs, count, falling_factorial(n, 6),
+        cert, count, falling_factorial(n, 6),
         lambda weights: sum(w * gram for w, gram in zip(weights, grams)), identities=False,
     )
     return OracleReport((*_records(name, den, checks), *surpluses))
@@ -357,7 +357,6 @@ def exhaustive_k6_sweep() -> SweepReport:
     n = 6
     hosts = 1 << 15
     cert = builtin_certificate()
-    pairs = tuple(flag_pairs(cert))
 
     def quad(weights) -> np.ndarray:
         # weight * x_i * x_j summed over flag pairs, with x the flags' rooted
@@ -368,7 +367,7 @@ def exhaustive_k6_sweep() -> SweepReport:
             for f in family.flags
         }
         q01 = np.zeros(hosts, dtype=np.int64)
-        for weight, (family, i, j, _, _) in zip(weights, pairs):
+        for weight, (family, i, j, _, _) in zip(weights, cert.flag_pairs):
             if weight:
                 q01 += weight * x[family.flags[i]] * x[family.flags[j]]
         q01 = q01.reshape((2,) * 15)
@@ -378,7 +377,7 @@ def exhaustive_k6_sweep() -> SweepReport:
         return total.ravel()
 
     count = lambda p: subcube_count_table(p, n, _K6_PAIRS)  # noqa: E731
-    den, checks = _evaluate(cert, pairs, count, math.factorial(n), quad)
+    den, checks = _evaluate(cert, count, math.factorial(n), quad)
     failures: dict[str, int] = {}
     checked = 0
     for group, names, lhs, rhs, holds in checks:

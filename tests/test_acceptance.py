@@ -169,3 +169,4 @@ def test_criterion_9_export_round_trip():
         assert reloaded.coefficients == original.coefficients
         assert all(value == BOUND for value in reloaded.coefficients.values())
         assert reloaded == original
+        assert loaded == cert  # both now hold their glued flag pairs

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from flagcert import builtin
 from flagcert.certificate import (
     MAX_FLAGS,
-    _expansion_cached,
     Certificate,
     FlagFamily,
     PsdReport,
@@ -23,7 +22,6 @@ from flagcert.certificate import (
     builtin_certificate,
     certificate_coefficients,
     expand_in_classes,
-    flag_pairs,
     flag_product,
     format_rational,
     load_certificate,
@@ -33,7 +31,7 @@ from flagcert.certificate import (
     verify_certificate,
 )
 from flagcert.counting import subcube_count_table, t_bip
-from flagcert.graphs import Color, ColoredGraph, Flag
+from flagcert.graphs import Color, ColoredGraph, Flag, pulled_densities
 
 from test_graphs import SWAP_INVOLUTION
 
@@ -174,6 +172,15 @@ MALFORMED = {
         lambda: _edited(lambda o: o["families"][1]["matrix"][3].pop()),
         "$.families[1]: row 3 has length 7, expected 8",
     ),
+    # the root edge's colour is named by its letter, as the text writes it
+    "root_edge_recoloured": (
+        lambda: _edited(lambda o: o["families"][0]["flags"][0]["edges"][0].__setitem__(2, "B")),
+        "$.families[0]: flag 0 root edge colour B does not match family",
+    ),
+    "root_pair_absent": (
+        lambda: _edited(lambda o: o["families"][0]["flags"][0]["edges"].pop(0)),
+        "$.families[0]: flag 0 root edge colour None does not match family",
+    ),
 }
 # The graph, flag or family whose type refuses each of the entries above.
 TYPE_REFUSALS = {
@@ -182,6 +189,8 @@ TYPE_REFUSALS = {
     "repeated_pair": "$.classes[3]",
     "root_out_of_range": "$.families[1].flags[2]",
     "short_matrix_row": "$.families[1]",
+    "root_edge_recoloured": "$.families[0]",
+    "root_pair_absent": "$.families[0]",
 }
 
 
@@ -309,7 +318,7 @@ class TestExpansions:
 
     def test_builtin_patterns_match_count_table(self):
         cert = builtin_certificate()
-        patterns = [cert.target] + [product for *_, product in flag_pairs(cert)]
+        patterns = [cert.target] + [product for *_, product in cert.flag_pairs]
         assert len(patterns) == 73
         for p in patterns:
             _expansion_paths_agree(p)
@@ -358,6 +367,41 @@ class TestExpansions:
                 red = golden_fractions("R", i, j)
                 blue = golden_fractions("B", i, j)
                 assert blue == {SWAP_INVOLUTION[l]: v for l, v in red.items()}
+
+
+class TestDerivedTables:
+    """The certificate owns its glued flag pairs; the class table owns the expansions."""
+
+    def test_flag_pairs_are_glued_once(self):
+        cert = builtin_certificate()
+        assert cert.flag_pairs is cert.flag_pairs
+        assert len(cert.flag_pairs) == 72
+        assert [labels for *_, labels, _ in cert.flag_pairs][:2] == [("R1.1",), ("R1.2", "R2.1")]
+
+    def test_loaded_products_are_the_builtin_objects(self):
+        # a fresh copy of the builtin glues now, so the product cache holds its products
+        cert = dataclasses.replace(builtin_certificate())
+        loaded = load_certificate(save_certificate(cert))
+        ours = [product for *_, product in cert.flag_pairs]
+        theirs = [product for *_, product in loaded.flag_pairs]
+        assert len(theirs) == 72 and all(a is b for a, b in zip(ours, theirs))
+
+    def test_equality_ignores_the_cached_pairs(self):
+        cert = builtin_certificate()
+        loaded = load_certificate(save_certificate(cert))
+        stripped = dataclasses.replace(cert, classes=None)
+        for c in (cert, loaded, stripped):
+            assert c.flag_pairs
+        assert "flag_pairs" in vars(loaded)
+        assert loaded == cert and stripped != cert
+
+    def test_expansion_is_pulled_densities_at_the_class_codes(self):
+        table = builtin.class_table()
+        cert = builtin_certificate()
+        codes = [e.representative.blue for e in table.classes]
+        for p in [cert.target] + [product for *_, product in cert.flag_pairs]:
+            assert table.expansion(p) == pulled_densities(p, table.n, table.pairs, codes)
+        assert table.expansion(cert.target) is table.expansion(cert.target)
 
 
 class TestPsdCheck:
@@ -519,7 +563,7 @@ def fraction_coefficients(cert, table):
     """Reference: the coefficient sum as the verifier ran it over Fraction expansions."""
     base = {index: cert.base.get(index, Fraction(0)) for index in table.indices}
     terms = []  # (class, numerator, denominator) of each nonzero weight * value
-    for family, i, j, labels, product in flag_pairs(cert):
+    for family, i, j, labels, product in cert.flag_pairs:
         weight = len(labels) * family.matrix.rows[i][j]
         if weight:
             terms += (
@@ -736,9 +780,9 @@ class TestVerification:
         table = builtin.class_table()
         target = builtin_certificate().target
         with pytest.raises(TypeError):
-            _expansion_cached(target, table)[4] = 0
+            table.expansion(target)[0] = 0
         with pytest.raises(TypeError):
-            _expansion_cached(target, table)[1][3] = 0
+            table.expansion(target)[1][3] = 0
         assert verify_certificate(builtin_certificate()).passed
 
     def test_expansions_are_fresh_dicts_of_the_cached_counts(self):

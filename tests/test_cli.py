@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit statuses, format equivalence."""
 
+import ast
 import io
 import json
 import os
@@ -505,6 +506,14 @@ def test_every_public_name_imports_from_the_package():
     proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) == len(flagcert.__all__) > 0
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    for path in sorted((SRC / "flagcert").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("flagcert")):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from {node.module}"
 
 
 class TestClosedStdout:

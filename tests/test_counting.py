@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagcert import builtin, counting, graphs
-from flagcert.certificate import builtin_certificate, expand_in_classes, flag_pairs
+from flagcert.certificate import builtin_certificate, expand_in_classes
 from flagcert.counting import (
     CLOSED_FORM_MAX_N,
     MAX_PATTERN_N,
@@ -511,7 +511,7 @@ def _oracle_patterns():
     flags = [f for family in cert.families for f in family.flags]
     unrooted = [cert.target]
     unrooted += [table.representative(l) for l in table.indices]
-    unrooted += [product for *_, product in flag_pairs(cert)]
+    unrooted += [product for *_, product in cert.flag_pairs]
     return unrooted, flags
 
 

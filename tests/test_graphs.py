@@ -18,7 +18,6 @@ from flagcert.graphs import (
     alternating_cycle,
     canonical_form,
     classify,
-    coloring_code,
     complete_graph,
     enumerate_template_colorings,
     pair_actions,
@@ -140,7 +139,6 @@ class TestValueTypes:
         assert g.edges == tuple((u, v, c) for (u, v), c in expected)
         assert g.pairs == tuple(p for p, _ in expected)
         assert g.blue == sum(1 << k for k, (_, c) in enumerate(expected) if c is Color.BLUE)
-        assert coloring_code(g, g.n, g.pairs) == g.blue
         assert g.swap_colors().blue == g.blue ^ ((1 << g.edge_count) - 1)
         perm = data.draw(st.permutations(range(n)))
         inverse = [0] * n

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcert import builtin, oracle
-from flagcert.certificate import builtin_certificate, expand_in_classes, flag_pairs
+from flagcert.certificate import builtin_certificate, expand_in_classes
 from flagcert.counting import (
     color_adjacency,
     falling_factorial,
@@ -178,7 +178,7 @@ def _reference_records(g: ColoredGraph):
     red, blue = color_adjacency(g)
     quad = Fraction(0)
     surpluses = []
-    for family, i, j, labels, product in flag_pairs(cert):
+    for family, i, j, labels, product in cert.flag_pairs:
         lhs, rhs = t_inj(product, g), expanded(product)
         identities += [record(f"expansion_{label}", lhs, rhs, lhs == rhs) for label in labels]
         x_i, x_j = (
