@@ -245,9 +245,11 @@ class Certificate:
     def flag_pairs(self) -> tuple:
         """Every unordered flag pair i <= j (0-based) of every family, glued once.
 
-        Each entry is (family, i, j, labels, product): ``labels`` names the
-        one or two ordered pairs, such as ``R1.2`` and ``R2.1``, that glue to
-        ``product``.  Both orders glue to isomorphic graphs, so one product
+        Each entry is (family, i, j, labels, weight, product): ``labels`` names
+        the one or two ordered pairs, such as ``R1.2`` and ``R2.1``, that glue
+        to ``product``, and ``weight`` is their summed matrix entry
+        ``len(labels) * M_ij`` as the integer pair (numerator, denominator),
+        not reduced.  Both orders glue to isomorphic graphs, so one product
         serves both.
         """
         pairs = []
@@ -257,7 +259,10 @@ class Certificate:
                 labels = (f"{fam}{i + 1}.{j + 1}",)
                 if i != j:
                     labels += (f"{fam}{j + 1}.{i + 1}",)
-                pairs.append((family, i, j, labels, flag_product(family.flags[i], family.flags[j])))
+                entry = family.matrix.rows[i][j]
+                weight = (len(labels) * entry.numerator, entry.denominator)
+                product = flag_product(family.flags[i], family.flags[j])
+                pairs.append((family, i, j, labels, weight, product))
         return tuple(pairs)
 
 
@@ -293,11 +298,10 @@ def certificate_coefficients(
     """
     base = [cert.base.get(index, 0) for index in table.indices]
     terms = []  # (numerator, denominator, counts) of each nonzero weight / maps
-    for family, i, j, labels, product in cert.flag_pairs:
-        weight = family.matrix.rows[i][j]
-        if weight:
+    for *_, (num, d), product in cert.flag_pairs:
+        if num:
             maps, counts = table.expansion(product)
-            terms.append((len(labels) * weight.numerator, weight.denominator * maps, counts))
+            terms.append((num, d * maps, counts))
     den = math.lcm(*(v.denominator for v in base), *(d for _, d, _ in terms))
     nums = [v.numerator * (den // v.denominator) for v in base]
     for num, d, counts in terms:
@@ -423,7 +427,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     # its map count against its shipped numerator over the group order, read at every call
     golden = builtin_certificate().flag_pairs
     bad_keys = []
-    for family, i, j, labels, product in golden:
+    for family, i, j, labels, _, product in golden:
         row = builtin.golden_numerators(family.root_edge_color.value, i + 1, j + 1)
         maps, counts = table.expansion(product)
         if [c * builtin.GROUP_ORDER for c in counts] != [num * maps for num in row]:

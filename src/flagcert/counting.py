@@ -22,10 +22,11 @@ quotient that puts both colours on one pair has none either and is dropped.
 Equal quotients are merged and those whose summed mu is zero dropped.
 Pinned roots stay in separate blocks and become free indices, which gives
 the whole rooted table at once.  Quotients of all the patterns that differ
-only in which colour each edge reads share an einsum spec and are counted
-in batched ``np.einsum`` calls: the 656 quotients of the oracle's 99
-identity patterns need 33 specs.  One plan per pattern list and host size
-lists the calls; each oracle host check and ``density_vector`` runs one.
+only in which colour each edge reads share a shape, and so an einsum spec,
+and are counted in batched ``np.einsum`` calls: the 656 quotients of the
+oracle's 99 identity patterns need 33 specs.  One plan per pattern list and
+host size lists the calls; each oracle host check and ``density_vector``
+runs one.
 
 Counts are int64.  For a k-vertex pattern on an n-vertex host every einsum
 partial sum is a partial hom count, at most n^k, and every signed running
@@ -41,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, perm, prod
 
 import numpy as np
 
@@ -56,14 +57,15 @@ _LETTERS = "abcdefgh"  # one einsum index per block
 
 
 def _quotients(h: ColoredGraph, pinned: tuple[int, ...] = ()):
-    """Einsum specs and summed Moebius weights of the quotients of ``h``.
+    """Quotient records of ``h``: each quotient's shape, colours and summed Moebius weight.
 
     Partitions of V(h) are enumerated as restricted growth strings, pruning
     a branch as soon as a block holds an edge or a pair of blocks needs both
-    colours; pinned vertices stay in separate blocks, which become the
-    output indices in pinned order.  Returns ``(spec, operands, weight)``
-    triples, where operand 0 is the red matrix, 1 the blue matrix and 2 a
-    ones vector for a block that meets no edge.
+    colours; pinned vertices stay in separate blocks.  Returns ``(shape,
+    bits, weight)`` triples with a nonzero weight: ``shape`` is ``(blocks,
+    pairs, roots)``, the block count, the sorted block pairs that carry an
+    edge and the blocks of the pinned vertices in pinned order, and
+    ``bits[k]`` is pair k's colour (0 red, 1 blue).
     """
     earlier: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
     for k, (u, v) in enumerate(h.pairs):
@@ -90,16 +92,11 @@ def _quotients(h: ColoredGraph, pinned: tuple[int, ...] = ()):
                 place(v + 1, max(blocks, b + 1), grown)
 
     place(0, 0, {})
-    out = []
-    for (blocks, edges, roots), weight in weights.items():
-        if weight:
-            isolated = set(range(blocks)).difference(*((a, b) for (a, b), _ in edges))
-            terms = [_LETTERS[a] + _LETTERS[b] for (a, b), _ in edges]
-            terms += [_LETTERS[a] for a in sorted(isolated)]
-            operands = tuple(bit for _, bit in edges) + (2,) * len(isolated)
-            spec = ",".join(terms) + "->" + "".join(_LETTERS[r] for r in roots)
-            out.append((spec, operands, weight))
-    return tuple(out)
+    return tuple(
+        ((blocks, tuple(pair for pair, _ in edges), roots), tuple(bit for _, bit in edges), weight)
+        for (blocks, edges, roots), weight in weights.items()
+        if weight
+    )
 
 
 # Rows of one batched einsum hold at most this many entries in all: each row's
@@ -114,33 +111,39 @@ _BATCH_ENTRIES = 2**16
 def _batch_plan(patterns: tuple[tuple[ColoredGraph, tuple[int, ...]], ...], n: int):
     """The einsum calls that count ``patterns`` on an n-vertex host.
 
-    Quotients sharing a spec are its rows, equal rows merged; a call takes at
-    most max(1, 2^16 // n^3) rows.  Returns ``(spec, bits, ones, path,
-    scatter)`` per call: ``spec`` has a batch index z on every term and the
-    output unless the call has one row (numpy's matmul steps squeeze a size-1
-    axis by a copying reduction); ``bits[k]`` is edge term k's colour (0 red,
-    1 blue) per row, a scalar for one row; ``ones`` serve blocks that meet no
-    edge; ``path`` is the greedy order with n^3 intermediates per row (numpy's
-    default leaves K3,3 quotients no order better than n^6), planned once per
-    spec and call size; ``scatter`` holds ``(row, pattern, weight)``.  The
-    empty pattern's one quotient has no term and is left out.
+    Quotients sharing a shape are its rows, equal rows merged; a call takes
+    at most max(1, 2^16 // n^3) rows.  This is the one place that writes
+    einsum subscripts: a letter per block, an edge term per block pair, a
+    ones term per block that meets no edge, the roots' blocks as output.
+    Returns ``(spec, bits, ones, path, scatter)`` per call: ``spec`` has a
+    batch index z on every term and the output unless the call has one row
+    (numpy's matmul steps squeeze a size-1 axis by a copying reduction);
+    ``bits[k]`` is edge term k's colour (0 red, 1 blue) per row, a scalar
+    for one row; ``ones`` serve blocks that meet no edge; ``path`` is the
+    greedy order with n^3 intermediates per row (numpy's default leaves
+    K3,3 quotients no order better than n^6), planned once per spec and
+    call size; ``scatter`` holds ``(row, pattern, weight)``.  The empty
+    pattern's one quotient, the shape with no blocks, is left out.
     """
     step = max(1, _BATCH_ENTRIES // max(n, 1) ** 3)
-    groups: dict[str, dict[tuple[int, ...], int]] = {}
-    scatter: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
+    groups: dict[tuple, dict[tuple[int, ...], int]] = {}
+    scatter: dict[tuple[tuple, int], list[tuple[int, int, int]]] = {}
     for p, (h, roots) in enumerate(patterns):
-        for spec, operands, weight in _quotients(h, roots):
-            if operands:
-                rows = groups.setdefault(spec, {})
-                row = rows.setdefault(operands, len(rows))
-                scatter.setdefault((spec, row // step), []).append((row % step, p, weight))
+        for shape, bits, weight in _quotients(h, roots):
+            if shape[0]:
+                rows = groups.setdefault(shape, {})
+                row = rows.setdefault(bits, len(rows))
+                scatter.setdefault((shape, row // step), []).append((row % step, p, weight))
     paths: dict[tuple[str, int], list] = {}
     out = []
-    for spec, rows in groups.items():
-        *terms, output = spec.replace("->", ",").split(",")
+    for shape, rows in groups.items():
+        blocks, pairs, roots = shape
+        isolated = sorted(set(range(blocks)).difference(*pairs))
+        terms = [_LETTERS[a] + _LETTERS[b] for a, b in pairs] + [_LETTERS[a] for a in isolated]
+        output = "".join(_LETTERS[r] for r in roots)
+        spec = ",".join(terms) + "->" + output
         batched = ",".join("z" + t for t in terms) + "->z" + output
-        edges = sum(len(t) == 2 for t in terms)  # edge terms come first
-        bits = np.array(list(rows), dtype=np.intp)[:, :edges].T
+        bits = np.array(list(rows), dtype=np.intp).T
         bits.flags.writeable = False  # shared by every caller of the cached plan
         for start in range(0, len(rows), step):
             chunk = bits[:, start : start + step]
@@ -148,10 +151,10 @@ def _batch_plan(patterns: tuple[tuple[ColoredGraph, tuple[int, ...]], ...], n: i
             call, chunk = (spec, chunk[:, 0]) if size == 1 else (batched, chunk)
             shapes = [chunk.shape[1:] + (n,) * len(t) for t in terms]
             if (call, size) not in paths:
-                dummies = [np.broadcast_to(np.int64(0), shape) for shape in shapes]
+                dummies = [np.broadcast_to(np.int64(0), dims) for dims in shapes]
                 paths[call, size] = np.einsum_path(call, *dummies, optimize=("greedy", size * n**3))[0]
-            ones = tuple(np.broadcast_to(np.int64(1), shape) for shape in shapes[edges:])
-            out.append((call, chunk, ones, paths[call, size], tuple(scatter[spec, start // step])))
+            ones = tuple(np.broadcast_to(np.int64(1), dims) for dims in shapes[len(pairs) :])
+            out.append((call, chunk, ones, paths[call, size], tuple(scatter[shape, start // step])))
     return tuple(out)
 
 
@@ -244,18 +247,12 @@ def _check_vertices(vertices, n: int) -> None:
             raise ValueError(f"root {w!r} is not a vertex of the {n}-vertex host")
 
 
-def falling_factorial(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
+falling_factorial = perm  # n(n-1)...(n-k+1), which is 0 for k > n
 
 
 def rising_factorial(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= n + t
-    return out
+    """n(n+1)...(n+k-1), which is 1 for k = 0."""
+    return perm(n + k - 1, k) if k else 1
 
 
 def t_inj(h: ColoredGraph, g: ColoredGraph) -> Fraction:

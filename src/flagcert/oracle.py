@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -59,10 +59,6 @@ def trial_seed(seed: int, trial: int) -> int:
     return mix64(((seed ^ _TRIAL_SALT) + (trial + 1) * _GOLDEN) & _MASK64)
 
 
-def _pair_list(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
 def random_clique_coloring(n: int, seed: int) -> ColoredGraph:
     """Clique on n vertices, each pair red or blue with probability 1/2.
 
@@ -73,7 +69,7 @@ def random_clique_coloring(n: int, seed: int) -> ColoredGraph:
         raise ValueError("need at least one vertex")
     blue = _random_clique_matrices(n, seed)[1].tolist()
     return ColoredGraph(
-        n, ((u, v, Color.BLUE if blue[u][v] else Color.RED) for u, v in _pair_list(n))
+        n, ((u, v, Color.BLUE if blue[u][v] else Color.RED) for u, v in combinations(range(n), 2))
     )
 
 
@@ -152,7 +148,8 @@ def _evaluate(cert, count, perms: int, quad=None, identities=True):
     or an int64 table for many, and a density is a count over ``perms`` =
     (n)_6.  The identities are checked when ``identities`` is set, and the
     flagged inequality when its rooted part ``quad(weights)`` is given: the
-    sum over ``cert.flag_pairs`` of ``weights[k]`` times pair k's Gram sum.
+    sum over ``cert.flag_pairs`` of ``weights[k]``, pair k's weight times
+    ``den // perms``, times pair k's Gram sum.
     Returns ``(den, checks)``, where ``den`` is ``perms`` times the lcm of
     the denominators those checks use and ``checks`` yields ``(group,
     names, lhs, rhs, holds)`` with both sides over ``den``, one name per
@@ -171,7 +168,7 @@ def _evaluate(cert, count, perms: int, quad=None, identities=True):
     base = [(l, v.numerator, v.denominator) for l, v in cert.base.items()]
     dens = [d // math.gcd(num, d) for terms in expansions for _, num, d in terms]
     if quad is not None:
-        dens += [d for *_, d in base] + [f.matrix.rows[i][j].denominator for f, i, j, _, _ in pairs]
+        dens += [d for *_, d in base] + [d for *_, (_, d), _ in pairs]
     scale = math.lcm(*dens)
 
     def combined(terms):  # (class, numerator, denominator), three or four per expansion
@@ -184,12 +181,11 @@ def _evaluate(cert, count, perms: int, quad=None, identities=True):
             yield "sum_to_one", ["sum_to_one"], total, scale * perms, total == scale * perms
             rhs = combined(expansions[0])
             yield "double_count", ["double_count"], target, rhs, target == rhs
-            for (*_, labels, product), expansion in zip(pairs, expansions[1:]):
+            for (*_, labels, _, product), expansion in zip(pairs, expansions[1:]):
                 lhs, rhs = scale * count(product), combined(expansion)
                 yield "expansions", [f"expansion_{x}" for x in labels], lhs, rhs, lhs == rhs
         if quad is not None:
-            weights = [len(lab) * f.matrix.rows[i][j] for f, i, j, lab, _ in pairs]
-            rhs = combined(base) + quad([scale * w.numerator // w.denominator for w in weights])
+            rhs = combined(base) + quad([scale * num // d for *_, (num, d), _ in pairs])
             yield "flagged_inequality", ["flagged_inequality"], target, rhs, target <= rhs
 
     return scale * perms, checks()
@@ -223,17 +219,19 @@ def _records(name: str, den: int, checks) -> list[OracleRecord]:
     ]
 
 
-def _host_counts(g: ColoredGraph, cert, identities=True, flags=()):
-    """Every count a host check reads, from one ``hom_inj_batch`` call.
+def _host_counts(g: ColoredGraph, cert, inequality=False):
+    """Every count one kind of host check reads, from one ``hom_inj_batch`` call.
 
-    Counts the classes ``_evaluate`` reads (all 26 for the identities, the
-    base alone for the inequality), the target, the flag products and the
-    rooted table of each of ``flags``, and returns the lookup from pattern
-    or flag to its count.
+    Counts the classes ``_evaluate`` reads, the target and the flag
+    products; the inequality reads only the base classes, and also the
+    rooted table of each of the certificate's flags, where the identities
+    read all 26 classes and no flag.  Returns the lookup from pattern or
+    flag to its count.
     """
     table = builtin.class_table()
-    patterns = [table.representative(l) for l in (table.indices if identities else cert.base)]
+    patterns = [table.representative(l) for l in (cert.base if inequality else table.indices)]
     patterns += [cert.target, *(product for *_, product in cert.flag_pairs)]
+    flags = [f for family in cert.families for f in family.flags] if inequality else []
     batch = [(p, ()) for p in patterns] + [(f.graph, f.roots) for f in flags]
     return dict(zip([*patterns, *flags], hom_inj_batch(batch, *color_adjacency(g)))).__getitem__
 
@@ -274,11 +272,10 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
     # each flag's rooted count table over all ordered root pairs (zero on the
     # diagonal); their Gram sums give both the quadratic form and, against
     # the count of the glued product, the overlap surplus
-    flags = [f for family in cert.families for f in family.flags]
-    count = _host_counts(g, cert, identities=False, flags=flags)
-    grams = [int((count(f.flags[i]) * count(f.flags[j])).sum()) for f, i, j, _, _ in pairs]
+    count = _host_counts(g, cert, inequality=True)
+    grams = [int((count(f.flags[i]) * count(f.flags[j])).sum()) for f, i, j, *_ in pairs]
     surpluses = []
-    for gram, (*_, labels, product) in zip(grams, pairs):
+    for gram, (*_, labels, _, product) in zip(grams, pairs):
         surplus = Fraction(gram - count(product))
         surpluses.extend(
             OracleRecord(f"overlap_surplus_{label}", name, surplus, Fraction(0), surplus >= 0)
@@ -331,7 +328,7 @@ class SweepReport:
         }
 
 
-_K6_PAIRS = tuple(_pair_list(6))
+_K6_PAIRS = tuple(combinations(range(6), 2))
 
 
 def _k6_relabel_axes(u: int, v: int) -> list[int]:
@@ -367,7 +364,7 @@ def exhaustive_k6_sweep() -> SweepReport:
             for f in family.flags
         }
         q01 = np.zeros(hosts, dtype=np.int64)
-        for weight, (family, i, j, _, _) in zip(weights, cert.flag_pairs):
+        for weight, (family, i, j, *_) in zip(weights, cert.flag_pairs):
             if weight:
                 q01 += weight * x[family.flags[i]] * x[family.flags[j]]
         q01 = q01.reshape((2,) * 15)
@@ -417,8 +414,9 @@ def monte_carlo_mean(n: int, trials: int, seed: int) -> MonteCarloResult:
     """Exact mean of the target's injective density over random cliques.
 
     Each trial draws an independent uniformly random colouring from its
-    derived seed; the density is an exact rational via the closed-form
-    alternating-cycle count, and the mean is accumulated without rounding.
+    derived seed and is counted by the closed-form alternating-cycle
+    counter; the counts are summed as integers, and the mean, minimum and
+    maximum densities are the only rationals built.
     """
     if n < 6:
         raise ValueError("Monte Carlo hosts need at least 6 vertices")
@@ -426,16 +424,15 @@ def monte_carlo_mean(n: int, trials: int, seed: int) -> MonteCarloResult:
         raise ValueError("need at least one trial")
     check_closed_form_size(n)
     den = falling_factorial(n, 6)
-    values = []
-    for t in range(trials):
-        red, blue = _random_clique_matrices(n, trial_seed(seed, t))
-        values.append(Fraction(alternating_hom_inj_from_matrices(red, blue), den))
-    mean = sum(values, Fraction(0)) / trials
+    counts = [
+        alternating_hom_inj_from_matrices(*_random_clique_matrices(n, trial_seed(seed, t)))
+        for t in range(trials)
+    ]
     return MonteCarloResult(
         n=n,
         trials=trials,
         seed=seed,
-        mean=mean,
-        minimum=min(values),
-        maximum=max(values),
+        mean=Fraction(sum(counts), den * trials),
+        minimum=Fraction(min(counts), den),
+        maximum=Fraction(max(counts), den),
     )

@@ -376,7 +376,21 @@ class TestDerivedTables:
         cert = builtin_certificate()
         assert cert.flag_pairs is cert.flag_pairs
         assert len(cert.flag_pairs) == 72
-        assert [labels for *_, labels, _ in cert.flag_pairs][:2] == [("R1.1",), ("R1.2", "R2.1")]
+        assert [labels for *_, labels, _, _ in cert.flag_pairs][:2] == [("R1.1",), ("R1.2", "R2.1")]
+
+    @pytest.mark.parametrize(
+        "edit, sums",
+        [(None, [0, 0]), (_shifted(0, 2, 3, Fraction(1, 128)), [Fraction(1, 64), 0])],
+    )
+    def test_pair_weights_sum_to_the_ordered_double_sum(self, edit, sums):
+        # every row of the builtin's matrix sums to 0 (M.1 = 0, its kernel);
+        # the shift behind verify_red_2_3_plus.json adds 1/128 at (2, 3) and (3, 2)
+        cert = builtin_certificate() if edit is None else load_certificate(_edited(edit))
+        for family, total in zip(cert.families, sums):
+            weights = [w for f, *_, w, _ in cert.flag_pairs if f is family]
+            assert all(type(num) is int and type(d) is int for num, d in weights)
+            assert sum(Fraction(num, d) for num, d in weights) == total
+            assert sum(sum(row) for row in family.matrix.rows) == total
 
     def test_loaded_products_are_the_builtin_objects(self):
         # a fresh copy of the builtin glues now, so the product cache holds its products
@@ -563,7 +577,7 @@ def fraction_coefficients(cert, table):
     """Reference: the coefficient sum as the verifier ran it over Fraction expansions."""
     base = {index: cert.base.get(index, Fraction(0)) for index in table.indices}
     terms = []  # (class, numerator, denominator) of each nonzero weight * value
-    for family, i, j, labels, product in cert.flag_pairs:
+    for family, i, j, labels, _, product in cert.flag_pairs:
         weight = len(labels) * family.matrix.rows[i][j]
         if weight:
             terms += (

@@ -119,6 +119,7 @@ ORACLE_FIXTURES = {
     "oracle_identities_n10_seed1.json": ["identities", "--n", "10", "--seed", "1"],
     "oracle_inequality_n10_seed1.json": ["inequality", "--n", "10", "--seed", "1"],
     "oracle_exhaustive.json": ["exhaustive"],
+    "oracle_montecarlo_n40_seed1.json": ["montecarlo", "--n", "40", "--trials", "7", "--seed", "1"],
 }
 
 

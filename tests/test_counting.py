@@ -569,8 +569,9 @@ class TestQuotientKernel:
         quotients = _quotients(TARGET)
         assert len(quotients) == 4
         assert sorted(weight for _, _, weight in quotients) == [-1, -1, -1, 1]
-        assert sorted(spec.count(",") + 1 for spec, _, _ in quotients) == [6, 6, 6, 6]
-        assert sorted(len(set(spec) - set(",->")) for spec, _, _ in quotients) == [5, 5, 5, 6]
+        assert [len(pairs) for (_, pairs, _), _, _ in quotients] == [6, 6, 6, 6]
+        assert all(len(bits) == 6 for _, bits, _ in quotients)
+        assert sorted(blocks for (blocks, _, _), _, _ in quotients) == [5, 5, 5, 6]
 
     def test_refuses_patterns_over_eight_vertices(self):
         big = ColoredGraph(MAX_PATTERN_N + 1, [(0, 1, Color.RED)])
@@ -664,8 +665,8 @@ class TestBatchedKernel:
         # at n = 8 a call takes 128 rows, more than any spec has
         red, blue = color_adjacency(random_clique_coloring(8, 7))
         hom_inj_batch([(h, ()) for h in UNROOTED_PATTERNS], red, blue)
-        specs = {spec for h in UNROOTED_PATTERNS for spec, _, _ in _quotients(h)}
-        assert len(calls) == len(set(calls)) == len(specs) == 33
+        shapes = {shape for h in UNROOTED_PATTERNS for shape, _, _ in _quotients(h)}
+        assert len(calls) == len(set(calls)) == len(shapes) == 33
 
     def test_a_second_host_of_the_same_size_reuses_the_plan(self, monkeypatch):
         batch = [(h, ()) for h in UNROOTED_PATTERNS] + [(f.graph, f.roots) for f in FLAGS]
@@ -858,6 +859,13 @@ class TestFallingFactorial:
         assert falling_factorial(10, 3) == 720
         assert falling_factorial(5, 0) == 1
         assert falling_factorial(5, 6) == 0
+
+    def test_both_factorials_are_the_plain_products(self):
+        for n in range(9):
+            for k in range(9):
+                assert falling_factorial(n, k) == math.prod(n - t for t in range(k))
+                assert rising_factorial(n, k) == math.prod(n + t for t in range(k))
+        assert falling_factorial(0, 0) == rising_factorial(0, 0) == 1
 
     def test_t_inj_denominator_divides_720_at_n6(self):
         g = random_clique_coloring(6, 21)

@@ -178,7 +178,7 @@ def _reference_records(g: ColoredGraph):
     red, blue = color_adjacency(g)
     quad = Fraction(0)
     surpluses = []
-    for family, i, j, labels, product in cert.flag_pairs:
+    for family, i, j, labels, _, product in cert.flag_pairs:
         lhs, rhs = t_inj(product, g), expanded(product)
         identities += [record(f"expansion_{label}", lhs, rhs, lhs == rhs) for label in labels]
         x_i, x_j = (
@@ -251,7 +251,7 @@ class TestExhaustiveSweep:
         # by host; spot-check the extreme and a few scattered colourings
         hosts = enumerate_template_colorings(complete_graph(6, Color.RED))
         target = builtin.target()
-        table = subcube_count_table(target, 6, tuple(oracle._pair_list(6)))
+        table = subcube_count_table(target, 6, oracle._K6_PAIRS)
         # 720 maps, each matching the 2^9 colourings that fix its six pairs
         assert table.sum() == 720 << 9
         for m in (0, 1, 4097, 77, 30000, 32767):
@@ -272,7 +272,7 @@ class TestExhaustiveSweep:
 
     def test_host_bit_convention_matches_enumeration(self):
         hosts = enumerate_template_colorings(complete_graph(6, Color.RED))
-        pairs = oracle._pair_list(6)
+        pairs = oracle._K6_PAIRS
         m = 0b101000000000001
         for k, (u, v) in enumerate(pairs):
             expected = Color.BLUE if (m >> k) & 1 else Color.RED
