@@ -97,12 +97,6 @@ class ColoredGraph:
 
     # -- derived graphs ---------------------------------------------------
 
-    def relabel(self, perm: Sequence[int]) -> "ColoredGraph":
-        """Apply the vertex bijection ``u -> perm[u]``."""
-        return ColoredGraph(
-            self.n, ((perm[u], perm[v], c) for u, v, c in self.edges)
-        )
-
     def swap_colors(self) -> "ColoredGraph":
         return ColoredGraph(self.n, ((u, v, c.swapped) for u, v, c in self.edges))
 

@@ -219,19 +219,17 @@ def _records(name: str, den: int, checks) -> list[OracleRecord]:
     ]
 
 
-def _host_counts(g: ColoredGraph, cert, inequality=False):
-    """Every count one kind of host check reads, from one ``hom_inj_batch`` call.
+def _host_counts(g: ColoredGraph, cert, identities=True):
+    """Every count ``_evaluate`` reads for one kind of check, from one ``hom_inj_batch`` call.
 
-    Counts the classes ``_evaluate`` reads, the target and the flag
-    products; the inequality reads only the base classes, and also the
-    rooted table of each of the certificate's flags, where the identities
-    read all 26 classes and no flag.  Returns the lookup from pattern or
-    flag to its count.
+    The target, the flag products and the classes: all 26 for the identities,
+    the base's alone for the inequality, which also reads each flag's rooted
+    table.  Returns the lookup from pattern or flag to its count.
     """
     table = builtin.class_table()
-    patterns = [table.representative(l) for l in (cert.base if inequality else table.indices)]
+    patterns = [table.representative(l) for l in (table.indices if identities else cert.base)]
     patterns += [cert.target, *(product for *_, product in cert.flag_pairs)]
-    flags = [f for family in cert.families for f in family.flags] if inequality else []
+    flags = [] if identities else [f for family in cert.families for f in family.flags]
     batch = [(p, ()) for p in patterns] + [(f.graph, f.roots) for f in flags]
     return dict(zip([*patterns, *flags], hom_inj_batch(batch, *color_adjacency(g)))).__getitem__
 
@@ -272,7 +270,7 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
     # each flag's rooted count table over all ordered root pairs (zero on the
     # diagonal); their Gram sums give both the quadratic form and, against
     # the count of the glued product, the overlap surplus
-    count = _host_counts(g, cert, inequality=True)
+    count = _host_counts(g, cert, identities=False)
     grams = [int((count(f.flags[i]) * count(f.flags[j])).sum()) for f, i, j, *_ in pairs]
     surpluses = []
     for gram, (*_, labels, _, product) in zip(grams, pairs):

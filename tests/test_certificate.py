@@ -3,15 +3,18 @@
 import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flagcert import builtin
+from flagcert import builtin, certificate
 from flagcert.certificate import (
     MAX_FLAGS,
     Certificate,
@@ -1094,3 +1097,105 @@ class TestSerialization:
         with pytest.raises(SchemaError) as err:
             load_certificate(make())
         assert str(err.value).startswith(where)
+
+
+def _first_target_edge(position, value):
+    return lambda: _edited(lambda o: o["target"]["edges"][0].__setitem__(position, value))
+
+
+# Copies of the exported text a warm loader must refuse as a cold one does, with
+# the message MALFORMED pins, if any: the value equals what the exported text
+# holds in a cache key (false == 0.0 == 0, true == 1) or cannot be hashed (a
+# list colour), or spells the bound the exported text spells canonically.
+INTERNING_REFUSALS = {
+    "false_endpoint": MALFORMED["boolean_endpoint"],
+    "float_endpoint": (_first_target_edge(0, 0.0), None),
+    "true_n": MALFORMED["boolean_n"],
+    "list_colour": (_first_target_edge(2, ["R"]), None),
+    "unreduced_bound": (lambda: _edited(lambda o: o.update(bound="2/128")), None),
+    "zero_padded_bound": MALFORMED["zero_padded_bound"],
+    "spaced_bound": (lambda: _edited(lambda o: o.update(bound="1/64 ")), None),
+}
+SRC = Path(__file__).resolve().parents[1] / "src"
+_COLD_LOAD = """
+import json, sys
+from flagcert.certificate import SchemaError, load_certificate
+try:
+    load_certificate(sys.stdin.read())
+except SchemaError as exc:
+    print(json.dumps([exc.path, str(exc)]))
+"""
+
+
+def _refusal(text: str) -> tuple[str, str]:
+    with pytest.raises(SchemaError) as err:
+        load_certificate(text)
+    return err.value.path, str(err.value)
+
+
+def _refusal_of_rational(text: str) -> str:
+    with pytest.raises(SchemaError) as err:
+        parse_rational(text, "$.x")
+    return str(err.value)
+
+
+class TestInterning:
+    """The loader's caches share what they accept and keep no refusal."""
+
+    @pytest.mark.parametrize("kind", sorted(INTERNING_REFUSALS))
+    def test_warm_caches_refuse_as_a_cold_process_does(self, kind):
+        make, pinned = INTERNING_REFUSALS[kind]
+        text = make()
+        cold = subprocess.run(
+            [sys.executable, "-c", _COLD_LOAD], input=text, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+        )
+        assert cold.returncode == 0, cold.stderr
+        expected = tuple(json.loads(cold.stdout))
+        load_certificate(save_certificate(builtin_certificate()))  # every cache warm
+        assert _refusal(text) == expected
+        assert _refusal(text) == expected  # a refusal is not cached either
+        assert pinned is None or pinned in expected[1]
+
+    def test_loads_share_graphs_flags_and_rationals(self):
+        text = save_certificate(builtin_certificate())
+        first, second = load_certificate(text), load_certificate(text)
+        assert second == first and second is not first
+        assert second.target is first.target and second.bound is first.bound
+        assert all(a is b for a, b in zip(second.classes, first.classes, strict=True))
+        for family, again in zip(first.families, second.families, strict=True):
+            assert all(a is b for a, b in zip(again.flags, family.flags, strict=True))
+            assert all(
+                a is b for r, s in zip(again.matrix.rows, family.matrix.rows) for a, b in zip(r, s)
+            )
+
+    def test_caches_are_bounded(self):
+        for cache in (certificate._rational, certificate._graph, certificate._flag):
+            assert cache.cache_info().maxsize == 256
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(), st.integers(2, 10**6))
+    @example(Fraction(0), 2)
+    @example(Fraction(1, 64), 2)
+    def test_rational_round_trip_and_refusals(self, x, k):
+        canonical = format_rational(x)
+        assert parse_rational(canonical, "$.x") == x
+        sign, digits = ("-", canonical[1:]) if x < 0 else ("", canonical)
+        spellings = [
+            f"{x.numerator * k}/{x.denominator * k}",  # unreduced
+            f"{sign}0{digits}",  # zero-padded
+            f"{x.numerator}/0{x.denominator}",  # zero-padded denominator
+            f" {canonical}",
+            f"+{canonical}",
+        ]
+        if x == 0:
+            spellings.append("-0")
+        for text in spellings:
+            certificate._rational.cache_clear()
+            cold = _refusal_of_rational(text)
+            assert parse_rational(canonical, "$.x") == x  # a miss
+            hits = certificate._rational.cache_info().hits
+            assert parse_rational(canonical, "$.x") == x  # a hit
+            assert certificate._rational.cache_info().hits == hits + 1
+            assert _refusal_of_rational(text) == cold
+            assert _refusal_of_rational(text) == cold
