@@ -45,10 +45,11 @@ class SymMatrix:
         for i, row in enumerate(rows):
             if len(row) != m:
                 raise ValueError(f"row {i} has length {len(row)}, expected {m}")
-        for i in range(m):
-            for j in range(i + 1, m):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"matrix not symmetric at ({i},{j})")
+        # tuple equality tests identity first, and a loaded matrix shares its interned entries
+        columns = tuple(zip(*rows))
+        if any(rows[i][i + 1:] != columns[i][i + 1:] for i in range(m)):
+            i, j = next((i, j) for i in range(m) for j in range(i + 1, m) if rows[i][j] != rows[j][i])
+            raise ValueError(f"matrix not symmetric at ({i},{j})")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -166,31 +167,19 @@ def flag_product(f1: Flag, f2: Flag) -> ColoredGraph:
     """
     if len(f1.roots) != len(f2.roots):
         raise ValueError("flags must have the same number of roots")
-
-    def local_map(f: Flag, extra_base: int) -> dict[int, int]:
-        mapping = {r: k for k, r in enumerate(f.roots)}
-        nxt = extra_base
-        for v in range(f.graph.n):
-            if v not in mapping:
-                mapping[v] = nxt
-                nxt += 1
-        return mapping
-
-    nroots = len(f1.roots)
-    m1 = local_map(f1, nroots)
-    m2 = local_map(f2, nroots + (f1.graph.n - nroots))
+    k = n = len(f1.roots)
     merged: dict[tuple[int, int], Color] = {}
-    for f, mapping in ((f1, m1), (f2, m2)):
+    for f in (f1, f2):
+        # roots take 0..k-1, the flag's other vertices the next free labels in order
+        others = [v for v in range(f.graph.n) if v not in f.roots]
+        label = dict(zip((*f.roots, *others), (*range(k), *range(n, n + len(others)))))
+        n += len(others)
         for u, v, c in f.graph.edges:
-            a, b = mapping[u], mapping[v]
-            key = (a, b) if a < b else (b, a)
-            if key in merged and merged[key] != c:
+            key = tuple(sorted((label[u], label[v])))
+            if merged.setdefault(key, c) != c:
                 raise ValueError(
-                    f"root edge colour conflict at pair {key}: "
-                    f"{merged[key].value} vs {c.value}"
+                    f"root edge colour conflict at pair {key}: {merged[key].value} vs {c.value}"
                 )
-            merged[key] = c
-    n = f1.graph.n + f2.graph.n - nroots
     return ColoredGraph(n, ((u, v, c) for (u, v), c in merged.items()))
 
 

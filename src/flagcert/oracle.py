@@ -3,9 +3,9 @@
 Everything here recomputes both sides of each identity from first
 principles on concrete hosts: class densities by exact injective counting,
 product densities by counting the glued graphs, the flagged inequality by
-assembling rooted-count vectors and quadratic forms, as exact integers
-over one common denominator.  Randomness is a deterministic function of a
-64-bit seed and an index, so results never depend on iteration order.
+assembling rooted-count vectors and quadratic forms, each check one integer
+equation over its own denominators.  Randomness is a deterministic function
+of a 64-bit seed and an index, so results never depend on iteration order.
 """
 
 from __future__ import annotations
@@ -138,57 +138,45 @@ class OracleReport:
         }
 
 
-# -- the certificate's checks as integer identities ---------------------------------
+# -- the certificate's checks as integer equations ----------------------------------
 
 
-def _evaluate(cert, count, perms: int, quad=None, identities=True):
-    """Both sides of the certificate's checks as integers over one denominator.
+def _identities(cert, classes, count, perms: int):
+    """Yield the identities as ``(group, names, lhs, rhs, den, holds)``, one name per order.
 
-    ``count(pattern)`` counts a six-vertex pattern, a Python int for one host
-    or an int64 table for many, and a density is a count over ``perms`` =
-    (n)_6.  The identities are checked when ``identities`` is set, and the
-    flagged inequality when its rooted part ``quad(weights)`` is given: the
-    sum over ``cert.flag_pairs`` of ``weights[k]``, pair k's weight times
-    ``den // perms``, times pair k's Gram sum.
-    Returns ``(den, checks)``, where ``den`` is ``perms`` times the lcm of
-    the denominators those checks use and ``checks`` yields ``(group,
-    names, lhs, rhs, holds)`` with both sides over ``den``, one name per
-    ordered check.
+    ``count(pattern)`` is a Python int for one host or an int64 table for
+    many, ``perms`` = (n)_6 and ``classes`` the 26 multiplicity-weighted class
+    counts.  The classes sum to ``perms``, and each pattern p, the target or a
+    flag product, has ``maps * count(p) == sum(counts[l] * classes[l])`` over
+    ``den = maps * perms``, where ``(maps, counts)`` is its expansion.
     """
-    table, pairs = builtin.class_table(), cert.flag_pairs
-    # multiplicity-weighted class counts; the inequality alone needs only the base
-    indices = table.indices if identities else cert.base
-    classes = {l: table.multiplicity(l) * count(table.representative(l)) for l in indices}
-    patterns = (cert.target, *(product for *_, product in pairs))
-    # each nonzero class of an expansion as (class, matches, maps)
-    expansions = [
-        [(l, c, maps) for l, c in zip(table.indices, counts) if c]
-        for maps, counts in (table.expansion(p) for p in patterns if identities)
-    ]
+    table = builtin.class_table()
+    total = sum(classes.values())
+    yield "sum_to_one", ["sum_to_one"], total, perms, perms, total == perms
+    checks = [("double_count", ["double_count"], cert.target)]
+    for *_, labels, _, product in cert.flag_pairs:
+        checks.append(("expansions", [f"expansion_{x}" for x in labels], product))
+    for group, names, p in checks:
+        maps, counts = table.expansion(p)
+        lhs = maps * count(p)
+        rhs = sum(c * classes[l] for l, c in zip(table.indices, counts) if c)
+        yield group, names, lhs, rhs, maps * perms, lhs == rhs
+
+
+def _inequality(cert, classes, count, perms: int, quad):
+    """The flagged inequality as one check shaped like those of ``_identities``.
+
+    Over ``den * perms``, ``den`` the lcm of the base and pair-weight
+    denominators; ``classes`` needs only the base's, and ``quad(weights)``
+    sums ``weights[k]`` (pair k's weight times ``den``) times pair k's Gram sum.
+    """
     base = [(l, v.numerator, v.denominator) for l, v in cert.base.items()]
-    dens = [d // math.gcd(num, d) for terms in expansions for _, num, d in terms]
-    if quad is not None:
-        dens += [d for *_, d in base] + [d for *_, (_, d), _ in pairs]
-    scale = math.lcm(*dens)
-
-    def combined(terms):  # (class, numerator, denominator), three or four per expansion
-        return sum(scale * num // d * classes[l] for l, num, d in terms)
-
-    def checks():
-        target = scale * count(cert.target)
-        if identities:
-            total = scale * sum(classes.values())
-            yield "sum_to_one", ["sum_to_one"], total, scale * perms, total == scale * perms
-            rhs = combined(expansions[0])
-            yield "double_count", ["double_count"], target, rhs, target == rhs
-            for (*_, labels, _, product), expansion in zip(pairs, expansions[1:]):
-                lhs, rhs = scale * count(product), combined(expansion)
-                yield "expansions", [f"expansion_{x}" for x in labels], lhs, rhs, lhs == rhs
-        if quad is not None:
-            rhs = combined(base) + quad([scale * num // d for *_, (num, d), _ in pairs])
-            yield "flagged_inequality", ["flagged_inequality"], target, rhs, target <= rhs
-
-    return scale * perms, checks()
+    weights = [weight for *_, weight, _ in cert.flag_pairs]
+    den = math.lcm(*(d for *_, d in base), *(d for _, d in weights))
+    lhs = den * count(cert.target)
+    quadratic = quad([den // d * num for num, d in weights])
+    rhs = sum(den // d * num * classes[l] for l, num, d in base) + quadratic
+    return "flagged_inequality", ["flagged_inequality"], lhs, rhs, den * perms, lhs <= rhs
 
 
 # -- identity checks on one concrete clique ---------------------------------------
@@ -210,28 +198,31 @@ def check_host_size(n: int) -> None:
         raise ValueError(f"host with {n} vertices rejected: oracle host checks {rule}")
 
 
-def _records(name: str, den: int, checks) -> list[OracleRecord]:
-    """One record per ordered check of ``_evaluate``, both sides as rationals."""
+def _records(name: str, checks) -> list[OracleRecord]:
+    """One record per ordered check, both sides as rationals over that check's ``den``."""
     return [
         OracleRecord(check, name, Fraction(lhs, den), Fraction(rhs, den), holds)
-        for _, names, lhs, rhs, holds in checks
+        for _, names, lhs, rhs, den, holds in checks
         for check in names
     ]
 
 
-def _host_counts(g: ColoredGraph, cert, identities=True):
-    """Every count ``_evaluate`` reads for one kind of check, from one ``hom_inj_batch`` call.
+def _host_counts(g: ColoredGraph, cert, identities: bool):
+    """``(classes, count)`` for one kind of check on ``g``, from one ``hom_inj_batch`` call.
 
-    The target, the flag products and the classes: all 26 for the identities,
-    the base's alone for the inequality, which also reads each flag's rooted
-    table.  Returns the lookup from pattern or flag to its count.
+    ``classes`` holds the multiplicity-weighted counts of all 26 classes for
+    ``_identities``, or of the base's for ``_inequality``, which also reads
+    each flag's rooted table; ``count`` looks up any pattern or flag counted.
     """
     table = builtin.class_table()
-    patterns = [table.representative(l) for l in (table.indices if identities else cert.base)]
+    indices = table.indices if identities else cert.base
+    patterns = [table.representative(l) for l in indices]
     patterns += [cert.target, *(product for *_, product in cert.flag_pairs)]
     flags = [] if identities else [f for family in cert.families for f in family.flags]
     batch = [(p, ()) for p in patterns] + [(f.graph, f.roots) for f in flags]
-    return dict(zip([*patterns, *flags], hom_inj_batch(batch, *color_adjacency(g)))).__getitem__
+    counts = hom_inj_batch(batch, *color_adjacency(g))
+    classes = {l: table.multiplicity(l) * c for l, c in zip(indices, counts)}
+    return classes, dict(zip([*patterns, *flags], counts)).__getitem__
 
 
 def check_identities(g: ColoredGraph) -> OracleReport:
@@ -247,9 +238,8 @@ def check_identities(g: ColoredGraph) -> OracleReport:
         raise ValueError("identity checks require a coloured clique host")
     check_host_size(g.n)
     cert = builtin_certificate()
-    count = _host_counts(g, cert)
-    den, checks = _evaluate(cert, count, falling_factorial(g.n, 6))
-    return OracleReport(tuple(_records(f"clique n={g.n}", den, checks)))
+    checks = _identities(cert, *_host_counts(g, cert, identities=True), falling_factorial(g.n, 6))
+    return OracleReport(tuple(_records(f"clique n={g.n}", checks)))
 
 
 def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
@@ -261,30 +251,26 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
     """
     if not g.is_clique():
         raise ValueError("the flagged inequality is stated for coloured cliques")
-    n = g.n
-    check_host_size(n)
+    check_host_size(g.n)
     cert = builtin_certificate()
-    pairs = cert.flag_pairs
-    name = f"clique n={n}"
+    name = f"clique n={g.n}"
 
     # each flag's rooted count table over all ordered root pairs (zero on the
     # diagonal); their Gram sums give both the quadratic form and, against
     # the count of the glued product, the overlap surplus
-    count = _host_counts(g, cert, identities=False)
-    grams = [int((count(f.flags[i]) * count(f.flags[j])).sum()) for f, i, j, *_ in pairs]
+    classes, count = _host_counts(g, cert, identities=False)
+    grams = [int((count(f.flags[i]) * count(f.flags[j])).sum()) for f, i, j, *_ in cert.flag_pairs]
     surpluses = []
-    for gram, (*_, labels, _, product) in zip(grams, pairs):
+    for gram, (*_, labels, _, product) in zip(grams, cert.flag_pairs):
         surplus = Fraction(gram - count(product))
         surpluses.extend(
             OracleRecord(f"overlap_surplus_{label}", name, surplus, Fraction(0), surplus >= 0)
             for label in labels
         )
 
-    den, checks = _evaluate(
-        cert, count, falling_factorial(n, 6),
-        lambda weights: sum(w * gram for w, gram in zip(weights, grams)), identities=False,
-    )
-    return OracleReport((*_records(name, den, checks), *surpluses))
+    quad = lambda weights: sum(w * gram for w, gram in zip(weights, grams))  # noqa: E731
+    check = _inequality(cert, classes, count, falling_factorial(g.n, 6), quad)
+    return OracleReport((*_records(name, [check]), *surpluses))
 
 
 # -- exhaustive sweep over every colouring of the 6-clique -------------------------
@@ -371,17 +357,23 @@ def exhaustive_k6_sweep() -> SweepReport:
             total += q01.transpose(_k6_relabel_axes(u, v))
         return total.ravel()
 
-    count = lambda p: subcube_count_table(p, n, _K6_PAIRS)  # noqa: E731
-    den, checks = _evaluate(cert, count, math.factorial(n), quad)
+    def count(p):  # both checks read the target, so its table is counted once
+        return target if p is cert.target else subcube_count_table(p, n, _K6_PAIRS)
+
+    target = subcube_count_table(cert.target, n, _K6_PAIRS)
+    table, perms = builtin.class_table(), math.factorial(n)
+    classes = {l: table.multiplicity(l) * count(table.representative(l)) for l in table.indices}
     failures: dict[str, int] = {}
     checked = 0
-    for group, names, lhs, rhs, holds in checks:
+    # one check at a time, so only one check's count tables are alive
+    for group, names, *_, holds in _identities(cert, classes, count, perms):
         # the orders of a flag pair glue to one graph, so one table serves both
         failures[group] = failures.get(group, 0) + len(names) * int(np.count_nonzero(~holds))
         checked += len(names) * hosts
-        if group == "flagged_inequality":
-            min_slack = Fraction(int((rhs - lhs).min()), den)
-    return SweepReport(hosts, failures, min_slack, checked)
+    group, _, lhs, rhs, den, holds = _inequality(cert, classes, count, perms, quad)
+    failures[group] = int(np.count_nonzero(~holds))
+    min_slack = Fraction(int((rhs - lhs).min()), den)
+    return SweepReport(hosts, failures, min_slack, checked + hosts)
 
 
 # -- Monte Carlo -------------------------------------------------------------------

@@ -1029,6 +1029,17 @@ class TestSerialization:
             load_certificate(json.dumps(obj))
         assert "symmetric" in str(err.value)
 
+    def test_first_asymmetric_pair_is_named_in_row_major_order(self):
+        # an edit below the diagonal at (5, 2) and one above it at (1, 4):
+        # the refusal names the pair that comes first in row-major order
+        def edit(obj):
+            matrix = obj["families"][0]["matrix"]
+            matrix[5][2], matrix[1][4] = "1/2", "1/3"
+
+        with pytest.raises(SchemaError) as err:
+            load_certificate(_edited(edit))
+        assert str(err.value) == "$.families[0]: matrix not symmetric at (1,4)"
+
     def test_not_json_rejected(self):
         with pytest.raises(SchemaError):
             load_certificate("certificate { }")

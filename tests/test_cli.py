@@ -114,10 +114,12 @@ def test_verify_json_matches_fixture(fixture, tmp_path, capsys):
 
 
 # `oracle --format json` output pinned byte for byte, as the Fraction-based
-# evaluator wrote it
+# evaluator wrote it; n = 14 is the host size of the benchmark's
+# `random-hosts` inequality op
 ORACLE_FIXTURES = {
     "oracle_identities_n10_seed1.json": ["identities", "--n", "10", "--seed", "1"],
     "oracle_inequality_n10_seed1.json": ["inequality", "--n", "10", "--seed", "1"],
+    "oracle_inequality_n14_seed1.json": ["inequality", "--n", "14", "--seed", "1"],
     "oracle_exhaustive.json": ["exhaustive"],
     "oracle_montecarlo_n40_seed1.json": ["montecarlo", "--n", "40", "--trials", "7", "--seed", "1"],
 }

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcert import builtin, oracle
-from flagcert.certificate import builtin_certificate, expand_in_classes
+from flagcert.certificate import builtin_certificate, expand_in_classes, load_certificate
 from flagcert.counting import (
     color_adjacency,
     falling_factorial,
@@ -25,6 +25,8 @@ from flagcert.graphs import (
     complete_graph,
     enumerate_template_colorings,
 )
+
+from test_certificate import _edited, _shifted
 
 
 class TestRandomness:
@@ -151,15 +153,14 @@ class TestFlaggedInequality:
             oracle.check_flagged_inequality(alternating_cycle(6))
 
 
-def _reference_records(g: ColoredGraph):
-    """Identity and inequality records of ``g`` built as rational sums.
+def _reference_records(g: ColoredGraph, cert):
+    """Identity and inequality records of ``g`` under ``cert`` built as rational sums.
 
     Class densities are multiplicity times ``t_inj``, each pattern's rhs is
     its class expansion against them, and the quadratic form is the sum of
     Gram sums of the flags' rooted count tables over (n)_6.
     """
     table = builtin.class_table()
-    cert = builtin_certificate()
     name = f"clique n={g.n}"
     d = {l: table.multiplicity(l) * t_inj(table.representative(l), g) for l in table.indices}
 
@@ -216,7 +217,26 @@ class TestEvaluator:
                 with pytest.raises(ValueError, match=SMALL_HOST_MESSAGE.format(n=g.n)):
                     check(g)
             return
-        identities, inequality = _reference_records(g)
+        identities, inequality = _reference_records(g, builtin_certificate())
+        assert list(oracle.check_identities(g).records) == identities
+        assert list(oracle.check_flagged_inequality(g).records) == inequality
+
+    @pytest.mark.parametrize(
+        "edit",
+        [_shifted(0, 2, 3, Fraction(1, 5)), _shifted(1, 4, 4, Fraction(-3, 128))],
+        ids=["red_2_3_plus_1_5", "blue_4_4_minus_3_128"],
+    )
+    @pytest.mark.parametrize("n, seed", [(6, 1), (7, 1), (8, 2)])
+    def test_records_match_rational_reference_on_shifted_certificates(
+        self, monkeypatch, edit, n, seed
+    ):
+        # a 1/5 shift puts weights over 5 * 128, outside the builtin's lcm, and
+        # the -3/128 one takes a diagonal entry from 3/32 to 9/128
+        cert = load_certificate(_edited(edit))
+        monkeypatch.setattr(oracle, "builtin_certificate", lambda: cert)
+        g = oracle.random_clique_coloring(n, seed)
+        identities, inequality = _reference_records(g, cert)
+        assert inequality[0].rhs != _reference_records(g, builtin_certificate())[1][0].rhs
         assert list(oracle.check_identities(g).records) == identities
         assert list(oracle.check_flagged_inequality(g).records) == inequality
 
