@@ -13,6 +13,7 @@ from fractions import Fraction
 from flagcert.certificate import (
     Certificate,
     FlagFamily,
+    SymMatrix,
     builtin_certificate,
     psd_check,
     verify_certificate,
@@ -30,21 +31,16 @@ psd = psd_check(cert.families[0].matrix)
 print(f"\npositive pivots: {sum(1 for p in psd.pivot_sequence if p > 0)} of 8")
 print(f"kernel basis (normalized): {[str(x) for x in psd.kernel_basis[0]]}")
 
-# one wrong entry in the matrix must surface in the coefficient check
-matrix = cert.families[0].matrix
+# one wrong entry in the matrix must surface in the coefficient check: the
+# diagonal entry (1,1) moves by 1/128, so only the first row changes
+rows = cert.families[0].matrix.rows
+matrix = SymMatrix(((rows[0][0] + Fraction(1, 128), *rows[0][1:]), *rows[1:]))
 tampered = Certificate(
     name=cert.name + " (tampered)",
     template_parts=cert.template_parts,
     target=cert.target,
     base=cert.base,
-    families=tuple(
-        FlagFamily(
-            f.root_edge_color,
-            f.flags,
-            matrix.with_entry(1, 1, matrix.entry(1, 1) + Fraction(1, 128)),
-        )
-        for f in cert.families
-    ),
+    families=tuple(FlagFamily(f.root_edge_color, f.flags, matrix) for f in cert.families),
     bound=cert.bound,
 )
 bad = verify_certificate(tampered)

@@ -20,7 +20,6 @@ _EXPORTS = {
     "canonical_form": "graphs",
     "classify": "graphs",
     "complete_bipartite": "graphs",
-    "complete_graph": "graphs",
     "enumerate_template_colorings": "graphs",
     "underlying_automorphisms": "graphs",
     "alternating_hom_inj_count": "counting",

@@ -60,13 +60,6 @@ class SymMatrix:
         """1-based access, matching the published index convention."""
         return self.rows[i - 1][j - 1]
 
-    def with_entry(self, i: int, j: int, value: Fraction) -> "SymMatrix":
-        """Copy with the (i, j) and (j, i) entries replaced (1-based)."""
-        rows = [list(r) for r in self.rows]
-        rows[i - 1][j - 1] = value
-        rows[j - 1][i - 1] = value
-        return SymMatrix(rows)
-
 
 @dataclass(frozen=True)
 class PsdReport:

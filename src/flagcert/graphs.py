@@ -137,12 +137,6 @@ class Flag:
 # -- constructions ---------------------------------------------------------
 
 
-def complete_graph(n: int, color: Color) -> ColoredGraph:
-    return ColoredGraph(
-        n, ((u, v, color) for u in range(n) for v in range(u + 1, n))
-    )
-
-
 def complete_bipartite(a: int, b: int, color: Color = Color.RED) -> ColoredGraph:
     """K_{a,b} with part {0..a-1} against part {a..a+b-1}."""
     return ColoredGraph(
@@ -209,10 +203,16 @@ def shape_maps(k: int, shape: Sequence, n: int, pairs: Sequence, pinned: Sequenc
 def _pulled_counts(k: int, shape: tuple, n: int, pairs: tuple, codes: tuple) -> tuple:
     """Maps of a k-vertex edge shape onto host pairs, and per code the words they pull it to."""
     rows = shape_maps(k, shape, n, pairs)
-    return len(rows), tuple(
-        Counter(sum(((code >> p) & 1) << e for e, p in enumerate(row)) for row in rows)
-        for code in codes
-    )
+    return len(rows), tuple(Counter(_pull(code, row) for row in rows) for code in codes)
+
+
+def _pull(code: int, row: Sequence[int]) -> int:
+    """The word whose bit e is bit ``row[e]`` of ``code``: the code pulled back along a row."""
+    word = 0
+    for e, p in enumerate(row):
+        if code >> p & 1:
+            word |= 1 << e
+    return word
 
 
 def pulled_densities(h: ColoredGraph, n: int, pairs: Sequence, codes: Sequence[int]) -> tuple:
@@ -339,15 +339,6 @@ class ClassTable:
         }
 
 
-def _act(action: Sequence[int], code: int) -> int:
-    """Image of a colouring code when pair k moves to position action[k]."""
-    image = 0
-    for k, p in enumerate(action):
-        if (code >> k) & 1:
-            image |= 1 << p
-    return image
-
-
 def classify(
     colorings: Sequence[ColoredGraph | int],
     group: Sequence[Sequence[int]],
@@ -359,9 +350,10 @@ def classify(
     representative.  Each colouring is a graph on that template or already
     its colouring code (its ``blue`` word), so ``range(2 ** len(pairs))``
     lists every colouring with no graph built.  The group acts on pair
-    positions; the orbits are the images of the reference codes, in the
-    published class order, and each must contain exactly one reference
-    representative and at least one colouring.  A class's multiplicity is
+    positions, pulling codes back as the density engine does; it is closed
+    under inverses, so the orbits are the pulled images of the reference
+    codes, in the published class order, and each must contain exactly one
+    reference representative and at least one colouring.  A class's multiplicity is
     the number of colourings in its orbit, cross-checked against the
     orbit-stabilizer count |group| / aut, where aut counts the group
     elements fixing the representative's code.
@@ -379,7 +371,7 @@ def classify(
         code = rep.blue
         if code in lookup:
             raise ValueError(f"reference representatives {lookup[code] - 1} and {pos} are isomorphic")
-        images = [_act(a, code) for a in actions]
+        images = [_pull(code, a) for a in actions]
         for image in images:
             lookup[image] = pos + 1
         fixed.append((pos + 1, rep, images.count(code)))
@@ -391,7 +383,7 @@ def classify(
         raise ValueError("colourings must share one vertex count and pair set")
     multiplicity = Counter(lookup.get(code) for code in codes)  # by class index
     # least code of each orbit without a reference representative
-    others = {min(_act(a, code) for a in actions) for code in codes if code not in lookup}
+    others = {min(_pull(code, a) for a in actions) for code in codes if code not in lookup}
     entries = tuple(ClassEntry(k, rep, aut, multiplicity[k]) for k, rep, aut in fixed)
     if not all(e.multiplicity for e in entries):
         raise ValueError("reference representatives do not match the computed orbits")

@@ -49,14 +49,23 @@ def mix64(z):
     return z
 
 
-def stream_value(seed: int, index: int) -> int:
-    """Value ``index`` of the stream: mix64(seed + (index+1) * golden)."""
-    return mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
+def stream_value(seed: int, index):
+    """Value ``index`` of the seed's stream: mix64(seed + (index + 1) * golden), all mod 2**64.
+
+    ``index`` is an int, giving an int, or a uint64 array, giving the uint64
+    array of the values at its entries.
+    """
+    if isinstance(index, int):
+        return mix64(seed + (index + 1) * _GOLDEN)
+    z = index + np.uint64(1)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK64)
+    return mix64(z)
 
 
 def trial_seed(seed: int, trial: int) -> int:
-    """Per-trial master seeds for Monte Carlo runs."""
-    return mix64(((seed ^ _TRIAL_SALT) + (trial + 1) * _GOLDEN) & _MASK64)
+    """Per-trial master seeds for Monte Carlo runs: the stream of the salted seed."""
+    return stream_value(seed ^ _TRIAL_SALT, trial)
 
 
 def random_clique_coloring(n: int, seed: int) -> ColoredGraph:
@@ -76,19 +85,13 @@ def random_clique_coloring(n: int, seed: int) -> ColoredGraph:
 def _random_clique_matrices(n: int, seed: int):
     """Red/blue float64 0/1 adjacency matrices of ``random_clique_coloring(n, seed)``.
 
-    Pair k in sorted order is blue when bit 0 of ``stream_value(seed, k)`` is
-    set; like ``stream_value``, the seed is taken mod 2**64.  The stream is
-    mixed in place and drawn straight into float64, the dtype of the
-    closed-form counter's products, so no int64 copy is ever held.
+    The upper triangle, pair k in sorted order, is bit 0 of the stream values
+    ``stream_value(seed, k)`` for all pairs at once, drawn straight into
+    float64, the dtype of the closed-form counter's products.
     """
-    z = np.arange(1, n * (n - 1) // 2 + 1, dtype=np.uint64)
-    z *= np.uint64(_GOLDEN)
-    z += np.uint64(seed & _MASK64)
-    z = mix64(z)
-    z &= np.uint64(1)
+    m = n * (n - 1) // 2
     blue = np.zeros((n, n))
-    blue[np.triu_indices(n, k=1)] = z
-    del z
+    blue[np.triu_indices(n, k=1)] = stream_value(seed, np.arange(m, dtype=np.uint64)) & 1
     blue += blue.T
     red = 1.0 - blue
     np.fill_diagonal(red, 0.0)
@@ -253,24 +256,19 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
         raise ValueError("the flagged inequality is stated for coloured cliques")
     check_host_size(g.n)
     cert = builtin_certificate()
-    name = f"clique n={g.n}"
 
     # each flag's rooted count table over all ordered root pairs (zero on the
     # diagonal); their Gram sums give both the quadratic form and, against
     # the count of the glued product, the overlap surplus
     classes, count = _host_counts(g, cert, identities=False)
     grams = [int((count(f.flags[i]) * count(f.flags[j])).sum()) for f, i, j, *_ in cert.flag_pairs]
-    surpluses = []
-    for gram, (*_, labels, _, product) in zip(grams, cert.flag_pairs):
-        surplus = Fraction(gram - count(product))
-        surpluses.extend(
-            OracleRecord(f"overlap_surplus_{label}", name, surplus, Fraction(0), surplus >= 0)
-            for label in labels
-        )
-
     quad = lambda weights: sum(w * gram for w, gram in zip(weights, grams))  # noqa: E731
-    check = _inequality(cert, classes, count, falling_factorial(g.n, 6), quad)
-    return OracleReport((*_records(name, [check]), *surpluses))
+    checks = [_inequality(cert, classes, count, falling_factorial(g.n, 6), quad)]
+    for gram, (*_, labels, _, product) in zip(grams, cert.flag_pairs):
+        surplus = gram - count(product)
+        names = [f"overlap_surplus_{x}" for x in labels]
+        checks.append(("overlap_surplus", names, surplus, 0, 1, surplus >= 0))
+    return OracleReport(tuple(_records(f"clique n={g.n}", checks)))
 
 
 # -- exhaustive sweep over every colouring of the 6-clique -------------------------

@@ -36,12 +36,11 @@ from flagcert.graphs import (
     ColoredGraph,
     Flag,
     alternating_cycle,
-    complete_graph,
     enumerate_template_colorings,
 )
 from flagcert.oracle import _random_clique_matrices, random_clique_coloring
 
-from test_graphs import PATH4
+from test_graphs import PATH4, complete_graph
 
 
 def naive_hom_count(h: ColoredGraph, g: ColoredGraph, injective: bool) -> int:

@@ -18,11 +18,15 @@ from flagcert.graphs import (
     alternating_cycle,
     canonical_form,
     classify,
-    complete_graph,
     enumerate_template_colorings,
     pair_actions,
     underlying_automorphisms,
 )
+
+
+def complete_graph(n: int, color: Color) -> ColoredGraph:
+    """The clique on n vertices with every pair coloured ``color``."""
+    return ColoredGraph(n, ((u, v, color) for u in range(n) for v in range(u + 1, n)))
 
 
 def relabel(g: ColoredGraph, perm) -> ColoredGraph:

@@ -22,11 +22,11 @@ from flagcert.graphs import (
     Color,
     ColoredGraph,
     alternating_cycle,
-    complete_graph,
     enumerate_template_colorings,
 )
 
 from test_certificate import _edited, _shifted
+from test_graphs import complete_graph
 
 
 class TestRandomness:
@@ -36,6 +36,25 @@ class TestRandomness:
             6457827717110365317,
             3203168211198807973,
             9817491932198370423,
+        ]
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5, 1234567])
+    @pytest.mark.parametrize("k", [0, 1, 15, 1000])
+    def test_array_stream_matches_scalar_stream(self, seed, k):
+        values = oracle.stream_value(seed, np.arange(k, dtype=np.uint64))
+        assert values.dtype == np.uint64 and values.shape == (k,)
+        assert values.tolist() == [oracle.stream_value(seed, i) for i in range(k)]
+
+    def test_trial_seeds_of_negative_and_oversized_seeds(self):
+        assert [oracle.trial_seed(-1, t) for t in range(3)] == [
+            11632374133438027796,
+            3328964719279880879,
+            6768671320747118054,
+        ]
+        assert [oracle.trial_seed(2**64 + 5, t) for t in range(3)] == [
+            15540687011558237927,
+            3888337174722989342,
+            11993426100953392830,
         ]
 
     def test_same_seed_same_graph(self):
