@@ -137,10 +137,10 @@ class Flag:
 # -- constructions ---------------------------------------------------------
 
 
-def complete_bipartite(a: int, b: int, color: Color = Color.RED) -> ColoredGraph:
-    """K_{a,b} with part {0..a-1} against part {a..a+b-1}."""
+def complete_bipartite(a: int, b: int) -> ColoredGraph:
+    """K_{a,b} with part {0..a-1} against part {a..a+b-1}, every edge red."""
     return ColoredGraph(
-        a + b, ((u, a + w, color) for u in range(a) for w in range(b))
+        a + b, ((u, a + w, Color.RED) for u in range(a) for w in range(b))
     )
 
 

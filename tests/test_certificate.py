@@ -100,6 +100,11 @@ def _repeat_first_family_flags(count):
     return edit
 
 
+def _triangle_in_red_flag_1(obj):
+    """Edit: give red flag 1 the edge (0, 2), closing a triangle on 0-1-2."""
+    obj["families"][0]["flags"][0]["edges"].insert(1, [0, 2, "R"])
+
+
 def _set_base_key(key):
     def edit(obj):
         obj["base"][key] = obj["base"].pop("4")
@@ -190,6 +195,30 @@ MALFORMED = {
     "root_pair_absent": (
         lambda: _edited(lambda o: o["families"][0]["flags"][0]["edges"].pop(0)),
         "$.families[0]: flag 0 root edge colour None does not match family",
+    ),
+    # a field of the wrong JSON type, an empty list or a value out of range
+    "name_not_string": (lambda: _edited(lambda o: o.update(name=7)), "$.name: expected a string"),
+    "classes_object": (lambda: _edited(lambda o: o.update(classes={})), "$.classes: expected a list"),
+    "base_list": (lambda: _edited(lambda o: o.update(base=[])), "$.base: expected an object"),
+    "negative_base_entry": (
+        lambda: _edited(lambda o: o["base"].update({"4": "-1/6"})),
+        "$.base.4: base entries must be nonnegative",
+    ),
+    "no_families": (
+        lambda: _edited(lambda o: o.update(families=[])),
+        "$.families: expected a nonempty list",
+    ),
+    "families_object": (
+        lambda: _edited(lambda o: o.update(families={})),
+        "$.families: expected a nonempty list",
+    ),
+    "root_edge_colour_g": (
+        lambda: _edited(lambda o: o["families"][1].update(root_edge_color="G")),
+        "$.families[1].root_edge_color: must be 'R' or 'B'",
+    ),
+    "no_flags": (
+        lambda: _edited(lambda o: o["families"][0].update(flags=[])),
+        "$.families[0].flags: expected a nonempty list",
     ),
 }
 # The graph, flag or family whose type refuses each of the entries above.
@@ -908,6 +937,14 @@ class TestVerification:
         assert not report.passed
         base_check = next(c for c in report.checks if c.name == "base_vector")
         assert not base_check.passed
+
+    def test_non_embeddable_flag_product_recorded_not_raised(self):
+        report = verify_certificate(load_certificate(_edited(_triangle_in_red_flag_1)))
+        failing = [c for c in report.checks if not c.passed]
+        assert [(c.name, c.detail) for c in failing] == [
+            ("coefficients", "pattern does not embed in the template")
+        ]
+        assert report.coefficients == {}
 
     def test_negated_matrix_fails_psd(self):
         cert = builtin_certificate()

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import flagcert
 from flagcert import oracle
 from flagcert.certificate import (
     SchemaError,
@@ -26,7 +25,13 @@ from flagcert.certificate import (
 )
 from flagcert.cli import run
 
-from test_certificate import BEYOND_LIMITS, MALFORMED, VERIFY_FIXTURES, _edited
+from test_certificate import (
+    BEYOND_LIMITS,
+    MALFORMED,
+    VERIFY_FIXTURES,
+    _edited,
+    _triangle_in_red_flag_1,
+)
 
 ORACLE_GUARD_ERROR = (
     "error: host with 65 vertices rejected: oracle host checks are limited to n <= 64\n"
@@ -237,6 +242,25 @@ class TestVerify:
         assert status == 1
         failing = {c["name"] for c in out["checks"] if not c["passed"]}
         assert "base_vector" in failing
+
+    def test_triangle_in_flag_products_fails_exit_1(self, tmp_path, capsys):
+        # a flag product the template cannot hold fails the coefficients check only
+        bad = tmp_path / "triangle_flag.json"
+        bad.write_text(_edited(_triangle_in_red_flag_1), encoding="utf-8")
+        status = run(["verify", "--cert", str(bad), "--format", "json"])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert status == 1
+        assert captured.err == ""
+        assert [c["name"] for c in out["checks"] if not c["passed"]] == ["coefficients"]
+        assert out["coefficients"] == {}
+
+    def test_export_to_stdout(self, capsys):
+        status = run(["export-cert"])
+        captured = capsys.readouterr()
+        assert status == 0
+        assert captured.out == save_certificate(builtin_certificate())
+        assert captured.err == ""
 
 
 def _json_paths(value, path=()):
@@ -499,16 +523,14 @@ def test_numpy_loads_only_for_commands_that_count(name, tmp_path):
     assert certificate_loaded is (name not in CERTIFICATE_FREE)
 
 
-def test_every_public_name_imports_from_the_package():
+def test_importing_the_package_loads_no_module():
     code = (
-        "import flagcert\n"
-        "for name in flagcert.__all__:\n"
-        "    exec(f'from flagcert import {name}')\n"
-        "print(len(flagcert.__all__))\n"
+        "import sys, flagcert\n"
+        "print([m for m in sys.modules if m.startswith('flagcert.') or m.split('.')[0] == 'numpy'])\n"
     )
     proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == len(flagcert.__all__) > 0
+    assert proc.stdout == "[]\n"
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
