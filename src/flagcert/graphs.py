@@ -331,6 +331,13 @@ class ClassTable:
         codes = tuple(e.representative.blue for e in self.classes)
         return pulled_densities(p, self.n, self.pairs, codes)
 
+    # The builtin's 72 products have 260 nonzero counts of 72 * 26.
+    @lru_cache(maxsize=256)
+    def sparse_expansion(self, p: ColoredGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """``expansion`` of ``p`` at its nonzero counts: ``(maps, ((position, count), ...))``."""
+        maps, counts = self.expansion(p)
+        return maps, tuple((k, c) for k, c in enumerate(counts) if c)
+
     def swap_involution(self) -> dict[int, int]:
         """Index map induced by swapping every edge colour of a representative."""
         return {

@@ -966,6 +966,42 @@ class TestVerification:
         )
 
 
+class TestWarmVerify:
+    """One process verifies many texts; what it keeps never decides a later verdict."""
+
+    def test_a_mutated_text_between_two_exported_texts(self):
+        text = save_certificate(builtin_certificate())
+        first = verify_certificate(load_certificate(text))
+        mutated = load_certificate(_edited(_shifted(0, 2, 3, Fraction(1, 128))))
+        middle = verify_certificate(mutated)
+        last = verify_certificate(load_certificate(text))
+        assert first.passed and last.passed
+        assert [c.name for c in middle.checks if not c.passed] == ["coefficients"]
+        assert last.to_dict() == first.to_dict()
+        red, blue = middle.psd_reports
+        assert red == psd_check(mutated.families[0].matrix)
+        assert blue == psd_check(builtin_certificate().families[1].matrix)
+        assert red != blue
+
+    def test_equal_matrices_share_one_elimination(self):
+        cert = load_certificate(save_certificate(builtin_certificate()))
+        assert cert.families[0].matrix is not cert.families[1].matrix
+        red, blue = verify_certificate(cert).psd_reports
+        assert blue is red
+
+    def test_families_with_different_matrices_get_their_own_reports(self):
+        cert = builtin_certificate()
+        matrix = cert.families[1].matrix
+        doubled = SymMatrix([[2 * x for x in row] for row in matrix.rows])
+        blue = dataclasses.replace(cert.families[1], matrix=doubled)
+        two = dataclasses.replace(cert, families=(cert.families[0], blue))
+        red_report, blue_report = verify_certificate(two).psd_reports
+        assert red_report == psd_check(matrix)
+        assert blue_report == psd_check(doubled)
+        assert blue_report != red_report
+        assert blue_report.pivot_sequence == tuple(2 * p for p in red_report.pivot_sequence)
+
+
 class TestSerialization:
     def test_round_trip(self):
         cert = builtin_certificate()
@@ -988,6 +1024,27 @@ class TestSerialization:
         assert format_rational(Fraction(-20, 128)) == "-5/32"
         assert format_rational(Fraction(3)) == "3"
         assert format_rational(Fraction(0)) == "0"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(),
+            st.fractions(),
+            st.integers(-(10**4300) + 1, 10**4300 - 1),
+            st.builds(Fraction, st.integers(-(10**4300) + 1, 10**4300 - 1), st.integers(1, 10**4300 - 1)),
+        )
+    )
+    @example(0)
+    @example(Fraction(0))
+    @example(-7)
+    @example(Fraction(-5, 32))
+    @example(10**4299)
+    @example(-(10**4300) + 1)
+    @example(Fraction(-(10**4300) + 1, 10**4300 - 2))
+    def test_rational_formatting_of_ints_and_fractions(self, x):
+        text = format_rational(x)
+        assert text == format_rational(Fraction(x))
+        assert parse_rational(text, "$.x") == x
 
     def test_parse_rejects_unreduced(self):
         with pytest.raises(SchemaError):
