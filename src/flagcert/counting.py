@@ -21,20 +21,20 @@ homomorphisms, so the partitions are enumerated with such blocks pruned; a
 quotient that puts both colours on one pair has none either and is dropped.
 Equal quotients are merged and those whose summed mu is zero dropped.
 Pinned roots stay in separate blocks and become free indices, which gives
-the whole rooted table at once.  Quotients of all the patterns that differ
-only in which colour each edge reads share a shape, and so an einsum spec,
-and are counted in batched ``np.einsum`` calls: the 656 quotients of the
-oracle's 99 identity patterns need 33 specs.  One plan per pattern list and
-host size lists the calls; each oracle host check and ``density_vector``
-runs one.
+the whole rooted table at once.  Quotients that differ only in colours
+share a shape and run as rows of batched ``np.einsum`` calls.  Free blocks
+with one to three neighbours, no two adjacent, are summed out once per
+host into side tensors S[p, q, r] = sum_a X[a, p] Y[a, q] Z[a, r] (fewer
+indices for fewer neighbours): a K4 row reads one and a K3,3 row three.
 
-Counts are int64.  For a k-vertex pattern on an n-vertex host every einsum
-partial sum is a partial hom count, at most n^k, and every signed running
-total is at most sum |mu(pi)| n^|pi| = n(n+1)...(n+k-1); hosts where that
-rising factorial passes 2^63 - 1 are refused (n <= 1445 for six-vertex
-patterns).  Patterns are limited to 8 vertices (Bell(8) = 4140 partitions).
-All densities are `fractions.Fraction` values and never touch floating
-point.
+Counts are int64.  A side tensor is one float64 BLAS product of 0/1
+matrices, so its partial sums are integers at most n, exact.  For a
+k-vertex pattern on an n-vertex host every einsum partial sum is then a
+partial hom count, at most n^k, and every signed running total is at most
+sum |mu(pi)| n^|pi| = n(n+1)...(n+k-1); hosts where that rising factorial
+passes 2^63 - 1 are refused (n <= 1445 for six-vertex patterns).  Patterns
+are limited to 8 vertices (Bell(8) = 4140 partitions).  All densities are
+`fractions.Fraction` values and never touch floating point.
 """
 
 from __future__ import annotations
@@ -56,149 +56,172 @@ _INT64_MAX = 2**63 - 1
 _LETTERS = "abcdefgh"  # one einsum index per block
 
 
-def _quotients(h: ColoredGraph, pinned: tuple[int, ...] = ()):
-    """Quotient records of ``h``: each quotient's shape, colours and summed Moebius weight.
+@lru_cache(maxsize=64)
+def _partitions(k: int, pairs: tuple[tuple[int, int], ...], pinned: tuple[int, ...]):
+    """The uncoloured quotients of an edge shape: ``(shapes, masks, mus)``, one entry each.
 
-    Partitions of V(h) are enumerated as restricted growth strings, pruning
-    a branch as soon as a block holds an edge or a pair of blocks needs both
-    colours; pinned vertices stay in separate blocks.  Returns ``(shape,
-    bits, weight)`` triples with a nonzero weight: ``shape`` is ``(blocks,
-    pairs, roots)``, the block count, the sorted block pairs that carry an
-    edge and the blocks of the pinned vertices in pinned order, and
-    ``bits[k]`` is pair k's colour (0 red, 1 blue).
+    Partitions are restricted growth strings keeping each edge's ends, and the pinned vertices,
+    apart; edge e lands on pair j of ``shapes[g]`` when bit e of ``masks[g, j]`` is set.
     """
-    earlier: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
-    for k, (u, v) in enumerate(h.pairs):
-        earlier[v].append((u, (h.blue >> k) & 1))
-    block = [0] * h.n
-    weights: dict = {}
-
-    def place(v: int, blocks: int, colours: dict) -> None:
-        if v == h.n:
-            mu = prod((-1) ** (s - 1) * factorial(s - 1) for s in Counter(block).values())
-            key = (blocks, tuple(sorted(colours.items())), tuple(block[r] for r in pinned))
-            weights[key] = weights.get(key, 0) + mu
-            return
-        for b in range(blocks + 1):
-            if v in pinned and any(block[r] == b for r in pinned if r < v):
-                continue
-            grown = dict(colours)
-            for w, bit in earlier[v]:
-                pair = (block[w], b) if block[w] < b else (b, block[w])
-                if block[w] == b or grown.setdefault(pair, bit) != bit:
-                    break
-            else:
-                block[v] = b
-                place(v + 1, max(blocks, b + 1), grown)
-
-    place(0, 0, {})
-    return tuple(
-        ((blocks, tuple(pair for pair, _ in edges), roots), tuple(bit for _, bit in edges), weight)
-        for (blocks, edges, roots), weight in weights.items()
-        if weight
-    )
+    strings, weights = [()], Counter()
+    for v in range(k):
+        apart = [u for u, w in pairs if w == v] + [r for r in pinned if r < v and v in pinned]
+        strings = [s + (b,) for s in strings for b in range(max(s, default=-1) + 2)
+                   if all(s[u] != b for u in apart)]
+    for s in strings:
+        landed = [(min(s[u], s[v]), max(s[u], s[v])) for u, v in pairs]
+        edges = tuple((q, sum(1 << e for e, at in enumerate(landed) if at == q))
+                      for q in sorted(set(landed)))
+        mu = prod((-1) ** (c - 1) * factorial(c - 1) for c in Counter(s).values())
+        weights[max(s, default=-1) + 1, edges, tuple(s[r] for r in pinned)] += mu
+    shapes = tuple((blocks, tuple(pair for pair, _ in edges), roots) for blocks, edges, roots in weights)
+    masks = np.array([[m for _, m in edges] + [0] * (len(pairs) - len(edges)) for _, edges, _ in weights],
+                     dtype=np.int64)
+    masks.flags.writeable = False  # shared by every caller of the cached partitions
+    return shapes, masks, tuple(weights.values())
 
 
-# Rows of one batched einsum hold at most this many entries in all: each row's
-# intermediates are kept to n^3, so a call batches max(1, 2^16 // n^3) rows.
-_BATCH_ENTRIES = 2**16
+def _quotients(h: ColoredGraph, pinned: tuple[int, ...] = ()):
+    """``(shape, bits, weight)`` per quotient of ``h`` with a nonzero summed Moebius weight.
+
+    ``shape`` is ``(blocks, pairs, roots)``: the block count, the sorted block pairs that carry an
+    edge and the pinned vertices' blocks.  Pair j is red or blue as ``bits[j]`` is 0 or 1.
+    """
+    shapes, masks, mus = _partitions(h.n, h.pairs, pinned)
+    blue = masks & h.blue
+    whole = ((blue == 0) | (blue == masks)).all(axis=1)  # no pair given both colours
+    weights: Counter = Counter()
+    for g, bits in zip(np.flatnonzero(whole).tolist(), np.sign(blue[whole]).tolist()):
+        weights[shapes[g], tuple(bits[: len(shapes[g][1])])] += mus[g]
+    return tuple((shape, bits, weight) for (shape, bits), weight in weights.items() if weight)
 
 
-# Each host check asks for one plan: `oracle inequality --n 10 --count 4`
-# makes 1 miss and 3 hits.  64 also keeps the one-pattern plans of
-# hom_inj_count et al. on a few host sizes.
+def _contraction(blocks: int, pairs: tuple[tuple[int, int], ...], roots: tuple[int, ...]):
+    """Operands, as ``(blocks, edges whose colours pick it)``, and einsum path of a quotient shape.
+
+    Free (non-root) blocks with one to three neighbours, fewest first, none next to one taken
+    before, become side tensors.  The other free blocks, the one reaching fewest blocks first,
+    are each summed out in one step until one would reach more than three; a last step takes
+    what is left, so intermediates hold at most three blocks.
+    """
+    incident = [[e for e, pair in enumerate(pairs) if b in pair] for b in range(blocks)]
+    free = sorted((b for b in range(blocks) if b not in roots), key=lambda b: (len(incident[b]), b))
+    sides: dict[int, tuple] = {}
+    for v in free:
+        ends = {u for e in incident[v] for u in pairs[e]} - {v}
+        if 1 <= len(ends) <= 3 and not ends.intersection(sides):
+            sides[v] = (tuple(sorted(ends)), tuple(incident[v]))  # pairs are sorted: ends' order
+    terms = [(pair, (e,)) for e, pair in enumerate(pairs) if not sides.keys() & set(pair)]
+    terms += [*sides.values(), *(((b,), ()) for b in range(blocks) if not incident[b])]
+    live, free, path = [frozenset(t) for t, _ in terms], [b for b in free if b not in sides], []
+    while free:
+        reach = {v: frozenset().union(*(s for s in live if v in s)) - {v} for v in free}
+        v = min(free, key=lambda b: (len(reach[b]), b))
+        if len(reach[v]) > 3:
+            break
+        free.remove(v)
+        path.append(tuple(i for i, s in enumerate(live) if v in s))
+        live = [s for s in live if v not in s] + [reach[v]]
+    if len(live) > 1 or free or not path:  # an empty path would skip the transpose
+        path.append(tuple(range(len(live))))
+    return terms, ["einsum_path", *path]
+
+
+# Each host check asks for one plan (`oracle inequality --n 10 --count 4` makes
+# 1 miss and 3 hits); 64 also keeps the one-pattern plans of hom_inj_count et al.
 @lru_cache(maxsize=64)
 def _batch_plan(patterns: tuple[tuple[ColoredGraph, tuple[int, ...]], ...], n: int):
-    """The einsum calls that count ``patterns`` on an n-vertex host.
+    """The einsum calls that count ``patterns`` on an n-vertex host: ``(calls, needed)``.
 
-    Quotients sharing a shape are its rows, equal rows merged; a call takes
-    at most max(1, 2^16 // n^3) rows.  This is the one place that writes
-    einsum subscripts: a letter per block, an edge term per block pair, a
-    ones term per block that meets no edge, the roots' blocks as output.
-    Returns ``(spec, bits, ones, path, scatter)`` per call: ``spec`` has a
-    batch index z on every term and the output unless the call has one row
-    (numpy's matmul steps squeeze a size-1 axis by a copying reduction);
-    ``bits[k]`` is edge term k's colour (0 red, 1 blue) per row, a scalar
-    for one row; ``ones`` serve blocks that meet no edge; ``path`` is the
-    greedy order with n^3 intermediates per row (numpy's default leaves
-    K3,3 quotients no order better than n^6), planned once per spec and
-    call size; ``scatter`` holds ``(row, pattern, weight)``.  The empty
-    pattern's one quotient, the shape with no blocks, is left out.
+    Quotients sharing a shape are its rows, equal rows merged, a call taking max(1, 2^16 // n^3)
+    of them.  This is the one writer of einsum subscripts and paths: a letter per block, an
+    operand per term of ``_contraction``, the roots' blocks as output, a batch index z unless a
+    call has one row (numpy's matmul steps squeeze a size-1 axis by a copying reduction).  A call
+    is ``(spec, kinds, picks, path, scatter)``: operand t of row r is entry ``picks[t, r]`` of
+    the host's stack ``kinds[t]``, and ``scatter`` holds ``(row, pattern, weight)``; ``needed``
+    lists the side tensors read.
     """
-    step = max(1, _BATCH_ENTRIES // max(n, 1) ** 3)
+    step = max(1, 2**16 // max(n, 1) ** 3)  # rows' intermediates hold at most n^3 entries each
     groups: dict[tuple, dict[tuple[int, ...], int]] = {}
     scatter: dict[tuple[tuple, int], list[tuple[int, int, int]]] = {}
     for p, (h, roots) in enumerate(patterns):
         for shape, bits, weight in _quotients(h, roots):
-            if shape[0]:
+            if shape[0]:  # the empty pattern's one quotient has no blocks
                 rows = groups.setdefault(shape, {})
                 row = rows.setdefault(bits, len(rows))
                 scatter.setdefault((shape, row // step), []).append((row % step, p, weight))
-    paths: dict[tuple[str, int], list] = {}
-    out = []
+    calls, needed = [], set()
     for shape, rows in groups.items():
-        blocks, pairs, roots = shape
-        isolated = sorted(set(range(blocks)).difference(*pairs))
-        terms = [_LETTERS[a] + _LETTERS[b] for a, b in pairs] + [_LETTERS[a] for a in isolated]
-        output = "".join(_LETTERS[r] for r in roots)
-        spec = ",".join(terms) + "->" + output
-        batched = ",".join("z" + t for t in terms) + "->z" + output
+        terms, path = _contraction(*shape)
         bits = np.array(list(rows), dtype=np.intp).T
-        bits.flags.writeable = False  # shared by every caller of the cached plan
+        zero = np.zeros(len(rows), dtype=np.intp)  # the ones of a block that meets no edge
+        picks = np.array([sum((bits[e] << len(edges) - 1 - i for i, e in enumerate(edges)), zero)
+                          for _, edges in terms])  # an edge matrix's colour, a side tensor's code
+        needed.update((len(e), c) for (t, e), cs in zip(terms, picks.tolist()) if len(t) == len(e) for c in cs)
+        picks.flags.writeable = False  # shared by every caller of the cached plan
+        kinds = tuple((len(t), len(edges)) for t, edges in terms)
+        spec = ",".join("".join(_LETTERS[b] for b in t) for t, _ in terms) + "->"
+        spec += "".join(_LETTERS[r] for r in shape[2])
+        batched = "z" + spec.replace(",", ",z").replace("->", "->z")
         for start in range(0, len(rows), step):
-            chunk = bits[:, start : start + step]
-            size = chunk.shape[1]
-            call, chunk = (spec, chunk[:, 0]) if size == 1 else (batched, chunk)
-            shapes = [chunk.shape[1:] + (n,) * len(t) for t in terms]
-            if (call, size) not in paths:
-                dummies = [np.broadcast_to(np.int64(0), dims) for dims in shapes]
-                paths[call, size] = np.einsum_path(call, *dummies, optimize=("greedy", size * n**3))[0]
-            ones = tuple(np.broadcast_to(np.int64(1), dims) for dims in shapes[len(pairs) :])
-            out.append((call, chunk, ones, paths[call, size], tuple(scatter[shape, start // step])))
-    return tuple(out)
+            chunk = picks[:, start : start + step]
+            call, chunk = (spec, chunk[:, 0]) if chunk.shape[1] == 1 else (batched, chunk)
+            calls.append((call, kinds, chunk, path, tuple(scatter[shape, start // step])))
+    return tuple(calls), tuple(sorted(needed))
+
+
+def _side_tensors(colours, needed):
+    """Stacks ``(k, k)`` of 2^k side tensors ``S[p, q, ...] = sum_a X[a, p] Y[a, q] ...``.
+
+    Fills ``needed``'s ``(k, code)``, factor i blue where bit k - 1 - i of ``code`` is set.
+    """
+    n, floats = colours.shape[1], colours.astype(np.float64)
+    sides = {(k, k): np.empty((2**k,) + (n,) * k, dtype=np.int64) for k, _ in needed}
+    for k, code in needed:
+        outer = np.ones((n, 1))
+        for i in range(k - 1):
+            outer = (outer[:, :, None] * floats[code >> (k - 1 - i) & 1][:, None]).reshape(n, n ** (i + 1))
+        sides[k, k][code] = (outer.T @ floats[code & 1]).reshape((n,) * k)
+    return sides
 
 
 def _check_kernel_size(k: int, n: int) -> None:
     """Refuse patterns over 8 vertices and hosts whose counts could wrap int64."""
     if k > MAX_PATTERN_N:
-        raise ValueError(
-            f"pattern with {k} vertices rejected: limit is {MAX_PATTERN_N} vertices"
-        )
+        raise ValueError(f"pattern with {k} vertices rejected: limit is {MAX_PATTERN_N} vertices")
     if rising_factorial(n, k) > _INT64_MAX:
         limit = min(n, int(_INT64_MAX ** (1 / k)) + 1)
         while rising_factorial(limit, k) > _INT64_MAX:
             limit -= 1
-        raise ValueError(
-            f"host with {n} vertices rejected: counts of a {k}-vertex pattern "
-            f"can overflow 64-bit integers; limit is n <= {limit}"
-        )
+        raise ValueError(f"host with {n} vertices rejected: counts of a {k}-vertex pattern "
+                         f"can overflow 64-bit integers; limit is n <= {limit}")
 
 
 def hom_inj_batch(patterns, red, blue) -> list:
     """Injective colour-preserving maps of each ``(h, roots)`` into one host.
 
     ``red`` and ``blue`` are the host's int64 0/1 adjacency matrices with
-    zero diagonals.  Runs the patterns' plan for this host size: row r of a
-    call reads, for each edge term, the red or blue matrix as its colour bit
-    says, and a call's intermediates hold at most max(2^16, n^3) entries.
+    zero diagonals.  Runs the patterns' plan for this host size on them and
+    on the side tensors it reads (the eight three-index ones take 16 MB at
+    n = 64); a call's intermediates hold at most max(2^16, n^3) entries.
     Returns one count per pattern, in order: without roots a Python int;
     with two roots the n x n int64 table whose entry [u, v] counts the maps
     sending the first root to u and the second to v, zero on the diagonal.
     ``Flag(h, roots)`` checks each item's roots; the kernel pins none or two.
     """
-    red = np.asarray(red, dtype=np.int64)
-    blue = np.asarray(blue, dtype=np.int64)
-    n = red.shape[0]
+    n = len(red)
     patterns = tuple((h, Flag(h, roots).roots) for h, roots in patterns)
     _check_kernel_size(max((h.n for h, _ in patterns), default=0), n)
     if any(len(roots) not in (0, 2) for _, roots in patterns):
         raise ValueError("pin no roots or exactly two")
     # the empty pattern has one map and no quotient in the plan
     totals = [np.zeros((n, n), dtype=np.int64) if roots else int(h.n == 0) for h, roots in patterns]
-    colours = np.stack([red, blue])
-    for spec, bits, ones, path, scatter in _batch_plan(patterns, n):
-        hom = np.einsum(spec, *colours[bits], *ones, optimize=path)
-        if bits.ndim == 1:
+    calls, needed = _batch_plan(patterns, n)
+    colours = np.asarray((red, blue), dtype=np.int64)
+    stacks = {(2, 1): colours, (1, 0): np.ones((1, n), dtype=np.int64), **_side_tensors(colours, needed)}
+    for spec, kinds, picks, path, scatter in calls:
+        hom = np.einsum(spec, *(stacks[kind][pick] for kind, pick in zip(kinds, picks)), optimize=path)
+        if picks.ndim == 1:
             hom = hom[None]  # a one-row call has no batch axis
         if hom.ndim == 1:
             hom = hom.tolist()  # plain counts are summed as Python ints

@@ -120,9 +120,11 @@ def test_verify_json_matches_fixture(fixture, tmp_path, capsys):
 
 # `oracle --format json` output pinned byte for byte, as the Fraction-based
 # evaluator wrote it; n = 14 is the host size of the benchmark's
-# `random-hosts` inequality op
+# `random-hosts` inequality op, and n = 64, the host cap, was written by the
+# int64 kernel before K3,3 and K4 rows read side tensors
 ORACLE_FIXTURES = {
     "oracle_identities_n10_seed1.json": ["identities", "--n", "10", "--seed", "1"],
+    "oracle_identities_n64_seed1.json": ["identities", "--n", "64", "--seed", "1"],
     "oracle_inequality_n10_seed1.json": ["inequality", "--n", "10", "--seed", "1"],
     "oracle_inequality_n14_seed1.json": ["inequality", "--n", "14", "--seed", "1"],
     "oracle_exhaustive.json": ["exhaustive"],

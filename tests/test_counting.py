@@ -17,7 +17,9 @@ from flagcert.counting import (
     CLOSED_FORM_MAX_N,
     MAX_PATTERN_N,
     _batch_plan,
+    _partitions,
     _quotients,
+    _side_tensors,
     alternating_hom_inj_count,
     alternating_hom_inj_from_matrices,
     color_adjacency,
@@ -590,6 +592,66 @@ class TestQuotientKernel:
         assert hom_inj_batch([(TARGET, ())], zeros[:7, :7], zeros[:7, :7])[0] == 0
 
 
+def _growth_strings(k: int) -> list[tuple[int, ...]]:
+    """Every partition of range(k) as a restricted growth string, unpruned."""
+    strings = [()]
+    for _ in range(k):
+        strings = [s + (b,) for s in strings for b in range(max(s, default=-1) + 2)]
+    return strings
+
+
+def _coloured_quotient(h: ColoredGraph, labels: tuple[int, ...]):
+    """h with vertex v merged into block labels[v], or None if that makes a loop or a two-coloured pair."""
+    edges: dict[tuple[int, int], Color] = {}
+    for u, v, c in h.edges:
+        a, b = sorted((labels[u], labels[v]))
+        if a == b or edges.setdefault((a, b), c) is not c:
+            return None
+    return ColoredGraph(max(labels, default=-1) + 1, [(a, b, c) for (a, b), c in edges.items()])
+
+
+K33_PAIRS = tuple((a, d) for a in range(3) for d in range(3, 6))
+K4_PAIRS = tuple(combinations(range(4), 2))
+
+
+class TestQuotientRecords:
+    @settings(max_examples=60, deadline=None)
+    @given(colored_patterns(max_n=6), st.data())
+    def test_records_sum_every_partition(self, h, data):
+        # the Moebius weights of every partition that keeps roots apart, summed
+        # per coloured quotient, with no pruning
+        roots = ()
+        if h.n >= 2 and data.draw(st.booleans()):
+            roots = tuple(data.draw(st.permutations(range(h.n)))[:2])
+        expected: Counter = Counter()
+        for labels in _growth_strings(h.n):
+            q = _coloured_quotient(h, labels)
+            if q is None or len({labels[r] for r in roots}) < len(roots):
+                continue
+            mu = math.prod((-1) ** (c - 1) * math.factorial(c - 1) for c in Counter(labels).values())
+            bits = tuple(int(c is Color.BLUE) for _, _, c in q.edges)
+            expected[(q.n, q.pairs, tuple(labels[r] for r in roots)), bits] += mu
+        records = {(shape, bits): weight for shape, bits, weight in _quotients(h, roots)}
+        assert records == {key: mu for key, mu in expected.items() if mu}
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([K33_PAIRS, K4_PAIRS]), st.integers(0, 2**9 - 1), st.integers(6, 12),
+           st.integers(0, 2**32 - 1))
+    def test_k33_and_k4_rows_match_numpys_own_loop(self, pairs, word, n, seed):
+        # hom(P, g) is the sum of inj(P/pi, g) over the partitions pi that keep
+        # every edge between blocks and no pair two-coloured; the plan counts
+        # each P/pi from K3,3 or K4 rows and their side tensors, numpy's
+        # unoptimised loop counts hom(P, g) straight from the edge matrices
+        bits = [word >> k & 1 for k in range(len(pairs))]
+        h = ColoredGraph(max(map(max, pairs)) + 1,
+                         [(u, v, (Color.RED, Color.BLUE)[b]) for (u, v), b in zip(pairs, bits)])
+        red, blue = color_adjacency(random_clique_coloring(n, seed))
+        spec = ",".join("abcdef"[u] + "abcdef"[v] for u, v in pairs) + "->"
+        hom = np.einsum(spec, *((red, blue)[b] for b in bits), optimize=False)
+        quotients = [q for labels in _growth_strings(h.n) if (q := _coloured_quotient(h, labels))]
+        assert sum(hom_inj_batch([(q, ()) for q in quotients], red, blue)) == hom
+
+
 @st.composite
 def pattern_batches(draw):
     """Lists of (pattern, roots): rooted and unrooted, edgeless, repeated."""
@@ -652,37 +714,59 @@ class TestBatchedKernel:
             alone = hom_inj_batch([(h, roots)], red, blue)[0]
             assert (count == alone).all() if roots else count == alone
 
-    def test_one_einsum_per_spec_on_small_hosts(self, monkeypatch):
-        calls = []
-        einsum = np.einsum
-
-        def counted(spec, *operands, **kwargs):
-            calls.append(spec)
-            return einsum(spec, *operands, **kwargs)
-
-        monkeypatch.setattr(np, "einsum", counted)
-        # at n = 8 a call takes 128 rows, more than any spec has
-        red, blue = color_adjacency(random_clique_coloring(8, 7))
-        hom_inj_batch([(h, ()) for h in UNROOTED_PATTERNS], red, blue)
+    def test_partitions_are_listed_once_per_shape(self):
+        # the 115 patterns of both host checks have four edge shapes, with
+        # their pinned vertices; at n = 8 a call takes 128 rows, more than any
+        # of the 33 quotient shapes of the identity patterns has
+        batch = tuple((h, ()) for h in UNROOTED_PATTERNS) + tuple((f.graph, f.roots) for f in FLAGS)
+        _batch_plan.cache_clear()
+        _partitions.cache_clear()
+        hom_inj_batch(batch, *color_adjacency(random_clique_coloring(8, 7)))
+        assert _partitions.cache_info().misses == len({(h.n, h.pairs, r) for h, r in batch}) == 4
+        calls, _ = _batch_plan(batch[: len(UNROOTED_PATTERNS)], 8)
         shapes = {shape for h in UNROOTED_PATTERNS for shape, _, _ in _quotients(h)}
-        assert len(calls) == len(set(calls)) == len(shapes) == 33
+        assert len(calls) == len(shapes) == 33
 
-    def test_a_second_host_of_the_same_size_reuses_the_plan(self, monkeypatch):
+    def test_a_second_host_of_the_same_size_builds_nothing(self, monkeypatch):
         batch = [(h, ()) for h in UNROOTED_PATTERNS] + [(f.graph, f.roots) for f in FLAGS]
-        hom_inj_batch(batch, *color_adjacency(random_clique_coloring(12, 1)))
-        paths = _count_einsum_paths(monkeypatch)
-        hom_inj_batch(batch, *color_adjacency(random_clique_coloring(12, 2)))
-        assert paths == []
-
-    def test_one_path_per_spec_when_every_row_is_a_call(self, monkeypatch):
-        # at n = 41 each row is a call of its own: the 656 quotients merge
-        # into 607 rows, and the 33 specs each need one contraction order
-        patterns = tuple((h, ()) for h in UNROOTED_PATTERNS)
         _batch_plan.cache_clear()
         paths = _count_einsum_paths(monkeypatch)
-        hom_inj_batch(patterns, *color_adjacency(random_clique_coloring(41, 1)))
-        assert len(_batch_plan(patterns, 41)) == 607
-        assert len(paths) == len(set(paths)) == 33
+        hom_inj_batch(batch, *color_adjacency(random_clique_coloring(12, 1)))
+        built = []
+        monkeypatch.setattr(counting, "_quotients", lambda *args: built.append(args))
+        monkeypatch.setattr(counting, "_contraction", lambda *args: built.append(args))
+        second = hom_inj_batch(batch, *color_adjacency(random_clique_coloring(12, 2)))
+        assert built == [] and paths == []  # the plan writes its own paths
+        monkeypatch.undo()
+        _batch_plan.cache_clear()
+        expected = hom_inj_batch(batch, *color_adjacency(random_clique_coloring(12, 2)))
+        assert [c.tolist() if r else c for (_, r), c in zip(batch, second)] == [
+            c.tolist() if r else c for (_, r), c in zip(batch, expected)
+        ]
+
+    def test_identity_quotients_merge_into_607_rows(self):
+        # at n = 41 every row is a call of its own
+        patterns = tuple((h, ()) for h in UNROOTED_PATTERNS)
+        assert sum(len(_quotients(h)) for h in UNROOTED_PATTERNS) == 656
+        calls, _ = _batch_plan(patterns, 41)
+        assert len(calls) == 607
+        assert all(picks.ndim == 1 and len(scatter) >= 1 for _, _, picks, _, scatter in calls)
+
+    def test_one_host_builds_at_most_eight_side_tensors(self):
+        # a K3,3 row reads three side tensors over its other side, a K4 row
+        # one; the 26 K3,3 rows of the identity patterns read only eight
+        n = 9
+        red, blue = color_adjacency(random_clique_coloring(n, 4))
+        calls, needed = _batch_plan(tuple((h, ()) for h in UNROOTED_PATTERNS), n)
+        k33 = [picks for spec, kinds, picks, *_ in calls if kinds == ((3, 3),) * 3]
+        assert sum(picks.shape[1] for picks in k33) == 26
+        assert set(np.concatenate(k33, axis=1).ravel().tolist()) == set(range(8))
+        assert [code for k, code in needed if k == 3] == list(range(8))
+        sides = _side_tensors(np.stack([red, blue]), needed)
+        assert sides[3, 3].shape == (8, n, n, n)
+        for code in range(8):
+            x, y, z = ((red, blue)[code >> shift & 1] for shift in (2, 1, 0))
+            assert (sides[3, 3][code] == np.einsum("ap,aq,ar->pqr", x, y, z)).all()
 
     # the kernel pins no roots or two; the other root rules are Flag's
     # (tests/test_graphs.py), which the kernel applies to each item
