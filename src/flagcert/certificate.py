@@ -177,9 +177,9 @@ def flag_product(f1: Flag, f2: Flag) -> ColoredGraph:
 
 
 def expand_in_classes(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
-    """Conditional densities of the pattern across all template classes."""
+    """Conditional densities of the pattern across all template classes, zeros included."""
     maps, counts = table.expansion(p)
-    return {index: Fraction(c, maps) for index, c in zip(table.indices, counts)}
+    return dict.fromkeys(table.indices, Fraction(0)) | {k: Fraction(c, maps) for k, c in counts}
 
 
 # -- the certificate -------------------------------------------------------------
@@ -273,23 +273,23 @@ def certificate_coefficients(
 
     base(l) plus the full ordered double sum of matrix entries against the
     expansions of the glued flag products, one term per unordered pair.  A
-    product's expansion is its cached nonzero match counts over its map
+    product's expansion is its cached nonzero class counts over its map
     count, so the sum runs over integers with one common denominator, the
     lcm of the base denominators and of every weight denominator times map
     count; one Fraction per class is built at the end.
     """
     base = [cert.base.get(index, 0) for index in table.indices]
-    terms = []  # (numerator, denominator, nonzero counts) of each nonzero weight / maps
+    terms = []  # (numerator, denominator, class counts) of each nonzero weight / maps
     for *_, (num, d), product in cert.flag_pairs:
         if num:
-            maps, nonzero = table.sparse_expansion(product)
-            terms.append((num, d * maps, nonzero))
+            maps, counts = table.expansion(product)
+            terms.append((num, d * maps, counts))
     den = math.lcm(*(v.denominator for v in base), *(d for _, d, _ in terms))
     nums = [v.numerator * (den // v.denominator) for v in base]
-    for num, d, nonzero in terms:
+    for num, d, counts in terms:
         scale = num * (den // d)
-        for k, c in nonzero:
-            nums[k] += scale * c
+        for index, c in counts:
+            nums[index - 1] += scale * c
     return {index: Fraction(num, den) for index, num in zip(table.indices, nums)}
 
 
@@ -359,7 +359,8 @@ def _golden_check() -> CheckResult:
         for family, i, j, labels, _, product in golden:
             row = builtin.golden_numerators(family.root_edge_color.value, i + 1, j + 1)
             maps, counts = table.expansion(product)
-            if [c * builtin.GROUP_ORDER for c in counts] != [num * maps for num in row]:
+            counts = dict(counts)
+            if any(num * maps != counts.get(k, 0) * builtin.GROUP_ORDER for k, num in enumerate(row, 1)):
                 bad_keys.append(labels[0])
         detail = f"mismatch at {bad_keys}" if bad_keys else f"{len(golden)} equations reproduced"
         _golden_verdict = (blue, CheckResult("golden_expansions", not bad_keys, detail))
@@ -382,29 +383,24 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
     # 1. classification of the template colourings
     mult_sum = sum(e.multiplicity for e in table.classes)
-    class_ok = len(table) == builtin.NUM_CLASSES and mult_sum == builtin.NUM_COLORINGS
-    detail = f"{mult_sum} colourings in {len(table)} classes"
+    bad = []
     if cert.template_parts != builtin.TEMPLATE_PARTS:
-        class_ok = False
-        detail += f"; unsupported template parts {list(cert.template_parts)}"
-    if cert.classes is not None:
-        if len(cert.classes) != len(table):
-            class_ok = False
-            detail += f"; certificate lists {len(cert.classes)} classes"
-        else:
-            for index, rep in enumerate(cert.classes, start=1):
-                if table.class_of(rep) != index:
-                    class_ok = False
-                    detail += f"; class {index} mismatch"
-                    break
+        bad.append(f"unsupported template parts {list(cert.template_parts)}")
+    if cert.classes is not None and len(cert.classes) != len(table):
+        bad.append(f"certificate lists {len(cert.classes)} classes")
+    elif cert.classes is not None:  # the first class whose representative is misplaced
+        bad += [f"class {k} mismatch" for k, g in enumerate(cert.classes, 1) if table.class_of(g) != k][:1]
+    class_ok = not bad and len(table) == builtin.NUM_CLASSES and mult_sum == builtin.NUM_COLORINGS
+    detail = "; ".join([f"{mult_sum} colourings in {len(table)} classes", *bad])
     checks.append(CheckResult("classification", class_ok, detail))
 
     # 2. base vector ties the linear part to the target's densities
     try:
         maps, counts = table.expansion(cert.target)
+        counts = dict(counts)
         base = [cert.base.get(k, 0) for k in table.indices]
-        bad = [k for k, v, c in zip(table.indices, base, counts)
-               if v.numerator * maps != c * v.denominator]
+        bad = [k for k, v in zip(table.indices, base)
+               if v.numerator * maps != counts.get(k, 0) * v.denominator]
         base_ok = not bad
         base_detail = "matches target densities" if base_ok else f"mismatch at {bad}"
     except ValueError as exc:

@@ -315,19 +315,6 @@ def t_bip(h: ColoredGraph, j: ColoredGraph) -> Fraction:
 # -- subcube count tables -------------------------------------------------------
 
 
-def _subcube_members(mask: int, bits: int) -> np.ndarray:
-    """Every ``x < 2**bits`` with ``x & mask == 0``, ascending.
-
-    Adding a value ``v`` inside ``mask`` gives the subcube of colourings whose
-    bits under ``mask`` read ``v``.
-    """
-    arr = np.zeros(1, dtype=np.int64)
-    for b in range(bits):
-        if not (mask >> b) & 1:
-            arr = np.concatenate([arr, arr + (1 << b)])
-    return arr
-
-
 # `oracle exhaustive` makes 4 misses and 111 hits (verify never comes here);
 # 32 keeps every key of a run and bounds what a long process holds.
 @lru_cache(maxsize=32)
@@ -341,16 +328,15 @@ def _embeddings(
     """The maps of ``graphs.shape_maps`` as arrays, with their free colourings.
 
     Returns (positions, free, inverse): positions[m, e] is the pair index
-    that map m gives edge e, and free[inverse[m]] lists the colourings that
-    are zero on every pair map m covers.  Shared by all colourings of a shape.
+    that map m gives edge e, and free[inverse[m]] lists, ascending, the
+    colourings zero on every pair map m covers.  Shared by all colourings of a shape.
     """
     rows = shape_maps(k, shape, n, pairs, pinned)
     positions = np.array(rows, dtype=np.int64).reshape(len(rows), len(shape))
     # distinct edges land on distinct pairs, so each row sums to its mask
-    masks, inverse = np.unique(
-        (np.int64(1) << positions).sum(axis=1), return_inverse=True
-    )
-    free = np.array([_subcube_members(int(m), len(pairs)) for m in masks])
+    masks, inverse = np.unique((np.int64(1) << positions).sum(axis=1), return_inverse=True)
+    codes = np.arange(1 << len(pairs))
+    free = np.array([np.flatnonzero(codes & m == 0) for m in masks.tolist()])
     return positions, free, inverse.reshape(-1)
 
 

@@ -323,20 +323,15 @@ class ClassTable:
             return None
         return self.lookup.get(g.blue)
 
-    # A certificate has 73 patterns (its target and 72 flag products), and the
-    # golden check adds the builtin's; 256 keeps both and bounds a long process.
+    # A certificate's 73 patterns (its target and 72 flag products, the builtin's with 260
+    # nonzero counts of 72 * 26) and the golden check's: 256 keeps both, bounds a long process.
     @lru_cache(maxsize=256)
-    def expansion(self, p: ColoredGraph) -> tuple[int, tuple[int, ...]]:
-        """``pulled_densities`` of ``p`` at every class code: ``(maps, counts)``, read-only ints."""
+    def expansion(self, p: ColoredGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """``pulled_densities`` of ``p`` at the class codes, as read-only ints ``(maps,
+        ((index, count), ...))``: each class index with a nonzero count, ascending."""
         codes = tuple(e.representative.blue for e in self.classes)
-        return pulled_densities(p, self.n, self.pairs, codes)
-
-    # The builtin's 72 products have 260 nonzero counts of 72 * 26.
-    @lru_cache(maxsize=256)
-    def sparse_expansion(self, p: ColoredGraph) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """``expansion`` of ``p`` at its nonzero counts: ``(maps, ((position, count), ...))``."""
-        maps, counts = self.expansion(p)
-        return maps, tuple((k, c) for k, c in enumerate(counts) if c)
+        maps, counts = pulled_densities(p, self.n, self.pairs, codes)
+        return maps, tuple((index, c) for index, c in zip(self.indices, counts) if c)
 
     def swap_involution(self) -> dict[int, int]:
         """Index map induced by swapping every edge colour of a representative."""

@@ -150,8 +150,8 @@ def _identities(cert, classes, count, perms: int):
     ``count(pattern)`` is a Python int for one host or an int64 table for
     many, ``perms`` = (n)_6 and ``classes`` the 26 multiplicity-weighted class
     counts.  The classes sum to ``perms``, and each pattern p, the target or a
-    flag product, has ``maps * count(p) == sum(counts[l] * classes[l])`` over
-    ``den = maps * perms``, where ``(maps, counts)`` is its expansion.
+    flag product, has ``maps * count(p) == sum(c * classes[l])`` over
+    ``den = maps * perms``, where ``(maps, ((l, c), ...))`` is its expansion.
     """
     table = builtin.class_table()
     total = sum(classes.values())
@@ -162,7 +162,7 @@ def _identities(cert, classes, count, perms: int):
     for group, names, p in checks:
         maps, counts = table.expansion(p)
         lhs = maps * count(p)
-        rhs = sum(c * classes[l] for l, c in zip(table.indices, counts) if c)
+        rhs = sum(c * classes[l] for l, c in counts)
         yield group, names, lhs, rhs, maps * perms, lhs == rhs
 
 

@@ -187,6 +187,10 @@ MALFORMED = {
         lambda: _edited(lambda o: o["families"][1]["matrix"][3].pop()),
         "$.families[1]: row 3 has length 7, expected 8",
     ),
+    "matrix_row_not_a_list": (
+        lambda: _edited(lambda o: o["families"][0]["matrix"].__setitem__(0, "1/64")),
+        "$.families[0].matrix[0]: expected 8 entries",
+    ),
     # the root edge's colour is named by its letter, as the text writes it
     "root_edge_recoloured": (
         lambda: _edited(lambda o: o["families"][0]["flags"][0]["edges"][0].__setitem__(2, "B")),
@@ -280,6 +284,11 @@ class TestFlagProduct:
         with pytest.raises(ValueError):
             flag_product(builtin.red_flags()[0], builtin.blue_flags()[0])
 
+    def test_root_counts_must_agree(self):
+        f = builtin.red_flags()[0]
+        with pytest.raises(ValueError, match="^flags must have the same number of roots$"):
+            flag_product(f, Flag(f.graph, (0,)))
+
     def test_vertex_count(self):
         p = flag_product(builtin.red_flags()[1], builtin.red_flags()[6])
         assert p.n == 6
@@ -293,6 +302,11 @@ class TestValueTypes:
         copy = Flag(ColoredGraph(f.graph.n, reversed(f.graph.edges)), list(f.roots))
         assert copy == f and hash(copy) == hash(f) and copy is not f
         assert flag_product(copy, g) is flag_product(f, g)
+
+    def test_family_matrix_order_must_match_its_flags(self):
+        family = builtin_certificate().families[0]
+        with pytest.raises(ValueError, match="^matrix order must match the number of flags$"):
+            FlagFamily(family.root_edge_color, family.flags[:-1], family.matrix)
 
     def test_matrix_equality_and_hash(self):
         rows = builtin.matrix_rows()
@@ -447,11 +461,17 @@ class TestDerivedTables:
         assert loaded == cert and stripped != cert
 
     def test_expansion_is_pulled_densities_at_the_class_codes(self):
+        # one record per pattern: the nonzero counts at the class codes, by class index
         table = builtin.class_table()
         cert = builtin_certificate()
         codes = [e.representative.blue for e in table.classes]
         for p in [cert.target] + [product for *_, product in cert.flag_pairs]:
-            assert table.expansion(p) == pulled_densities(p, table.n, table.pairs, codes)
+            maps, counts = pulled_densities(p, table.n, table.pairs, codes)
+            record = table.expansion(p)
+            assert record == (maps, tuple((l, c) for l, c in zip(table.indices, counts) if c))
+            indices = [l for l, _ in record[1]]
+            assert indices == sorted(set(indices))
+            assert all(c for _, c in record[1])
         assert table.expansion(cert.target) is table.expansion(cert.target)
 
 

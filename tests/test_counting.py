@@ -280,6 +280,14 @@ class TestRootedCounts:
         with pytest.raises(ValueError):
             rooted_hom_inj_count(builtin.red_flags()[0], g, 2, 2)
 
+    def test_rejects_flags_without_two_roots(self):
+        flag = builtin.red_flags()[0]
+        with pytest.raises(ValueError, match="^rooted counting expects flags with two roots$"):
+            rooted_hom_inj_count(Flag(flag.graph, (0,)), complete_graph(4, Color.RED), 0, 1)
+
+    def test_host_smaller_than_the_flag_has_no_maps(self):
+        assert rooted_hom_inj_count(builtin.red_flags()[0], complete_graph(3, Color.RED), 0, 1) == 0
+
     @pytest.mark.parametrize("bad", [-1, 8, 1.0])
     def test_rejects_roots_outside_the_host(self, bad):
         g = random_clique_coloring(8, 0)

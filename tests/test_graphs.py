@@ -101,6 +101,15 @@ class TestColoredGraph:
         with pytest.raises(ValueError):
             ColoredGraph(3, [(0, 1, Color.RED), (1, 0, Color.BLUE)])
 
+    def test_rejects_colour_that_is_not_a_color(self):
+        with pytest.raises(ValueError, match=r"^edge \(0,1\) colour must be a Color$"):
+            ColoredGraph(3, [(0, 1, "R")])
+
+    @pytest.mark.parametrize("length", [5, 2])
+    def test_alternating_cycle_needs_an_even_length_of_at_least_four(self, length):
+        with pytest.raises(ValueError, match="^alternating cycle length must be even and >= 4$"):
+            alternating_cycle(length)
+
     def test_edge_lookup_symmetric(self):
         g = ColoredGraph(3, [(0, 2, Color.BLUE)])
         assert g.edge_color(0, 2) is Color.BLUE
@@ -480,6 +489,9 @@ class TestClassification:
             (lambda c, g, r: (c, g, (*r[:-1], r[0])),
              "reference representatives 0 and 25 are isomorphic"),
             (lambda c, g, r: (c, g, (*r[:-1], complete_graph(6, Color.RED))),
+             "reference representatives do not match the computed orbits"),
+            # the last colouring, all blue, is the whole orbit of class 26
+            (lambda c, g, r: (c[:-1], g, r),
              "reference representatives do not match the computed orbits"),
             (lambda c, g, r: (c, g, r[:-1]),
              "found 26 isomorphism classes, reference lists 25"),

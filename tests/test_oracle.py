@@ -68,6 +68,10 @@ class TestRandomness:
         assert g.n == 1
         assert g.edge_count == 0
 
+    def test_no_vertex_is_refused(self):
+        with pytest.raises(ValueError, match="^need at least one vertex$"):
+            oracle.random_clique_coloring(0, 5)
+
     def test_output_is_a_clique(self):
         assert oracle.random_clique_coloring(7, 3).is_clique()
 
