@@ -1,12 +1,12 @@
 """Exact homomorphism counting and the density functionals built on it.
 
 Two exact counters live here.  ``subcube_count_table`` counts a pattern in
-every colouring of a small labelled host at once: each injective map of the
-pattern's edges onto host pairs fixes the colours of the pairs it covers, so
-it matches exactly the colourings in one subcube, and adding the subcubes
-gives an integer table over all 2^pairs colourings; pinning pattern
-vertices to host vertices gives rooted counts the same way.  The exhaustive
-sweep reads its counts from these tables; ``t_bip`` and the verifier's
+every colouring of a small labelled host at once.  Each injective map of the
+pattern's edges onto host pairs matches the colourings of one subcube: its
+free colourings, built once per edge shape as a uint16 host index, plus the
+bits of its blue pairs.  One bincount adds them into an integer table over
+all 2^pairs colourings, and pinned pattern vertices give rooted counts.  The
+exhaustive sweep reads its counts from these tables; ``t_bip`` and the
 expansions count the same maps in Python ints (``graphs.pulled_densities``).
 
 ``hom_inj_batch`` counts a list of patterns in one concrete host, given its
@@ -32,9 +32,9 @@ matrices, so its partial sums are integers at most n, exact.  For a
 k-vertex pattern on an n-vertex host every einsum partial sum is then a
 partial hom count, at most n^k, and every signed running total is at most
 sum |mu(pi)| n^|pi| = n(n+1)...(n+k-1); hosts where that rising factorial
-passes 2^63 - 1 are refused (n <= 1445 for six-vertex patterns).  Patterns
-are limited to 8 vertices (Bell(8) = 4140 partitions).  All densities are
-`fractions.Fraction` values and never touch floating point.
+passes 2^63 - 1 (n > 1445 for six-vertex patterns), or whose side tensors
+would pass 2^28 bytes, are refused.  Patterns have at most 8 vertices
+(Bell(8) = 4140 partitions).  Densities are `fractions.Fraction`s, never floats.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ from .graphs import pulled_densities, shape_maps
 # -- Moebius inversion over quotients ----------------------------------------
 
 _INT64_MAX = 2**63 - 1
+# Bytes of one host's side-tensor stacks, 8 (2n)^k per k read: n <= 161 when K3,3 or K4 rows read k = 3.
+_SIDE_BYTES_MAX = 2**28
 _LETTERS = "abcdefgh"  # one einsum index per block
 
 
@@ -202,8 +204,8 @@ def hom_inj_batch(patterns, red, blue) -> list:
 
     ``red`` and ``blue`` are the host's int64 0/1 adjacency matrices with
     zero diagonals.  Runs the patterns' plan for this host size on them and
-    on the side tensors it reads (the eight three-index ones take 16 MB at
-    n = 64); a call's intermediates hold at most max(2^16, n^3) entries.
+    on the side tensors it reads (16 MB at n = 64), refusing hosts where those
+    would pass 2^28 bytes; a call's intermediates hold at most max(2^16, n^3) entries.
     Returns one count per pattern, in order: without roots a Python int;
     with two roots the n x n int64 table whose entry [u, v] counts the maps
     sending the first root to u and the second to v, zero on the diagonal.
@@ -214,9 +216,14 @@ def hom_inj_batch(patterns, red, blue) -> list:
     _check_kernel_size(max((h.n for h, _ in patterns), default=0), n)
     if any(len(roots) not in (0, 2) for _, roots in patterns):
         raise ValueError("pin no roots or exactly two")
+    calls, needed = _batch_plan(patterns, n)
+    side_bytes = lambda m: sum(8 * (2 * m) ** k for k in {k for k, _ in needed})  # noqa: E731
+    if side_bytes(n) > _SIDE_BYTES_MAX:
+        limit = next(m for m in range(n, 0, -1) if side_bytes(m) <= _SIDE_BYTES_MAX)
+        raise ValueError(f"host with {n} vertices rejected: its side tensors would take "
+                         f"{side_bytes(n)} bytes; limit is {_SIDE_BYTES_MAX} bytes, n <= {limit}")
     # the empty pattern has one map and no quotient in the plan
     totals = [np.zeros((n, n), dtype=np.int64) if roots else int(h.n == 0) for h, roots in patterns]
-    calls, needed = _batch_plan(patterns, n)
     colours = np.asarray((red, blue), dtype=np.int64)
     stacks = {(2, 1): colours, (1, 0): np.ones((1, n), dtype=np.int64), **_side_tensors(colours, needed)}
     for spec, kinds, picks, path, scatter in calls:
@@ -315,63 +322,55 @@ def t_bip(h: ColoredGraph, j: ColoredGraph) -> Fraction:
 # -- subcube count tables -------------------------------------------------------
 
 
-# `oracle exhaustive` makes 4 misses and 111 hits (verify never comes here);
+# `oracle exhaustive` makes 4 misses and 67 hits (verify never comes here);
 # 32 keeps every key of a run and bounds what a long process holds.
 @lru_cache(maxsize=32)
-def _embeddings(
-    k: int,
-    shape: tuple[tuple[int, int], ...],
-    n: int,
-    pairs: tuple[tuple[int, int], ...],
-    pinned: tuple[tuple[int, int], ...],
-):
-    """The maps of ``graphs.shape_maps`` as arrays, with their free colourings.
+def _embeddings(k: int, shape: tuple, n: int, pairs: tuple, pinned: tuple[tuple[int, int], ...]):
+    """The maps of ``graphs.shape_maps`` as uint16 arrays: ``(weights, index)``.
 
-    Returns (positions, free, inverse): positions[m, e] is the pair index
-    that map m gives edge e, and free[inverse[m]] lists, ascending, the
-    colourings zero on every pair map m covers.  Shared by all colourings of a shape.
+    weights[m, e] is 2^j when map m gives edge e pair j, and index[m] lists,
+    ascending, the colourings zero on every pair map m covers: one doubling
+    per free pair.  Shared by all colourings of a shape; uint16 holds every
+    colouring of 16 pairs.  Raises ``ValueError`` when there is no map.
     """
     rows = shape_maps(k, shape, n, pairs, pinned)
-    positions = np.array(rows, dtype=np.int64).reshape(len(rows), len(shape))
-    # distinct edges land on distinct pairs, so each row sums to its mask
-    masks, inverse = np.unique((np.int64(1) << positions).sum(axis=1), return_inverse=True)
-    codes = np.arange(1 << len(pairs))
-    free = np.array([np.flatnonzero(codes & m == 0) for m in masks.tolist()])
-    return positions, free, inverse.reshape(-1)
+    if not rows:
+        raise ValueError("pattern does not embed in the template")
+    bit = np.uint16(1) << np.arange(len(pairs), dtype=np.uint16)
+    weights = bit[np.array(rows, dtype=np.intp)]
+    # distinct edges land on distinct pairs: each row sums to its mask
+    free = (weights.sum(axis=1, dtype=np.uint16)[:, None] & bit) == 0
+    index = np.zeros((len(rows), 1), dtype=np.uint16)
+    for column in np.broadcast_to(bit, free.shape)[free].reshape(len(rows), -1).T:
+        index = np.hstack([index, index + column[:, None]])
+    return weights, index
 
 
-def subcube_count_table(
-    h: ColoredGraph,
-    n: int,
-    pairs: tuple[tuple[int, int], ...],
-    root_images: dict[int, int] | None = None,
-) -> np.ndarray:
+def subcube_count_table(h: ColoredGraph, n: int, pairs: tuple[tuple[int, int], ...],
+                        root_images: dict[int, int] | None = None) -> np.ndarray:
     """Colour-preserving injective counts of ``h`` in every colouring of a host.
 
     The host has vertices 0..n-1 and the labelled pairs ``pairs``; colouring
     ``x`` makes pair k blue when bit k of ``x`` is set and red otherwise.
-    Returns the table whose entry ``x`` equals ``hom_inj_count(h, host_x)``
-    for each of the ``2**len(pairs)`` colourings.  ``root_images`` pins
-    pattern vertices to host vertices, as in ``rooted_hom_inj_count``, and
-    counts only those maps; ``Flag(h, keys)`` checks its keys.  Raises
-    ``ValueError`` when no injective map sends every edge of ``h`` onto a
-    host pair.
+    Returns the int64 table whose entry ``x`` equals ``hom_inj_count(h, host_x)``
+    for each of the ``2**len(pairs)`` colourings: one ``bincount`` of each
+    map's host index plus its blue pairs' bits.  Swapping every colour sends
+    ``x`` to ``2**len(pairs) - 1 - x``, so ``h.swap_colors()`` has this table
+    reversed.  ``root_images`` pins pattern vertices to host vertices, as in
+    ``rooted_hom_inj_count``, and counts only those maps; ``Flag(h, keys)``
+    checks its keys.  Raises ``ValueError`` when no injective map sends every
+    edge of ``h`` onto a host pair.
     """
     if len(pairs) > MAX_TABLE_PAIRS or n > MAX_PATTERN_N:
-        raise ValueError(
-            f"count tables are limited to {MAX_TABLE_PAIRS} pairs on "
-            f"{MAX_PATTERN_N} vertices"
-        )
+        raise ValueError(f"count tables are limited to {MAX_TABLE_PAIRS} pairs on {MAX_PATTERN_N} vertices")
     if root_images:
         Flag(h, tuple(root_images))
         _check_vertices(root_images.values(), n)
     pinned = tuple(sorted(root_images.items())) if root_images else ()
-    positions, free, inverse = _embeddings(h.n, h.pairs, n, tuple(pairs), pinned)
-    if not len(positions):
-        raise ValueError("pattern does not embed in the template")
+    weights, index = _embeddings(h.n, h.pairs, n, tuple(pairs), pinned)
     blue = [e for e in range(h.edge_count) if (h.blue >> e) & 1]
-    values = (np.int64(1) << positions[:, blue]).sum(axis=1)
-    return np.bincount((free[inverse] + values[:, None]).ravel(), minlength=1 << len(pairs))
+    values = weights[:, blue].sum(axis=1, dtype=np.uint16)
+    return np.bincount((index + values[:, None]).ravel(), minlength=1 << len(pairs))
 
 
 # -- closed-form count of the alternating 6-cycle ------------------------------

@@ -27,7 +27,7 @@ from .counting import (
     hom_inj_batch,
     subcube_count_table,
 )
-from .graphs import Color, ColoredGraph, pair_actions
+from .graphs import Color, ColoredGraph, Flag, pair_actions
 
 # -- deterministic randomness ---------------------------------------------------
 
@@ -287,6 +287,10 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
 # onto the other.  That relabelling permutes the 15 bits of a colouring, so
 # the table for (u, v) is the (0, 1) table with its bit axes transposed, and
 # so is every product of such tables.
+#
+# Swapping every colour sends colouring x to 32767 - x and keeps the roots, so
+# a flag or product whose colour swap was counted reads that table reversed.
+# The target and the class tables, which ``sum_to_one`` rests on, are counted.
 
 
 @dataclass(frozen=True)
@@ -339,12 +343,13 @@ def exhaustive_k6_sweep() -> SweepReport:
 
     def quad(weights) -> np.ndarray:
         # weight * x_i * x_j summed over flag pairs, with x the flags' rooted
-        # count tables at roots (0, 1), then relabelled onto all 30 root pairs
-        x = {
-            f: subcube_count_table(f.graph, n, _K6_PAIRS, dict(zip(f.roots, (0, 1))))
-            for family in cert.families
-            for f in family.flags
-        }
+        # count tables at roots (0, 1), a colour-swapped flag's read reversed,
+        # then relabelled onto all 30 root pairs
+        x = {}
+        for f in (f for family in cert.families for f in family.flags):
+            mirror = x.get(Flag(f.graph.swap_colors(), f.roots))
+            x[f] = mirror[::-1] if mirror is not None else subcube_count_table(
+                f.graph, n, _K6_PAIRS, dict(zip(f.roots, (0, 1))))
         q01 = np.zeros(hosts, dtype=np.int64)
         for weight, (family, i, j, *_) in zip(weights, cert.flag_pairs):
             if weight:
@@ -355,12 +360,23 @@ def exhaustive_k6_sweep() -> SweepReport:
             total += q01.transpose(_k6_relabel_axes(u, v))
         return total.ravel()
 
+    # a product whose colour swap is also read waits, as uint16, for its mirror
+    mirrored, waiting = {p.swap_colors() for *_, p in cert.flag_pairs}, {}
+
     def count(p):  # both checks read the target, so its table is counted once
-        return target if p is cert.target else subcube_count_table(p, n, _K6_PAIRS)
+        if p is cert.target:
+            return target
+        if (mirror := waiting.pop(p.swap_colors(), None)) is not None:
+            return mirror[::-1].astype(np.int64)
+        counts = subcube_count_table(p, n, _K6_PAIRS)
+        if p in mirrored:
+            waiting[p] = counts.astype(np.uint16)  # at most 8! maps per host
+        return counts
 
     target = subcube_count_table(cert.target, n, _K6_PAIRS)
     table, perms = builtin.class_table(), math.factorial(n)
-    classes = {l: table.multiplicity(l) * count(table.representative(l)) for l in table.indices}
+    classes = {l: table.multiplicity(l) * subcube_count_table(table.representative(l), n, _K6_PAIRS)
+               for l in table.indices}
     failures: dict[str, int] = {}
     checked = 0
     # one check at a time, so only one check's count tables are alive

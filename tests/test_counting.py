@@ -497,6 +497,35 @@ class TestSubcubeCountTable:
         with pytest.raises(ValueError):
             subcube_count_table(TARGET, 7, pairs)
 
+    @settings(max_examples=40, deadline=None)
+    @given(colored_patterns(max_n=6))
+    def test_colour_swap_reverses_the_table(self, h):
+        # swapping every colour sends colouring x to 511 - x on the template
+        tmpl = builtin.template()
+        try:
+            counts = subcube_count_table(h, tmpl.n, tmpl.pairs)
+        except ValueError:
+            with pytest.raises(ValueError, match="does not embed"):
+                subcube_count_table(h.swap_colors(), tmpl.n, tmpl.pairs)
+            return
+        assert np.array_equal(subcube_count_table(h.swap_colors(), tmpl.n, tmpl.pairs), counts[::-1])
+
+    def test_sixteen_pair_host_indexes_every_colouring(self):
+        # colourings at and above 2^15 are indexed too (a signed 16-bit index would wrap)
+        pairs = (*K6_PAIRS, (0, 6))
+        red_path = ColoredGraph(3, [(0, 1, Color.RED), (1, 2, Color.RED)])
+        blue_path = red_path.swap_colors()
+        codes = (0, 32767, 32768, 40000, 65535)
+        hosts = [ColoredGraph(7, [(u, v, (Color.RED, Color.BLUE)[x >> k & 1]) for k, (u, v) in enumerate(pairs)])
+                 for x in codes]
+        rows = []
+        for h in (PATH4, red_path, blue_path):
+            table = subcube_count_table(h, 7, pairs)
+            assert table.shape == (1 << 16,)
+            rows.append([table[x] for x in codes])
+            assert rows[-1] == [hom_inj_count(h, g) for g in hosts], h
+        assert all(any(column) for column in zip(*rows))  # every entry checked is nonzero somewhere
+
 
 @st.composite
 def partial_hosts(draw, min_n=0, max_n=9):
@@ -598,6 +627,23 @@ class TestQuotientKernel:
         with pytest.raises(ValueError, match="6-vertex pattern .* n <= 1445"):
             hom_inj_batch([(TARGET, ())], zeros, zeros)
         assert hom_inj_batch([(TARGET, ())], zeros[:7, :7], zeros[:7, :7])[0] == 0
+
+    def test_refuses_hosts_whose_side_tensors_pass_the_cap(self, monkeypatch):
+        # K3,3's own quotient reads the eight three-index side tensors: 8 (2n)^3
+        # bytes plus the smaller stacks, 2^28 bytes at most for n <= 161
+        def refuse(*args):
+            raise AssertionError("side tensors were allocated")
+
+        monkeypatch.setattr(counting, "_side_tensors", refuse)
+        k33 = graphs.complete_bipartite(3, 3)
+        red, blue = color_adjacency(random_clique_coloring(162, 5))
+        message = "^host with 162 vertices rejected: its side tensors would take 272940192 bytes; " \
+                  "limit is 268435456 bytes, n <= 161$"
+        with pytest.raises(ValueError, match=message):
+            hom_inj_batch([(k33, ())], red, blue)
+        # a pattern with no three-neighbour block reads no three-index stack
+        with pytest.raises(AssertionError, match="side tensors were allocated"):
+            hom_inj_batch([(PATH4, ())], red, blue)
 
 
 def _growth_strings(k: int) -> list[tuple[int, ...]]:

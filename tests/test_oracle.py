@@ -19,6 +19,7 @@ from flagcert.counting import (
     t_inj,
 )
 from flagcert.graphs import (
+    ClassTable,
     Color,
     ColoredGraph,
     alternating_cycle,
@@ -288,6 +289,38 @@ class TestExhaustiveSweep:
         }
         assert report.min_inequality_slack == Fraction(3, 32)
         assert report.checks == 4292608
+
+    def test_colour_swapped_tables_are_reversed(self):
+        # the sweep reads a blue product's or flag's table as its red mirror's reversed
+        cert = builtin_certificate()
+        pairs = oracle._K6_PAIRS
+        rooted = [(f.graph, dict(zip(f.roots, (0, 1)))) for family in cert.families for f in family.flags]
+        patterns = [(p, None) for *_, p in cert.flag_pairs] + rooted
+        assert len(patterns) == 88
+        for p, roots in patterns:
+            direct = subcube_count_table(p.swap_colors(), 6, pairs, roots)
+            assert np.array_equal(direct, subcube_count_table(p, 6, pairs, roots)[::-1]), p
+
+    def test_a_miscounted_blue_expansion_fails(self, monkeypatch):
+        # a blue product's table is read from its red mirror, but still checked
+        # against the blue product's own class expansion
+        cert = builtin_certificate()
+        reds = {p for family, *_, p in cert.flag_pairs if family.root_edge_color is Color.RED}
+        blue = next(p for family, *_, p in cert.flag_pairs if family.root_edge_color is Color.BLUE)
+        assert blue.swap_colors() in reds
+        expansion = ClassTable.expansion
+
+        def shifted(table, p):
+            maps, counts = expansion(table, p)
+            if p == blue:
+                (l, c), *rest = counts
+                counts = ((l, c + 1), *rest)
+            return maps, counts
+
+        monkeypatch.setattr(ClassTable, "expansion", shifted)
+        report = oracle.exhaustive_k6_sweep()
+        assert report.failures["expansions"] > 0
+        assert report.failures["sum_to_one"] == report.failures["double_count"] == 0
 
     def test_count_tables_match_brute_force(self):
         # the subcube engine and the backtracking counter must agree host
