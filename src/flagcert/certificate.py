@@ -323,18 +323,13 @@ class VerificationReport:
                 {"name": c.name, "passed": c.passed, "detail": c.detail}
                 for c in self.checks
             ],
-            "coefficients": {
-                str(k): format_rational(v)
-                for k, v in sorted(self.coefficients.items())
-            },
-            "bound": format_rational(self.bound),
+            "coefficients": {str(k): str(v) for k, v in sorted(self.coefficients.items())},
+            "bound": str(self.bound),
             "psd": [
                 {
                     "is_psd": r.is_psd,
-                    "pivots": [format_rational(p) for p in r.pivot_sequence],
-                    "kernel": [
-                        [format_rational(x) for x in vec] for vec in r.kernel_basis
-                    ],
+                    "pivots": [str(p) for p in r.pivot_sequence],
+                    "kernel": [[str(x) for x in vec] for vec in r.kernel_basis],
                 }
                 for r in self.psd_reports
             ],
@@ -422,7 +417,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     try:
         coefficients = certificate_coefficients(cert, table)
         bad = [k for k, v in coefficients.items() if v != cert.bound]
-        detail = f"all {len(coefficients)} equal {format_rational(cert.bound)}"
+        detail = f"all {len(coefficients)} equal {cert.bound}"
         if bad:
             detail = f"classes {bad} deviate from the bound"
         checks.append(CheckResult("coefficients", not bad, detail))
@@ -443,16 +438,12 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
 
 # -- serialization -----------------------------------------------------------------
+#
+# A rational is written as ``str(Fraction)``: the reduced "p/q", or the integer
+# alone when q = 1.  The loader accepts those spellings, and "p/1" besides.
 
 _RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _CLASS_KEY_RE = re.compile(r"[1-9][0-9]?")  # 1..99, then capped at NUM_CLASSES
-
-
-def format_rational(x: Fraction | int) -> str:
-    """Canonical string form: reduced "p/q", or plain integer when q = 1."""
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # Interned by spelling, refusals never cached: `verify --cert` makes 23 misses and
@@ -470,7 +461,7 @@ def _rational(text: str) -> Fraction:
     # the text must be the integers' own spelling: no leading zero, no "-0"
     spelled = str(num) if match.group(2) is None else f"{num}/{den}"
     if text != spelled or (value.numerator, value.denominator) != (num, den):
-        raise ValueError(f"rational {text!r} is not canonical; write {format_rational(value)}")
+        raise ValueError(f"rational {text!r} is not canonical; write {value}")
     return value
 
 
@@ -554,9 +545,7 @@ def save_certificate(cert: Certificate) -> str:
     }
     if cert.classes is not None:
         obj["classes"] = [_graph_to_obj(g) for g in cert.classes]
-    obj["base"] = {
-        str(k): format_rational(v) for k, v in sorted(cert.base.items()) if v
-    }
+    obj["base"] = {str(k): str(v) for k, v in sorted(cert.base.items()) if v}
     obj["families"] = [
         {
             "root_edge_color": family.root_edge_color.value,
@@ -564,13 +553,11 @@ def save_certificate(cert: Certificate) -> str:
                 dict(_graph_to_obj(f.graph), roots=list(f.roots))
                 for f in family.flags
             ],
-            "matrix": [
-                [format_rational(x) for x in row] for row in family.matrix.rows
-            ],
+            "matrix": [[str(x) for x in row] for row in family.matrix.rows],
         }
         for family in cert.families
     ]
-    obj["bound"] = format_rational(cert.bound)
+    obj["bound"] = str(cert.bound)
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -14,15 +14,11 @@ import os
 import sys
 from fractions import Fraction
 
-from . import builtin
-
 _BUILTIN_NAMES = ("c6a",)
 
 
 def _approx(x: Fraction) -> str:
-    from .certificate import format_rational
-
-    return f"{format_rational(x)} (approx. {float(x):.6g})"
+    return f"{x} (approx. {float(x):.6g})"
 
 
 def _status(ok: bool) -> str:
@@ -45,8 +41,7 @@ def _emit(args, obj, lines: list[str], passed: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .certificate import SchemaError, builtin_certificate, format_rational, load_certificate
-    from .certificate import verify_certificate
+    from .certificate import SchemaError, builtin_certificate, load_certificate, verify_certificate
 
     if args.cert:
         with open(args.cert, "r", encoding="utf-8") as fh:
@@ -58,9 +53,7 @@ def _cmd_verify(args) -> int:
     else:
         cert = builtin_certificate()
     report = verify_certificate(cert)
-    coeffs = ", ".join(
-        f"J{k}={format_rational(v)}" for k, v in sorted(report.coefficients.items())
-    )
+    coeffs = ", ".join(f"J{k}={v}" for k, v in sorted(report.coefficients.items()))
     lines = [
         f"certificate: {report.certificate_name}",
         *(f"  [{_status(c.passed)}] {c.name}: {c.detail}" for c in report.checks),
@@ -72,6 +65,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import builtin
+
     table = builtin.class_table()
     total = sum(e.multiplicity for e in table.classes)
     obj = {
@@ -91,10 +86,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from . import builtin
+
     flags = builtin.red_flags() if args.family == "R" else builtin.blue_flags()
     if not (1 <= args.i <= len(flags) and 1 <= args.j <= len(flags)):
         raise ValueError(f"flag indices must be between 1 and {len(flags)}")
-    from .certificate import expand_in_classes, flag_product, format_rational
+    from .certificate import expand_in_classes, flag_product
 
     table = builtin.class_table()
     expansion = expand_in_classes(
@@ -104,7 +101,7 @@ def _cmd_expand(args) -> int:
         "family": args.family,
         "i": args.i,
         "j": args.j,
-        "expansion": {str(k): format_rational(v) for k, v in expansion.items() if v},
+        "expansion": {str(k): str(v) for k, v in expansion.items() if v},
     }
     # numerators over the template's symmetries, as published
     order = builtin.GROUP_ORDER

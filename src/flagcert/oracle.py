@@ -17,8 +17,6 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from . import builtin
-from .certificate import builtin_certificate, format_rational
 from .counting import (
     alternating_hom_inj_from_matrices,
     check_closed_form_size,
@@ -132,8 +130,8 @@ class OracleReport:
                 {
                     "check": r.check,
                     "instance": r.instance,
-                    "lhs": format_rational(r.lhs),
-                    "rhs": format_rational(r.rhs),
+                    "lhs": str(r.lhs),
+                    "rhs": str(r.rhs),
                     "holds": r.holds,
                 }
                 for r in self.records
@@ -144,16 +142,16 @@ class OracleReport:
 # -- the certificate's checks as integer equations ----------------------------------
 
 
-def _identities(cert, classes, count, perms: int):
+def _identities(cert, table, classes, count, perms: int):
     """Yield the identities as ``(group, names, lhs, rhs, den, holds)``, one name per order.
 
     ``count(pattern)`` is a Python int for one host or an int64 table for
-    many, ``perms`` = (n)_6 and ``classes`` the 26 multiplicity-weighted class
-    counts.  The classes sum to ``perms``, and each pattern p, the target or a
-    flag product, has ``maps * count(p) == sum(c * classes[l])`` over
-    ``den = maps * perms``, where ``(maps, ((l, c), ...))`` is its expansion.
+    many, ``perms`` = (n)_6 and ``classes`` the multiplicity-weighted counts
+    of the 26 classes of ``table``.  The classes sum to ``perms``, and each
+    pattern p, the target or a flag product, has ``maps * count(p) ==
+    sum(c * classes[l])`` over ``den = maps * perms``, where
+    ``(maps, ((l, c), ...))`` is its expansion in ``table``.
     """
-    table = builtin.class_table()
     total = sum(classes.values())
     yield "sum_to_one", ["sum_to_one"], total, perms, perms, total == perms
     checks = [("double_count", ["double_count"], cert.target)]
@@ -210,14 +208,24 @@ def _records(name: str, checks) -> list[OracleRecord]:
     ]
 
 
-def _host_counts(g: ColoredGraph, cert, identities: bool):
+def _builtin():
+    """The builtin certificate and class table, for the three checks that read them.
+
+    Imported here, not at the top, so that Monte Carlo loads neither module.
+    """
+    from . import builtin
+    from .certificate import builtin_certificate
+
+    return builtin_certificate(), builtin.class_table()
+
+
+def _host_counts(g: ColoredGraph, cert, table, identities: bool):
     """``(classes, count)`` for one kind of check on ``g``, from one ``hom_inj_batch`` call.
 
     ``classes`` holds the multiplicity-weighted counts of all 26 classes for
     ``_identities``, or of the base's for ``_inequality``, which also reads
     each flag's rooted table; ``count`` looks up any pattern or flag counted.
     """
-    table = builtin.class_table()
     indices = table.indices if identities else cert.base
     patterns = [table.representative(l) for l in indices]
     patterns += [cert.target, *(product for *_, product in cert.flag_pairs)]
@@ -240,8 +248,9 @@ def check_identities(g: ColoredGraph) -> OracleReport:
     if not g.is_clique():
         raise ValueError("identity checks require a coloured clique host")
     check_host_size(g.n)
-    cert = builtin_certificate()
-    checks = _identities(cert, *_host_counts(g, cert, identities=True), falling_factorial(g.n, 6))
+    cert, table = _builtin()
+    classes, count = _host_counts(g, cert, table, identities=True)
+    checks = _identities(cert, table, classes, count, falling_factorial(g.n, 6))
     return OracleReport(tuple(_records(f"clique n={g.n}", checks)))
 
 
@@ -255,12 +264,12 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
     if not g.is_clique():
         raise ValueError("the flagged inequality is stated for coloured cliques")
     check_host_size(g.n)
-    cert = builtin_certificate()
+    cert, table = _builtin()
 
     # each flag's rooted count table over all ordered root pairs (zero on the
     # diagonal); their Gram sums give both the quadratic form and, against
     # the count of the glued product, the overlap surplus
-    classes, count = _host_counts(g, cert, identities=False)
+    classes, count = _host_counts(g, cert, table, identities=False)
     grams = [int((count(f.flags[i]) * count(f.flags[j])).sum()) for f, i, j, *_ in cert.flag_pairs]
     quad = lambda weights: sum(w * gram for w, gram in zip(weights, grams))  # noqa: E731
     checks = [_inequality(cert, classes, count, falling_factorial(g.n, 6), quad)]
@@ -310,7 +319,7 @@ class SweepReport:
             "checks": self.checks,
             "passed": self.passed,
             "failures": dict(self.failures),
-            "min_inequality_slack": format_rational(self.min_inequality_slack),
+            "min_inequality_slack": str(self.min_inequality_slack),
         }
 
 
@@ -339,7 +348,7 @@ def exhaustive_k6_sweep() -> SweepReport:
     """
     n = 6
     hosts = 1 << 15
-    cert = builtin_certificate()
+    cert, table = _builtin()
 
     def quad(weights) -> np.ndarray:
         # weight * x_i * x_j summed over flag pairs, with x the flags' rooted
@@ -374,13 +383,13 @@ def exhaustive_k6_sweep() -> SweepReport:
         return counts
 
     target = subcube_count_table(cert.target, n, _K6_PAIRS)
-    table, perms = builtin.class_table(), math.factorial(n)
+    perms = math.factorial(n)
     classes = {l: table.multiplicity(l) * subcube_count_table(table.representative(l), n, _K6_PAIRS)
                for l in table.indices}
     failures: dict[str, int] = {}
     checked = 0
     # one check at a time, so only one check's count tables are alive
-    for group, names, *_, holds in _identities(cert, classes, count, perms):
+    for group, names, *_, holds in _identities(cert, table, classes, count, perms):
         # the orders of a flag pair glue to one graph, so one table serves both
         failures[group] = failures.get(group, 0) + len(names) * int(np.count_nonzero(~holds))
         checked += len(names) * hosts
@@ -407,10 +416,10 @@ class MonteCarloResult:
             "n": self.n,
             "trials": self.trials,
             "seed": self.seed,
-            "mean": format_rational(self.mean),
+            "mean": str(self.mean),
             "mean_approx": float(self.mean),
-            "min": format_rational(self.minimum),
-            "max": format_rational(self.maximum),
+            "min": str(self.minimum),
+            "max": str(self.maximum),
         }
 
 

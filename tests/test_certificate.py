@@ -26,7 +26,6 @@ from flagcert.certificate import (
     certificate_coefficients,
     expand_in_classes,
     flag_product,
-    format_rational,
     load_certificate,
     parse_rational,
     psd_check,
@@ -53,7 +52,7 @@ def _shifted(family: int, i: int, j: int, delta: Fraction):
 
     def edit(obj):
         matrix = obj["families"][family]["matrix"]
-        value = format_rational(Fraction(matrix[i - 1][j - 1]) + delta)
+        value = str(Fraction(matrix[i - 1][j - 1]) + delta)
         matrix[i - 1][j - 1] = matrix[j - 1][i - 1] = value
 
     return edit
@@ -559,6 +558,22 @@ class TestCoefficients:
         )
         assert value == BOUND
 
+    def test_colour_swap_maps_the_red_family_onto_the_blue(self):
+        # swapping colours sends red flag k to blue flag k and class l to
+        # swap[l], so family B's coefficients are family R's, permuted
+        cert = builtin_certificate()
+        table = builtin.class_table()
+        swap = table.swap_involution()
+        red, blue = (
+            certificate_coefficients(dataclasses.replace(cert, families=(f,), base={}), table)
+            for f in cert.families
+        )
+        assert [f.root_edge_color for f in cert.families] == [Color.RED, Color.BLUE]
+        assert all(blue[swap[l]] == red[l] for l in table.indices)
+        assert all(cert.base.get(swap[l], 0) == cert.base.get(l, 0) for l in table.indices)
+        # no class is its own swap partner's equal, so a wrong involution fails
+        assert all(red[l] != red[swap[l]] for l in table.indices)
+
     def test_every_single_entry_mutation_breaks_a_coefficient(self):
         cert = builtin_certificate()
         table = builtin.class_table()
@@ -1040,10 +1055,15 @@ class TestSerialization:
         assert load_certificate(save_certificate(stripped)) == stripped
 
     def test_rational_formatting(self):
-        assert format_rational(Fraction(2, 128)) == "1/64"
-        assert format_rational(Fraction(-20, 128)) == "-5/32"
-        assert format_rational(Fraction(3)) == "3"
-        assert format_rational(Fraction(0)) == "0"
+        # the writer spells a rational as str(Fraction), which the loader reads back
+        for x, text in [(Fraction(2, 128), "1/64"), (Fraction(-20, 128), "-5/32"),
+                        (Fraction(3), "3"), (Fraction(0), "0")]:
+            assert str(x) == text
+            assert parse_rational(text, "$.x") == x
+        obj = json.loads(save_certificate(builtin_certificate()))
+        texts = [obj["bound"], *obj["base"].values()]
+        texts += [x for family in obj["families"] for row in family["matrix"] for x in row]
+        assert all(str(parse_rational(text, "$.x")) == text for text in texts)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1062,8 +1082,8 @@ class TestSerialization:
     @example(-(10**4300) + 1)
     @example(Fraction(-(10**4300) + 1, 10**4300 - 2))
     def test_rational_formatting_of_ints_and_fractions(self, x):
-        text = format_rational(x)
-        assert text == format_rational(Fraction(x))
+        text = str(x)
+        assert text == str(Fraction(x))
         assert parse_rational(text, "$.x") == x
 
     def test_parse_rejects_unreduced(self):
@@ -1074,7 +1094,7 @@ class TestSerialization:
         # "3/1" is reduced with positive denominator, hence legal input,
         # though the writer always emits the plain integer form
         assert parse_rational("3/1", "$.x") == 3
-        assert format_rational(parse_rational("3/1", "$.x")) == "3"
+        assert str(parse_rational("3/1", "$.x")) == "3"
 
     def test_parse_rejects_garbage(self):
         for bad in ("", "1/0", "1/-2", "a/b", "1.5", "+1/2", "1/64\n", "\u0661/64",
@@ -1174,7 +1194,7 @@ class TestSerialization:
             family = obj["families"][0]
             family["flags"] = (family["flags"] * 8)[:MAX_FLAGS]
             family["matrix"] = [
-                ["64" if i == j else format_rational(Fraction((i * j) % 7 - 3, 128))
+                ["64" if i == j else str(Fraction((i * j) % 7 - 3, 128))
                  for j in range(MAX_FLAGS)]
                 for i in range(MAX_FLAGS)
             ]
@@ -1306,7 +1326,7 @@ class TestInterning:
     @example(Fraction(0), 2)
     @example(Fraction(1, 64), 2)
     def test_rational_round_trip_and_refusals(self, x, k):
-        canonical = format_rational(x)
+        canonical = str(x)
         assert parse_rational(canonical, "$.x") == x
         sign, digits = ("-", canonical[1:]) if x < 0 else ("", canonical)
         spellings = [

@@ -18,7 +18,6 @@ from flagcert import oracle
 from flagcert.certificate import (
     SchemaError,
     builtin_certificate,
-    format_rational,
     load_certificate,
     save_certificate,
     verify_certificate,
@@ -43,7 +42,7 @@ def _shifted_certificate_text() -> str:
     """The exported certificate with one matrix entry moved by 1/128."""
     obj = json.loads(save_certificate(builtin_certificate()))
     row = obj["families"][0]["matrix"][0]
-    row[0] = format_rational(Fraction(row[0]) + Fraction(1, 128))
+    row[0] = str(Fraction(row[0]) + Fraction(1, 128))
     return json.dumps(obj, indent=2)
 
 
@@ -523,6 +522,40 @@ def test_numpy_loads_only_for_commands_that_count(name, tmp_path):
     assert status == expected_status
     assert numpy_loaded is loads_numpy
     assert certificate_loaded is (name not in CERTIFICATE_FREE)
+
+
+# The flagcert modules a fresh process holds after one command, or (None) after
+# importing the oracle alone.
+MODULE_FOOTPRINT = {
+    "help": (["--help"], ["cli"]),
+    "classify": (["classify"], ["builtin", "cli", "graphs"]),
+    "verify": (["verify"], ["builtin", "certificate", "cli", "graphs"]),
+    "oracle_montecarlo": (
+        ["oracle", "montecarlo", "--n", "40", "--trials", "1", "--format", "json"],
+        ["cli", "counting", "graphs", "oracle"],
+    ),
+    # the checks that read the builtin certificate import its layer themselves
+    "oracle_identities": (
+        ["oracle", "identities", "--n", "10"],
+        ["builtin", "certificate", "cli", "counting", "graphs", "oracle"],
+    ),
+    "import_oracle": (None, ["counting", "graphs", "oracle"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_FOOTPRINT))
+def test_each_command_loads_only_its_modules(name):
+    argv, modules = MODULE_FOOTPRINT[name]
+    statement = "import flagcert.oracle"
+    if argv is not None:
+        statement = f"from flagcert.cli import run\nassert run({argv!r}) == 0"
+    code = (
+        f"import sys\n{statement}\n"
+        "print(sorted(m for m in sys.modules if m.startswith('flagcert.')), file=sys.stderr)\n"
+    )
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str([f"flagcert.{m}" for m in modules])
 
 
 def test_importing_the_package_loads_no_module():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcert import builtin, oracle
+from flagcert import builtin, certificate, oracle
 from flagcert.certificate import builtin_certificate, expand_in_classes, load_certificate
 from flagcert.counting import (
     color_adjacency,
@@ -257,7 +257,7 @@ class TestEvaluator:
         # a 1/5 shift puts weights over 5 * 128, outside the builtin's lcm, and
         # the -3/128 one takes a diagonal entry from 3/32 to 9/128
         cert = load_certificate(_edited(edit))
-        monkeypatch.setattr(oracle, "builtin_certificate", lambda: cert)
+        monkeypatch.setattr(certificate, "builtin_certificate", lambda: cert)
         g = oracle.random_clique_coloring(n, seed)
         identities, inequality = _reference_records(g, cert)
         assert inequality[0].rhs != _reference_records(g, builtin_certificate())[1][0].rhs
