@@ -238,22 +238,14 @@ def _golden_numerators_blue() -> dict[tuple[int, int], dict[int, int]]:
     }
 
 
-def golden_table(family: str) -> dict[tuple[int, int], dict[int, int]]:
-    """The sparse golden rows of ``family`` ("R" or "B"), keyed by (i, j) with i <= j.
-
-    The blue table is built from the red one once per process; rebuilding it
-    gives a new object.  Callers read it and never write to it.
-    """
-    return _GOLDEN_NUMERATORS_RED if family == "R" else _golden_numerators_blue()
-
-
 def golden_numerators(family: str, i: int, j: int) -> tuple[int, ...]:
     """Published expansion of flag product (i, j): numerators over 72, class k at k - 1.
 
     ``family`` is "R" or "B"; indices are 1-based and order-insensitive.  A
     new tuple, so no caller can write to the shipped rows.
     """
-    row = golden_table(family)[(i, j) if i <= j else (j, i)]
+    rows = _GOLDEN_NUMERATORS_RED if family == "R" else _golden_numerators_blue()
+    row = rows[(i, j) if i <= j else (j, i)]
     return tuple(map(row.get, range(1, NUM_CLASSES + 1), (0,) * NUM_CLASSES))
 
 

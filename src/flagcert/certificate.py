@@ -336,30 +336,22 @@ class VerificationReport:
         }
 
 
-# Check 5 reads only shipped data, so a process computes its verdict once.  The
-# verdict is kept with the blue golden table it read: the blue rows are derived
-# from the red ones, and rebuilding them, as after a red row changes, renews it.
-_golden_verdict: tuple = (None, None)
-
-
+@lru_cache(maxsize=1)
 def _golden_check() -> CheckResult:
     """Check 5: each builtin flag product's counts over its map count against its
-    shipped numerators over the group order."""
-    global _golden_verdict
-    blue = builtin.golden_table("B")
-    if _golden_verdict[0] is not blue:
-        table = builtin.class_table()
-        golden = builtin_certificate().flag_pairs
-        bad_keys = []
-        for family, i, j, labels, _, product in golden:
-            row = builtin.golden_numerators(family.root_edge_color.value, i + 1, j + 1)
-            maps, counts = table.expansion(product)
-            counts = dict(counts)
-            if any(num * maps != counts.get(k, 0) * builtin.GROUP_ORDER for k, num in enumerate(row, 1)):
-                bad_keys.append(labels[0])
-        detail = f"mismatch at {bad_keys}" if bad_keys else f"{len(golden)} equations reproduced"
-        _golden_verdict = (blue, CheckResult("golden_expansions", not bad_keys, detail))
-    return _golden_verdict[1]
+    shipped numerators over the group order.  It reads only shipped data, so a
+    process computes it once."""
+    table = builtin.class_table()
+    golden = builtin_certificate().flag_pairs
+    bad_keys = []
+    for family, i, j, labels, _, product in golden:
+        row = builtin.golden_numerators(family.root_edge_color.value, i + 1, j + 1)
+        maps, counts = table.expansion(product)
+        counts = dict(counts)
+        if any(num * maps != counts.get(k, 0) * builtin.GROUP_ORDER for k, num in enumerate(row, 1)):
+            bad_keys.append(labels[0])
+    detail = f"mismatch at {bad_keys}" if bad_keys else f"{len(golden)} equations reproduced"
+    return CheckResult("golden_expansions", not bad_keys, detail)
 
 
 def verify_certificate(cert: Certificate) -> VerificationReport:

@@ -261,8 +261,6 @@ def hom_inj_count(h: ColoredGraph, g: ColoredGraph) -> int:
 def rooted_hom_inj_count(f: Flag, g: ColoredGraph, u: int, v: int) -> int:
     """Injective colour homs of the flag pinning root 1 to u and root 2 to v."""
     _check_vertices((u, v), g.n)
-    if u == v:
-        raise ValueError("root images must be distinct")
     if len(f.roots) != 2:
         raise ValueError("rooted counting expects flags with two roots")
     if g.n < f.graph.n:
@@ -270,11 +268,13 @@ def rooted_hom_inj_count(f: Flag, g: ColoredGraph, u: int, v: int) -> int:
     return int(hom_inj_batch([(f.graph, f.roots)], *color_adjacency(g))[0][u, v])
 
 
-def _check_vertices(vertices, n: int) -> None:
-    """Refuse host vertices, the images of pinned roots, that are not ints in 0..n-1."""
+def _check_vertices(vertices: tuple, n: int) -> None:
+    """Refuse host vertices, the images of pinned roots, that are not distinct ints in 0..n-1."""
     for w in vertices:
         if type(w) is not int or not 0 <= w < n:
             raise ValueError(f"root {w!r} is not a vertex of the {n}-vertex host")
+    if len(set(vertices)) < len(vertices):
+        raise ValueError("root images must be distinct")
 
 
 falling_factorial = perm  # n(n-1)...(n-k+1), which is 0 for k > n
@@ -365,7 +365,7 @@ def subcube_count_table(h: ColoredGraph, n: int, pairs: tuple[tuple[int, int], .
         raise ValueError(f"count tables are limited to {MAX_TABLE_PAIRS} pairs on {MAX_PATTERN_N} vertices")
     if root_images:
         Flag(h, tuple(root_images))
-        _check_vertices(root_images.values(), n)
+        _check_vertices(tuple(root_images.values()), n)
     pinned = tuple(sorted(root_images.items())) if root_images else ()
     weights, index = _embeddings(h.n, h.pairs, n, tuple(pairs), pinned)
     blue = [e for e in range(h.edge_count) if (h.blue >> e) & 1]

@@ -931,16 +931,31 @@ class TestVerification:
         row[1] = 1
         monkeypatch.setitem(builtin._GOLDEN_NUMERATORS_RED, (2, 7), row)
         builtin._golden_numerators_blue.cache_clear()
+        certificate._golden_check.cache_clear()
         try:
             report = verify_certificate(builtin_certificate())
         finally:
             monkeypatch.undo()
             builtin._golden_numerators_blue.cache_clear()
+            certificate._golden_check.cache_clear()
         golden = next(c for c in report.checks if c.name == "golden_expansions")
         assert not golden.passed
         assert golden.detail == "mismatch at ['R2.7', 'B2.7']"
         assert {c.name for c in report.checks if not c.passed} == {"golden_expansions"}
         assert verify_certificate(builtin_certificate()).passed
+
+    def test_golden_check_runs_once_per_process(self, monkeypatch):
+        # check 5 reads only shipped data: a later verify reuses its verdict
+        first = verify_certificate(builtin_certificate()).checks[-1]
+
+        def unread(*args):
+            raise AssertionError("golden rows read again")
+
+        monkeypatch.setattr(builtin, "golden_numerators", unread)
+        report = verify_certificate(builtin_certificate())
+        assert report.passed
+        assert report.checks[-1] == first
+        assert first.detail == "72 equations reproduced"
 
     def test_foreign_template_recorded_not_raised(self):
         cert = builtin_certificate()

@@ -486,6 +486,15 @@ class TestSubcubeCountTable:
         with pytest.raises(ValueError, match=host):
             subcube_count_table(flag.graph, tmpl.n, tmpl.pairs, {a: bad, b: 0})
 
+    def test_rejects_repeated_root_images_as_the_rooted_counter_does(self):
+        flag = builtin.blue_flags()[0]
+        tmpl = builtin.template()
+        a, b = flag.roots
+        with pytest.raises(ValueError, match="^root images must be distinct$"):
+            subcube_count_table(flag.graph, tmpl.n, tmpl.pairs, {a: 1, b: 1})
+        with pytest.raises(ValueError, match="^root images must be distinct$"):
+            rooted_hom_inj_count(flag, tmpl, 1, 1)
+
     def test_pattern_roots_are_refused_as_flag_refuses_them(self):
         flag = builtin.blue_flags()[0]
         tmpl = builtin.template()
