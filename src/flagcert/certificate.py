@@ -56,10 +56,6 @@ class SymMatrix:
     def order(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """1-based access, matching the published index convention."""
-        return self.rows[i - 1][j - 1]
-
 
 @dataclass(frozen=True)
 class PsdReport:

@@ -298,8 +298,9 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
 # so is every product of such tables.
 #
 # Swapping every colour sends colouring x to 32767 - x and keeps the roots, so
-# a flag or product whose colour swap was counted reads that table reversed.
-# The target and the class tables, which ``sum_to_one`` rests on, are counted.
+# one memo per sweep serves the target, the flags and the products: each is
+# counted once, or read reversed from its colour swap's table.  The class
+# tables, which ``sum_to_one`` rests on, are counted directly.
 
 
 @dataclass(frozen=True)
@@ -349,46 +350,38 @@ def exhaustive_k6_sweep() -> SweepReport:
     n = 6
     hosts = 1 << 15
     cert, table = _builtin()
+    tables = {}
+
+    def count(p, roots=()):
+        # the table of p with its roots pinned at (0, 1), kept as uint16 (at
+        # most 720 maps per host), or its colour swap's table reversed
+        key = Flag(p, roots)
+        if key not in tables:
+            mirror = tables.get(Flag(p.swap_colors(), roots))
+            tables[key] = mirror[::-1] if mirror is not None else subcube_count_table(
+                p, n, _K6_PAIRS, dict(zip(roots, (0, 1)))).astype(np.uint16)
+        return tables[key].astype(np.int64)
 
     def quad(weights) -> np.ndarray:
         # weight * x_i * x_j summed over flag pairs, with x the flags' rooted
-        # count tables at roots (0, 1), a colour-swapped flag's read reversed,
-        # then relabelled onto all 30 root pairs
-        x = {}
-        for f in (f for family in cert.families for f in family.flags):
-            mirror = x.get(Flag(f.graph.swap_colors(), f.roots))
-            x[f] = mirror[::-1] if mirror is not None else subcube_count_table(
-                f.graph, n, _K6_PAIRS, dict(zip(f.roots, (0, 1))))
+        # count tables at roots (0, 1), then relabelled onto all 30 root pairs
         q01 = np.zeros(hosts, dtype=np.int64)
         for weight, (family, i, j, *_) in zip(weights, cert.flag_pairs):
             if weight:
-                q01 += weight * x[family.flags[i]] * x[family.flags[j]]
+                fi, fj = family.flags[i], family.flags[j]
+                q01 += weight * count(fi.graph, fi.roots) * count(fj.graph, fj.roots)
         q01 = q01.reshape((2,) * 15)
         total = np.zeros((2,) * 15, dtype=np.int64)
         for u, v in permutations(range(n), 2):
             total += q01.transpose(_k6_relabel_axes(u, v))
         return total.ravel()
 
-    # a product whose colour swap is also read waits, as uint16, for its mirror
-    mirrored, waiting = {p.swap_colors() for *_, p in cert.flag_pairs}, {}
-
-    def count(p):  # both checks read the target, so its table is counted once
-        if p is cert.target:
-            return target
-        if (mirror := waiting.pop(p.swap_colors(), None)) is not None:
-            return mirror[::-1].astype(np.int64)
-        counts = subcube_count_table(p, n, _K6_PAIRS)
-        if p in mirrored:
-            waiting[p] = counts.astype(np.uint16)  # at most 8! maps per host
-        return counts
-
-    target = subcube_count_table(cert.target, n, _K6_PAIRS)
     perms = math.factorial(n)
     classes = {l: table.multiplicity(l) * subcube_count_table(table.representative(l), n, _K6_PAIRS)
                for l in table.indices}
     failures: dict[str, int] = {}
     checked = 0
-    # one check at a time, so only one check's count tables are alive
+    # one check at a time, so only one check's int64 tables are alive
     for group, names, *_, holds in _identities(cert, table, classes, count, perms):
         # the orders of a flag pair glue to one graph, so one table serves both
         failures[group] = failures.get(group, 0) + len(names) * int(np.count_nonzero(~holds))

@@ -25,7 +25,7 @@ from flagcert.certificate import (
 from flagcert.counting import t_bip
 from flagcert.graphs import classify, enumerate_template_colorings
 
-from test_certificate import _with_entry
+from test_certificate import _entry, _with_entry
 
 BOUND = Fraction(1, 64)
 
@@ -116,7 +116,7 @@ def test_criterion_5_coefficients_and_mutation():
                         FlagFamily(
                             fam.root_edge_color,
                             fam.flags,
-                            _with_entry(matrix, i, j, matrix.entry(i, j) + delta),
+                            _with_entry(matrix, i, j, _entry(matrix, i, j) + delta),
                         )
                         for fam in cert.families
                     ),

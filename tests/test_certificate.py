@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,11 @@ def _shifted(family: int, i: int, j: int, delta: Fraction):
         matrix[i - 1][j - 1] = matrix[j - 1][i - 1] = value
 
     return edit
+
+
+def _entry(m: SymMatrix, i: int, j: int) -> Fraction:
+    """Entry (i, j) of ``m``, 1-based, matching the published index convention."""
+    return m.rows[i - 1][j - 1]
 
 
 def _with_entry(m: SymMatrix, i: int, j: int, value: Fraction) -> SymMatrix:
@@ -546,7 +552,7 @@ class TestCoefficients:
         cert = builtin_certificate()
         coeffs = certificate_coefficients(cert, builtin.class_table())
         # only the all-red (resp. all-blue) product contributes there
-        assert coeffs[1] == cert.families[0].matrix.entry(1, 1) == Fraction(2, 128)
+        assert coeffs[1] == _entry(cert.families[0].matrix, 1, 1) == Fraction(2, 128)
         assert coeffs[26] == Fraction(1, 64)
 
     def test_blue_matching_class_assembly(self):
@@ -574,6 +580,37 @@ class TestCoefficients:
         # no class is its own swap partner's equal, so a wrong involution fails
         assert all(red[l] != red[swap[l]] for l in table.indices)
 
+    def test_root_swap_permutes_the_flags_and_keeps_the_coefficients(self):
+        # swapping the roots maps each family onto itself by pi = (3 5)(4 6),
+        # 1-based; M is not pi-invariant, yet M, PMP and their average give
+        # the same coefficients, and the average is PSD with denominator 256
+        cert, table = builtin_certificate(), builtin.class_table()
+
+        def swapped_onto(f, g):
+            # some vertex map sends f's roots, swapped, to g's and f's edges onto g's
+            return any(
+                (sigma[f.roots[1]], sigma[f.roots[0]]) == g.roots
+                and ColoredGraph(g.graph.n, ((sigma[u], sigma[v], c) for u, v, c in f.graph.edges)) == g.graph
+                for sigma in permutations(range(f.graph.n))
+            )
+
+        pi = [0, 1, 4, 5, 2, 3, 6, 7]
+        for family in cert.families:
+            flags = family.flags
+            assert [[j for j, g in enumerate(flags) if swapped_onto(f, g)] for f in flags] == [[k] for k in pi]
+        m = cert.families[0].matrix
+        assert all(family.matrix == m for family in cert.families)
+        pmp = SymMatrix([[m.rows[i][j] for j in pi] for i in pi])
+        mean = SymMatrix([[(a + b) / 2 for a, b in zip(*rows)] for rows in zip(m.rows, pmp.rows)])
+        assert pmp != m
+        for matrix in (m, pmp, mean):
+            families = tuple(dataclasses.replace(family, matrix=matrix) for family in cert.families)
+            coeffs = certificate_coefficients(dataclasses.replace(cert, families=families), table)
+            assert coeffs == {l: BOUND for l in table.indices}
+        report = psd_check(mean)
+        assert report.is_psd and len(report.kernel_basis) == 1
+        assert max(x.denominator for row in mean.rows for x in row) == 256
+
     def test_every_single_entry_mutation_breaks_a_coefficient(self):
         cert = builtin_certificate()
         table = builtin.class_table()
@@ -581,7 +618,7 @@ class TestCoefficients:
         delta = Fraction(1, 128)
         for i in range(1, 9):
             for j in range(i, 9):
-                mutated_matrix = _with_entry(matrix, i, j, matrix.entry(i, j) + delta)
+                mutated_matrix = _with_entry(matrix, i, j, _entry(matrix, i, j) + delta)
                 mutated = Certificate(
                     name=cert.name,
                     template_parts=cert.template_parts,
@@ -672,7 +709,7 @@ def shifted_builtins(draw):
     for _ in range(draw(st.integers(1, 4))):
         i, j = draw(st.integers(1, 8)), draw(st.integers(1, 8))
         k = draw(st.integers(-16, 16).filter(bool))
-        matrix = _with_entry(matrix, i, j, matrix.entry(i, j) + Fraction(k, 128))
+        matrix = _with_entry(matrix, i, j, _entry(matrix, i, j) + Fraction(k, 128))
     families = list(cert.families)
     families[fam] = FlagFamily(families[fam].root_edge_color, families[fam].flags, matrix)
     return dataclasses.replace(cert, families=tuple(families))
@@ -835,7 +872,7 @@ class TestPsdReference:
         for i in range(1, 9):
             for j in range(i, 9):
                 for delta in (Fraction(1, 128), Fraction(-1, 128)):
-                    mutated = _with_entry(matrix, i, j, matrix.entry(i, j) + delta)
+                    mutated = _with_entry(matrix, i, j, _entry(matrix, i, j) + delta)
                     assert psd_check(mutated) == fraction_psd_check(mutated), (i, j, delta)
 
 

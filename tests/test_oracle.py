@@ -301,6 +301,28 @@ class TestExhaustiveSweep:
             direct = subcube_count_table(p.swap_colors(), 6, pairs, roots)
             assert np.array_equal(direct, subcube_count_table(p, 6, pairs, roots)[::-1]), p
 
+    def test_counts_each_table_once(self, monkeypatch):
+        # the 26 class representatives, the target, the 36 red products and the
+        # 8 red flags pinned at (0, 1); every blue table is a red one reversed
+        cert, table = builtin_certificate(), builtin.class_table()
+        calls = []
+
+        def recorded(h, n, pairs, root_images=None):
+            calls.append((h, tuple(sorted((root_images or {}).items()))))
+            return subcube_count_table(h, n, pairs, root_images)
+
+        def tables(colour):
+            families = [family for family in cert.families if family.root_edge_color is colour]
+            flags = {(f.graph, tuple(sorted(zip(f.roots, (0, 1))))) for family in families for f in family.flags}
+            return flags | {(p, ()) for family, *_, p in cert.flag_pairs if family in families}
+
+        monkeypatch.setattr(oracle, "subcube_count_table", recorded)
+        assert oracle.exhaustive_k6_sweep().passed
+        assert len(calls) == len(set(calls)) == 71
+        classes = {(table.representative(l), ()) for l in table.indices}
+        assert set(calls) == classes | {(cert.target, ())} | tables(Color.RED)
+        assert not set(calls) & tables(Color.BLUE)
+
     def test_a_miscounted_blue_expansion_fails(self, monkeypatch):
         # a blue product's table is read from its red mirror, but still checked
         # against the blue product's own class expansion
