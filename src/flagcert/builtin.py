@@ -78,7 +78,6 @@ def target() -> ColoredGraph:
     return alternating_cycle(6)
 
 
-@lru_cache(maxsize=1)
 def class_representatives() -> tuple[ColoredGraph, ...]:
     tmpl = template()
     reps = []
@@ -89,7 +88,6 @@ def class_representatives() -> tuple[ColoredGraph, ...]:
     return tuple(reps)
 
 
-@lru_cache(maxsize=1)
 def template_group() -> tuple[tuple[int, ...], ...]:
     return tuple(underlying_automorphisms(template()))
 
@@ -131,13 +129,11 @@ def _flag_from_pattern(pattern: str) -> Flag:
     return Flag(ColoredGraph(4, edges), (0, 1))
 
 
-@lru_cache(maxsize=1)
 def red_flags() -> tuple[Flag, ...]:
     """The eight flags whose root edge is red."""
     return tuple(_flag_from_pattern(p) for p in _RED_FAMILY_PATTERNS)
 
 
-@lru_cache(maxsize=1)
 def blue_flags() -> tuple[Flag, ...]:
     """Colour swaps of the red-rooted flags; the root edge is blue."""
     return tuple(

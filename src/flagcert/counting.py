@@ -34,7 +34,9 @@ partial hom count, at most n^k, and every signed running total is at most
 sum |mu(pi)| n^|pi| = n(n+1)...(n+k-1); hosts where that rising factorial
 passes 2^63 - 1 (n > 1445 for six-vertex patterns), or whose side tensors
 would pass 2^28 bytes, are refused.  Patterns have at most 8 vertices
-(Bell(8) = 4140 partitions).  Densities are `fractions.Fraction`s, never floats.
+(Bell(8) = 4140 partitions) on every host; on a host smaller than the
+pattern the inversion sums to 0, so no caller returns early.  Densities are
+`fractions.Fraction`s, never floats.
 """
 
 from __future__ import annotations
@@ -252,9 +254,7 @@ def color_adjacency(g: ColoredGraph):
 
 
 def hom_inj_count(h: ColoredGraph, g: ColoredGraph) -> int:
-    """Injective colour-preserving maps; 0 whenever v(g) < v(h)."""
-    if g.n < h.n:
-        return 0
+    """Injective colour-preserving maps; the kernel counts 0 whenever v(g) < v(h)."""
     return hom_inj_batch([(h, ())], *color_adjacency(g))[0]
 
 
@@ -263,8 +263,6 @@ def rooted_hom_inj_count(f: Flag, g: ColoredGraph, u: int, v: int) -> int:
     _check_vertices((u, v), g.n)
     if len(f.roots) != 2:
         raise ValueError("rooted counting expects flags with two roots")
-    if g.n < f.graph.n:
-        return 0
     return int(hom_inj_batch([(f.graph, f.roots)], *color_adjacency(g))[0][u, v])
 
 
@@ -286,10 +284,9 @@ def rising_factorial(n: int, k: int) -> int:
 
 
 def t_inj(h: ColoredGraph, g: ColoredGraph) -> Fraction:
-    """Probability that a uniform injective map V(h) -> V(g) is a hom."""
-    if g.n < h.n:
-        return Fraction(0)
-    return Fraction(hom_inj_count(h, g), falling_factorial(g.n, h.n))
+    """Probability that a uniform injective map V(h) -> V(g) is a hom; 0 on a host smaller than h."""
+    count = hom_inj_count(h, g)
+    return Fraction(count, falling_factorial(g.n, h.n)) if count else Fraction(0)
 
 
 def density_vector(g: ColoredGraph, table: ClassTable) -> dict[int, Fraction]:
@@ -331,11 +328,9 @@ def _embeddings(k: int, shape: tuple, n: int, pairs: tuple, pinned: tuple[tuple[
     weights[m, e] is 2^j when map m gives edge e pair j, and index[m] lists,
     ascending, the colourings zero on every pair map m covers: one doubling
     per free pair.  Shared by all colourings of a shape; uint16 holds every
-    colouring of 16 pairs.  Raises ``ValueError`` when there is no map.
+    colouring of 16 pairs.  ``shape_maps`` refuses a shape with no map.
     """
     rows = shape_maps(k, shape, n, pairs, pinned)
-    if not rows:
-        raise ValueError("pattern does not embed in the template")
     bit = np.uint16(1) << np.arange(len(pairs), dtype=np.uint16)
     weights = bit[np.array(rows, dtype=np.intp)]
     # distinct edges land on distinct pairs: each row sums to its mask

@@ -191,10 +191,14 @@ def shape_maps(k: int, shape: Sequence, n: int, pairs: Sequence, pinned: Sequenc
     0..k-1 into the host that sends each edge of ``shape`` onto a pair, and
     each pinned (shape vertex, host vertex) as given, yields the row of
     ``pair_actions``: entry e is the position in ``pairs`` of edge e's image.
-    Its readers cache what they build from the rows, one entry per shape.
+    A shape with no such map is refused here, for every reader; the readers
+    cache what they build from the rows, one entry per shape.
     """
     maps = (m for m in permutations(range(n), k) if all(m[a] == b for a, b in pinned))
-    return [row for _, row in pair_actions(maps, shape, pairs)]
+    rows = [row for _, row in pair_actions(maps, shape, pairs)]
+    if not rows:
+        raise ValueError("pattern does not embed in the template")
+    return rows
 
 
 # The verifier reads the 26 class codes per edge shape (the builtin's 73
@@ -225,14 +229,12 @@ def pulled_densities(h: ColoredGraph, n: int, pairs: Sequence, codes: Sequence[i
     is bit row[e] of the code.  Returns ``(maps, counts)``: the number of
     maps, and per code in ``codes`` the number that pull it back to
     ``h.blue``, so h's density in that colouring is count / maps.  Hosts over
-    ``MAX_PATTERN_N`` vertices are refused before any enumeration; a pattern
-    with no map raises ValueError.
+    ``MAX_PATTERN_N`` vertices are refused before any enumeration, and
+    ``shape_maps`` refuses a pattern with no map.
     """
     if n > MAX_PATTERN_N:
         raise ValueError(f"host with {n} vertices rejected: limit is {MAX_PATTERN_N} vertices")
     maps, counts = _pulled_counts(h.n, h.pairs, n, tuple(pairs), tuple(codes))
-    if not maps:
-        raise ValueError("pattern does not embed in the template")
     return maps, tuple(words.get(h.blue, 0) for words in counts)
 
 

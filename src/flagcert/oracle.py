@@ -199,15 +199,6 @@ def check_host_size(n: int) -> None:
         raise ValueError(f"host with {n} vertices rejected: oracle host checks {rule}")
 
 
-def _records(name: str, checks) -> list[OracleRecord]:
-    """One record per ordered check, both sides as rationals over that check's ``den``."""
-    return [
-        OracleRecord(check, name, Fraction(lhs, den), Fraction(rhs, den), holds)
-        for _, names, lhs, rhs, den, holds in checks
-        for check in names
-    ]
-
-
 def _builtin():
     """The builtin certificate and class table, for the three checks that read them.
 
@@ -219,13 +210,17 @@ def _builtin():
     return builtin_certificate(), builtin.class_table()
 
 
-def _host_counts(g: ColoredGraph, cert, table, identities: bool):
-    """``(classes, count)`` for one kind of check on ``g``, from one ``hom_inj_batch`` call.
+def _host_check(g: ColoredGraph, identities: bool) -> OracleReport:
+    """``_identities`` or the flagged inequality on one clique, from one ``hom_inj_batch`` call.
 
-    ``classes`` holds the multiplicity-weighted counts of all 26 classes for
-    ``_identities``, or of the base's for ``_inequality``, which also reads
-    each flag's rooted table; ``count`` looks up any pattern or flag counted.
+    It counts only what the check reads: the multiplicity-weighted classes,
+    all 26 for the identities or the base's for the inequality, the target
+    and the flag products, and for the inequality each flag's rooted table.
     """
+    if not g.is_clique():
+        raise ValueError("oracle host checks require a coloured clique host")
+    check_host_size(g.n)
+    cert, table = _builtin()
     indices = table.indices if identities else cert.base
     patterns = [table.representative(l) for l in indices]
     patterns += [cert.target, *(product for *_, product in cert.flag_pairs)]
@@ -233,7 +228,28 @@ def _host_counts(g: ColoredGraph, cert, table, identities: bool):
     batch = [(p, ()) for p in patterns] + [(f.graph, f.roots) for f in flags]
     counts = hom_inj_batch(batch, *color_adjacency(g))
     classes = {l: table.multiplicity(l) * c for l, c in zip(indices, counts)}
-    return classes, dict(zip([*patterns, *flags], counts)).__getitem__
+    count = dict(zip([*patterns, *flags], counts)).__getitem__
+    perms = falling_factorial(g.n, 6)
+    if identities:
+        checks = _identities(cert, table, classes, count, perms)
+    else:
+        # each flag's rooted count table over all ordered root pairs (zero on the
+        # diagonal); their Gram sums give both the quadratic form and, against
+        # the count of the glued product, the overlap surplus
+        grams = [int((count(f.flags[i]) * count(f.flags[j])).sum()) for f, i, j, *_ in cert.flag_pairs]
+        quad = lambda weights: sum(w * gram for w, gram in zip(weights, grams))  # noqa: E731
+        checks = [_inequality(cert, classes, count, perms, quad)]
+        for gram, (*_, labels, _, product) in zip(grams, cert.flag_pairs):
+            surplus = gram - count(product)
+            names = [f"overlap_surplus_{x}" for x in labels]
+            checks.append(("overlap_surplus", names, surplus, 0, 1, surplus >= 0))
+    # one record per ordered check, both sides as rationals over that check's den
+    name = f"clique n={g.n}"
+    return OracleReport(tuple(
+        OracleRecord(check, name, Fraction(lhs, den), Fraction(rhs, den), holds)
+        for _, names, lhs, rhs, den, holds in checks
+        for check in names
+    ))
 
 
 def check_identities(g: ColoredGraph) -> OracleReport:
@@ -245,13 +261,7 @@ def check_identities(g: ColoredGraph) -> OracleReport:
     vertices, so each count is a sum over the host's 6-sets and each record,
     as an integer identity, is a sum of records the exhaustive sweep checks.
     """
-    if not g.is_clique():
-        raise ValueError("identity checks require a coloured clique host")
-    check_host_size(g.n)
-    cert, table = _builtin()
-    classes, count = _host_counts(g, cert, table, identities=True)
-    checks = _identities(cert, table, classes, count, falling_factorial(g.n, 6))
-    return OracleReport(tuple(_records(f"clique n={g.n}", checks)))
+    return _host_check(g, identities=True)
 
 
 def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
@@ -261,23 +271,7 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
     base densities plus the rooted quadratic forms, and the per-pair overlap
     surpluses that the bound discards.
     """
-    if not g.is_clique():
-        raise ValueError("the flagged inequality is stated for coloured cliques")
-    check_host_size(g.n)
-    cert, table = _builtin()
-
-    # each flag's rooted count table over all ordered root pairs (zero on the
-    # diagonal); their Gram sums give both the quadratic form and, against
-    # the count of the glued product, the overlap surplus
-    classes, count = _host_counts(g, cert, table, identities=False)
-    grams = [int((count(f.flags[i]) * count(f.flags[j])).sum()) for f, i, j, *_ in cert.flag_pairs]
-    quad = lambda weights: sum(w * gram for w, gram in zip(weights, grams))  # noqa: E731
-    checks = [_inequality(cert, classes, count, falling_factorial(g.n, 6), quad)]
-    for gram, (*_, labels, _, product) in zip(grams, cert.flag_pairs):
-        surplus = gram - count(product)
-        names = [f"overlap_surplus_{x}" for x in labels]
-        checks.append(("overlap_surplus", names, surplus, 0, 1, surplus >= 0))
-    return OracleReport(tuple(_records(f"clique n={g.n}", checks)))
+    return _host_check(g, identities=False)
 
 
 # -- exhaustive sweep over every colouring of the 6-clique -------------------------

@@ -628,6 +628,18 @@ class TestQuotientKernel:
         with pytest.raises(ValueError, match="pattern with 9 vertices rejected"):
             hom_inj_batch([(big, ())], *color_adjacency(host))
 
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_refuses_patterns_over_eight_vertices_on_every_host(self, n):
+        # the cap holds on hosts smaller than the pattern as on larger ones
+        path = ColoredGraph(9, [(i, i + 1, (Color.RED, Color.BLUE)[i % 2]) for i in range(8)])
+        host = complete_graph(n, Color.RED)
+        message = "^pattern with 9 vertices rejected: limit is 8 vertices$"
+        for count in (hom_inj_count, t_inj):
+            with pytest.raises(ValueError, match=message):
+                count(path, host)
+        with pytest.raises(ValueError, match=message):
+            rooted_hom_inj_count(Flag(path, (0, 1)), host, 0, 1)
+
     def test_refuses_hosts_whose_counts_overflow_int64(self):
         # every value formed is at most n(n+1)...(n+5) for a 6-vertex pattern;
         # the broadcast zeros allocate nothing

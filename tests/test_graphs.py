@@ -20,6 +20,7 @@ from flagcert.graphs import (
     classify,
     enumerate_template_colorings,
     pair_actions,
+    shape_maps,
     underlying_automorphisms,
 )
 
@@ -305,6 +306,20 @@ class TestPairActions:
             assert [pairs[k] for k in row] == [tuple(sorted((m[u], m[v]))) for u, v in pairs]
 
 
+class TestShapeMaps:
+    @pytest.mark.parametrize(
+        "k, shape, pinned",
+        [
+            (3, ((0, 1), (0, 2), (1, 2)), ()),  # a triangle in a bipartite template
+            (2, ((0, 1),), ((0, 0), (1, 1))),  # an edge pinned inside one part
+        ],
+    )
+    def test_refuses_a_shape_with_no_map(self, k, shape, pinned):
+        tmpl = builtin.template()
+        with pytest.raises(ValueError, match="^pattern does not embed in the template$"):
+            shape_maps(k, shape, tmpl.n, tmpl.pairs, pinned)
+
+
 class TestAutomorphismCount:
     """The classification's ``aut_count`` against the brute-force count."""
 
@@ -495,6 +510,9 @@ class TestClassification:
              "reference representatives do not match the computed orbits"),
             (lambda c, g, r: (c, g, r[:-1]),
              "found 26 isomorphism classes, reference lists 25"),
+            # one colouring of class 2's orbit of 9: orbit-stabilizer fails, 1 * 8 != 72
+            (lambda c, g, r: ((r[1].blue,), g, (r[1],)),
+             "orbit of class 1: size 1 * aut 8 != 72"),
         ],
     )
     def test_classify_refusals(self, edit, message):

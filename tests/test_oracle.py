@@ -117,7 +117,7 @@ class TestIdentityChecks:
             oracle.check_identities(oracle.random_clique_coloring(4, 0))
 
     def test_rejects_non_clique(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^oracle host checks require a coloured clique host$"):
             oracle.check_identities(alternating_cycle(6))
 
     def test_deterministic_records(self):
@@ -173,7 +173,7 @@ class TestFlaggedInequality:
             oracle.check_flagged_inequality(complete_graph(5, Color.RED))
 
     def test_rejects_non_clique(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^oracle host checks require a coloured clique host$"):
             oracle.check_flagged_inequality(alternating_cycle(6))
 
 
