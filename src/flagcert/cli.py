@@ -9,6 +9,7 @@ explicitly marked as approximate.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -265,7 +266,10 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    status = run()
+    # the report is written: exit without the shutdown collections walking every object
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -1010,6 +1010,14 @@ class TestVerification:
         assert not classification.passed
         assert "template parts" in classification.detail
 
+    def test_two_misplaced_classes_name_only_the_first(self):
+        def swap_first_classes(obj):
+            obj["classes"][:2] = obj["classes"][1::-1]
+
+        report = verify_certificate(load_certificate(_edited(swap_first_classes)))
+        failing = [(c.name, c.detail) for c in report.checks if not c.passed]
+        assert failing == [("classification", "512 colourings in 26 classes; class 1 mismatch")]
+
     def test_non_embeddable_target_recorded_not_raised(self):
         cert = builtin_certificate()
         odd = Certificate(

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, exit statuses, format equivalence."""
 
 import ast
+import dataclasses
+import gc
 import io
 import json
 import os
@@ -17,8 +19,10 @@ from hypothesis import strategies as st
 from flagcert import oracle
 from flagcert.certificate import (
     SchemaError,
+    SymMatrix,
     builtin_certificate,
     load_certificate,
+    psd_check,
     save_certificate,
     verify_certificate,
 )
@@ -168,6 +172,41 @@ class TestVerify:
         out = json.loads(capsys.readouterr().out)
         assert status == 0
         assert out["passed"] is True
+
+    def test_root_swap_average_passes_and_splits_into_blocks(self, capsys):
+        # the fixture is the builtin with each matrix M replaced by
+        # (M + PMP)/2, pi = (3 5)(4 6) 1-based: a passing non-builtin certificate
+        pi = [0, 1, 4, 5, 2, 3, 6, 7]
+        cert = builtin_certificate()
+        families = tuple(
+            dataclasses.replace(f, matrix=SymMatrix(
+                [[(f.matrix.rows[i][j] + f.matrix.rows[pi[i]][pi[j]]) / 2 for j in range(8)]
+                 for i in range(8)]))
+            for f in cert.families
+        )
+        path = FIXTURES / "cert_rootswap.json"
+        assert path.read_text(encoding="utf-8") == save_certificate(dataclasses.replace(cert, families=families))
+        assert run(["verify", "--cert", str(path)]) == 0
+        text = capsys.readouterr()
+        assert run(["verify", "--cert", str(path), "--format", "json"]) == 0
+        out = capsys.readouterr()
+        assert text.err == out.err == ""
+        assert text.out.count("  [pass] ") == 6 and "verdict: pass" in text.out
+        assert out.out == (FIXTURES / "verify_rootswap.json").read_text(encoding="utf-8")
+        assert [c["passed"] for c in json.loads(out.out)["checks"]] == [True] * 6
+        # in the basis e1, e2, e7, e8, e3+e5, e4+e6 | e3-e5, e4-e6 the average
+        # is a PSD 6x6 block with kernel 1 and a positive definite 2x2 block
+        basis = [{0: 1}, {1: 1}, {6: 1}, {7: 1}, {2: 1, 4: 1}, {3: 1, 5: 1},
+                 {2: 1, 4: -1}, {3: 1, 5: -1}]
+        for family in families:
+            rows = family.matrix.rows
+            b = [[sum(x * y * rows[i][j] for i, x in u.items() for j, y in v.items()) for v in basis]
+                 for u in basis]
+            assert all(b[i][j] == 0 for i in range(6) for j in range(6, 8))
+            six = psd_check(SymMatrix([row[:6] for row in b[:6]]))
+            two = psd_check(SymMatrix([row[6:] for row in b[6:]]))
+            assert six.is_psd and len(six.kernel_basis) == 1
+            assert two.is_psd and two.kernel_basis == ()
 
     def test_schema_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -566,6 +605,21 @@ def test_importing_the_package_loads_no_module():
     proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_main_freezes_the_heap_after_the_report_and_run_does_not(capsys):
+    # `python -m flagcert.cli`, with a hook that runs after main's sys.exit
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "runpy.run_module('flagcert.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = _fresh_python(code, "classify", "--format", "json")
+    assert run(["classify", "--format", "json"]) == 0
+    assert gc.get_freeze_count() == 0
+    assert proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out
+    assert proc.stderr == "True\n"
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():

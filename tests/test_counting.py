@@ -521,19 +521,28 @@ class TestSubcubeCountTable:
 
     def test_sixteen_pair_host_indexes_every_colouring(self):
         # colourings at and above 2^15 are indexed too (a signed 16-bit index would wrap)
-        pairs = (*K6_PAIRS, (0, 6))
-        red_path = ColoredGraph(3, [(0, 1, Color.RED), (1, 2, Color.RED)])
-        blue_path = red_path.swap_colors()
-        codes = (0, 32767, 32768, 40000, 65535)
-        hosts = [ColoredGraph(7, [(u, v, (Color.RED, Color.BLUE)[x >> k & 1]) for k, (u, v) in enumerate(pairs)])
-                 for x in codes]
-        rows = []
-        for h in (PATH4, red_path, blue_path):
-            table = subcube_count_table(h, 7, pairs)
-            assert table.shape == (1 << 16,)
-            rows.append([table[x] for x in codes])
-            assert rows[-1] == [hom_inj_count(h, g) for g in hosts], h
-        assert all(any(column) for column in zip(*rows))  # every entry checked is nonzero somewhere
+        _assert_sixteen_pair_table(7, (*K6_PAIRS, (0, 6)))
+
+    def test_eight_vertex_host_is_the_largest_accepted(self):
+        _assert_sixteen_pair_table(8, (*K6_PAIRS, (6, 7)))
+        with pytest.raises(ValueError, match="^count tables are limited to 16 pairs on 8 vertices$"):
+            subcube_count_table(PATH4, 9, (*K6_PAIRS, (6, 8)))
+
+
+def _assert_sixteen_pair_table(n, pairs):
+    """Entries of sampled colourings of an n-vertex host equal ``hom_inj_count``."""
+    red_path = ColoredGraph(3, [(0, 1, Color.RED), (1, 2, Color.RED)])
+    blue_path = red_path.swap_colors()
+    codes = (0, 32767, 32768, 40000, 65535)
+    hosts = [ColoredGraph(n, [(u, v, (Color.RED, Color.BLUE)[x >> k & 1]) for k, (u, v) in enumerate(pairs)])
+             for x in codes]
+    rows = []
+    for h in (PATH4, red_path, blue_path):
+        table = subcube_count_table(h, n, pairs)
+        assert table.shape == (1 << 16,)
+        rows.append([table[x] for x in codes])
+        assert rows[-1] == [hom_inj_count(h, g) for g in hosts], h
+    assert all(any(column) for column in zip(*rows))  # every entry checked is nonzero somewhere
 
 
 @st.composite
