@@ -181,9 +181,9 @@ BOUND = Fraction(1, 64)
 
 # For each unordered pair (i, j), i <= j, 1-based, of red-rooted flags: the
 # nonzero expansion coefficients of the glued product over the 26 classes,
-# as numerators over 72.  Blue flag i is red flag i colour-swapped, so each
-# blue row is its red row on the swapped classes.  Every entry, red and blue,
-# is recomputed by the verifier, so a transcription slip fails in both.
+# as numerators over 72.  Blue flag i is red flag i colour-swapped, so each blue
+# row is derived on each read: its red row on the swapped classes.  The verifier
+# recomputes every entry, red and blue, so a transcription slip fails in both.
 _GOLDEN_NUMERATORS_RED = {
     (1, 1): {1: 72, 2: 16, 3: 4},
     (1, 2): {2: 8, 5: 8, 8: 2},
@@ -224,24 +224,16 @@ _GOLDEN_NUMERATORS_RED = {
 }
 
 
-@lru_cache(maxsize=1)
-def _golden_numerators_blue() -> dict[tuple[int, int], dict[int, int]]:
-    """The blue rows: each red row with its class indices colour-swapped."""
-    swap = class_table().swap_involution()
-    return {
-        key: {swap[index]: num for index, num in row.items()}
-        for key, row in _GOLDEN_NUMERATORS_RED.items()
-    }
-
-
 def golden_numerators(family: str, i: int, j: int) -> tuple[int, ...]:
     """Published expansion of flag product (i, j): numerators over 72, class k at k - 1.
 
-    ``family`` is "R" or "B"; indices are 1-based and order-insensitive.  A
-    new tuple, so no caller can write to the shipped rows.
+    ``family`` is "R" or "B"; indices are 1-based and order-insensitive.  A blue
+    row is read through the colour swap, and every row is a new tuple.
     """
-    rows = _GOLDEN_NUMERATORS_RED if family == "R" else _golden_numerators_blue()
-    row = rows[(i, j) if i <= j else (j, i)]
+    row = _GOLDEN_NUMERATORS_RED[(i, j) if i <= j else (j, i)]
+    if family != "R":
+        swap = class_table().swap_involution()
+        row = {swap[index]: num for index, num in row.items()}
     return tuple(map(row.get, range(1, NUM_CLASSES + 1), (0,) * NUM_CLASSES))
 
 

@@ -336,11 +336,9 @@ class ClassTable:
         return maps, tuple((index, c) for index, c in zip(self.indices, counts) if c)
 
     def swap_involution(self) -> dict[int, int]:
-        """Index map induced by swapping every edge colour of a representative."""
-        return {
-            e.index: self.class_of(e.representative.swap_colors())
-            for e in self.classes
-        }
+        """Index map of the colour swap: each representative's code flipped and looked up, no graph built."""
+        full = (1 << len(self.pairs)) - 1
+        return {e.index: self.lookup[e.representative.blue ^ full] for e in self.classes}
 
 
 def classify(

@@ -876,6 +876,64 @@ class TestPsdReference:
                     assert psd_check(mutated) == fraction_psd_check(mutated), (i, j, delta)
 
 
+def berkowitz_charpoly(rows: list[list[int]]) -> list[int]:
+    """Coefficients c_0 = 1, ..., c_n of det(tI - A) for an integer matrix, division-free.
+
+    Berkowitz (Inf. Process. Lett. 18, 1984): the leading (k+1)-block's coefficients are the
+    lower-triangular Toeplitz matrix with first column 1, -a_kk and -R A_k^i C for i < k
+    times the k-block's, where A_k is the k-block, C the column above a_kk and R the row
+    before it.
+    """
+    c = [1]
+    for k in range(len(rows)):
+        row, v = rows[k][:k], [rows[i][k] for i in range(k)]
+        toeplitz = [1, -rows[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(r * x for r, x in zip(row, v)))
+            v = [sum(a * x for a, x in zip(rows[i][:k], v)) for i in range(k)]
+        c = [sum(toeplitz[m - i] * c[i] for i in range(min(m, k) + 1)) for m in range(k + 2)]
+    return c
+
+
+def charpoly_psd(m: SymMatrix) -> tuple[bool, int]:
+    """Whether ``m`` is PSD, and its kernel dimension, from det(tI - D m) alone.
+
+    D clears the denominators.  A symmetric matrix has real eigenvalues, so by Descartes'
+    rule it is PSD iff (-1)^i c_i >= 0 for every i; the kernel dimension is the number of
+    trailing zero coefficients.  No pivot is chosen, so this shares nothing with ``psd_check``.
+    """
+    den = math.lcm(*(x.denominator for row in m.rows for x in row))
+    c = berkowitz_charpoly([[(x * den).numerator for x in row] for row in m.rows])
+    return all((-1) ** i * x >= 0 for i, x in enumerate(c)), next(i for i, x in enumerate(reversed(c)) if x)
+
+
+class TestCharpolyReference:
+    """An independent PSD test agrees with ``psd_check`` on verdict and kernel dimension."""
+
+    @staticmethod
+    def assert_agrees(m: SymMatrix) -> tuple[bool, int]:
+        report = psd_check(m)
+        is_psd, kernel = charpoly_psd(m)
+        assert is_psd == report.is_psd
+        assert len(report.kernel_basis) == (kernel if is_psd else 0)
+        return is_psd, kernel
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(1, 8).flatmap(symmetric_matrices), rank_deficient_grams(),
+                     zero_diagonal_residues()))
+    def test_drawn_matrices(self, m):
+        self.assert_agrees(m)
+
+    def test_builtin_is_psd_with_kernel_one(self):
+        assert self.assert_agrees(SymMatrix(builtin.matrix_rows())) == (True, 1)
+
+    @pytest.mark.parametrize("fixture, family", [("verify_red_1_1_minus.json", 0), ("verify_blue_2_3_minus.json", 1)])
+    def test_pinned_shifts_are_not_psd(self, fixture, family):
+        matrix = load_certificate(_edited(VERIFY_FIXTURES[fixture])).families[family].matrix
+        assert psd_check(matrix).detail == "negative pivot"
+        assert not self.assert_agrees(matrix)[0]
+
+
 class TestVerification:
     def test_builtin_passes(self):
         report = verify_certificate(builtin_certificate())
@@ -967,13 +1025,11 @@ class TestVerification:
         row[4] -= 1
         row[1] = 1
         monkeypatch.setitem(builtin._GOLDEN_NUMERATORS_RED, (2, 7), row)
-        builtin._golden_numerators_blue.cache_clear()
         certificate._golden_check.cache_clear()
         try:
             report = verify_certificate(builtin_certificate())
         finally:
             monkeypatch.undo()
-            builtin._golden_numerators_blue.cache_clear()
             certificate._golden_check.cache_clear()
         golden = next(c for c in report.checks if c.name == "golden_expansions")
         assert not golden.passed

@@ -397,6 +397,16 @@ class TestExpand:
         assert status == 0
         assert out["expansion"] == {"2": "1/9", "3": "1/9", "4": "1/6"}
 
+    def test_every_row_matches_the_pinned_text(self, capsys):
+        # all 128 rows, R then B, i and j ascending, as one process prints them
+        for family in "RB":
+            for i in range(1, 9):
+                for j in range(1, 9):
+                    assert run(["expand", "--family", family, "--i", str(i), "--j", str(j)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (FIXTURES / "expand_rows.txt").read_text(encoding="utf-8")
+
     def test_bad_index_exit_2(self, capsys):
         assert run(["expand", "--family", "R", "--i", "0", "--j", "1"]) == 2
         assert capsys.readouterr().err == "error: flag indices must be between 1 and 8\n"

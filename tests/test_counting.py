@@ -292,7 +292,7 @@ class TestRootedCounts:
     def test_rejects_roots_outside_the_host(self, bad):
         g = random_clique_coloring(8, 0)
         flag = builtin.blue_flags()[0]
-        message = re.escape(f"root {bad!r} is not a vertex of the 8-vertex host")
+        message = re.escape(f"root {bad!r} is not a vertex of the 8-vertex graph")
         for u, v in ((bad, 0), (0, bad)):
             with pytest.raises(ValueError, match=message):
                 rooted_hom_inj_count(flag, g, u, v)
@@ -482,7 +482,7 @@ class TestSubcubeCountTable:
         flag = builtin.blue_flags()[0]
         tmpl = builtin.template()
         a, b = flag.roots
-        host = re.escape(f"root {bad!r} is not a vertex of the {tmpl.n}-vertex host")
+        host = re.escape(f"root {bad!r} is not a vertex of the {tmpl.n}-vertex graph")
         with pytest.raises(ValueError, match=host):
             subcube_count_table(flag.graph, tmpl.n, tmpl.pairs, {a: bad, b: 0})
 
@@ -490,9 +490,9 @@ class TestSubcubeCountTable:
         flag = builtin.blue_flags()[0]
         tmpl = builtin.template()
         a, b = flag.roots
-        with pytest.raises(ValueError, match="^root images must be distinct$"):
+        with pytest.raises(ValueError, match="^duplicate root indices$"):
             subcube_count_table(flag.graph, tmpl.n, tmpl.pairs, {a: 1, b: 1})
-        with pytest.raises(ValueError, match="^root images must be distinct$"):
+        with pytest.raises(ValueError, match="^duplicate root indices$"):
             rooted_hom_inj_count(flag, tmpl, 1, 1)
 
     def test_pattern_roots_are_refused_as_flag_refuses_them(self):
@@ -906,6 +906,32 @@ class TestSixSubsetLinearity:
                 np.add.at(total, (subsets[:, a], subsets[:, b]), pinned[codes])
             k = f.graph.n
             assert np.array_equal(rooted * math.comb(n - k, 6 - k), total), f
+
+
+class TestWalshSpectrum:
+    """The target's K6 table in the Walsh basis: coefficient S sums the table with sign
+    (-1)^(blue pairs in S).  Rotating the cycle one step swaps its colours and permutes
+    its maps, so every odd level cancels.  Divided by 720 maps times 2^15 colourings,
+    the coefficients are those of the target's density on K6, 1/64 at level 0."""
+
+    def test_target_table_has_only_even_levels(self):
+        w = subcube_count_table(TARGET, 6, K6_PAIRS).astype(np.int64)
+        for k in range(15):  # one butterfly stage per pair (axis 1 is bit k); |w| <= 720 * 2^9
+            w = w.reshape(-1, 2, 1 << k)
+            w = np.stack([w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]], axis=1).ravel()
+        levels = np.array([s.bit_count() for s in range(1 << 15)])
+        spectrum = {level: Counter(w[(levels == level) & (w != 0)].tolist()) for level in range(16)}
+        assert all(not spectrum[level] for level in range(1, 16, 2))
+        nonzero = {level: values for level, values in spectrum.items() if values}
+        assert {level: sum(values.values()) for level, values in nonzero.items()} == {0: 1, 2: 105, 4: 630, 6: 60}
+        assert spectrum[0].keys() == {368640}
+        assert spectrum[2].keys() == {-36864, 24576}
+        assert spectrum[4].keys() == {-12288, 6144, 12288}
+        assert spectrum[6].keys() == {-6144}
+        densities = {level: {Fraction(v, 720 * 2**15) for v in values} for level, values in nonzero.items()}
+        assert densities == {0: {Fraction(1, 64)}, 2: {Fraction(-1, 640), Fraction(1, 960)},
+                             4: {Fraction(-1, 1920), Fraction(1, 3840), Fraction(1, 1920)},
+                             6: {Fraction(-1, 3840)}}
 
 
 class TestBlowUp:
