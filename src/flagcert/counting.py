@@ -319,9 +319,11 @@ def _embeddings(k: int, shape: tuple, n: int, pairs: tuple, pinned: tuple[tuple[
     weights[m, e] is 2^j when map m gives edge e pair j, and index[m] lists,
     ascending, the colourings zero on every pair map m covers: one doubling
     per free pair.  Shared by all colourings of a shape; uint16 holds every
-    colouring of 16 pairs.  ``shape_maps`` refuses a shape with no map.
+    colouring of 16 pairs, so more are refused here, before ``shape_maps`` runs.
     """
-    rows = shape_maps(k, shape, n, pairs, pinned)
+    if len(pairs) > MAX_TABLE_PAIRS:
+        raise ValueError(f"count tables are limited to {MAX_TABLE_PAIRS} pairs")
+    rows = [row for _, row in shape_maps(k, shape, n, pairs, pinned)]
     bit = np.uint16(1) << np.arange(len(pairs), dtype=np.uint16)
     weights = bit[np.array(rows, dtype=np.intp)]
     # distinct edges land on distinct pairs: each row sums to its mask
@@ -344,11 +346,9 @@ def subcube_count_table(h: ColoredGraph, n: int, pairs: tuple[tuple[int, int], .
     ``x`` to ``2**len(pairs) - 1 - x``, so ``h.swap_colors()`` has this table
     reversed.  ``root_images`` pins pattern vertices to host vertices, as in
     ``rooted_hom_inj_count``, and counts only those maps; ``Flag`` checks the
-    keys as roots of ``h`` and the images as roots of the host.  Raises
-    ``ValueError`` when no injective map sends every edge of ``h`` onto a host pair.
+    keys as roots of ``h`` and the images as roots of the host.  ``_embeddings``
+    refuses over 16 pairs, and ``shape_maps`` over 8 vertices or with no map of h.
     """
-    if len(pairs) > MAX_TABLE_PAIRS or n > MAX_PATTERN_N:
-        raise ValueError(f"count tables are limited to {MAX_TABLE_PAIRS} pairs on {MAX_PATTERN_N} vertices")
     if root_images:
         Flag(h, tuple(root_images))
         Flag(ColoredGraph(n), tuple(root_images.values()))

@@ -25,10 +25,6 @@ class Color(enum.Enum):
     RED = "R"
     BLUE = "B"
 
-    @property
-    def swapped(self) -> "Color":
-        return Color.BLUE if self is Color.RED else Color.RED
-
     def __repr__(self) -> str:
         return self.value
 
@@ -98,7 +94,8 @@ class ColoredGraph:
     # -- derived graphs ---------------------------------------------------
 
     def swap_colors(self) -> "ColoredGraph":
-        return ColoredGraph(self.n, ((u, v, c.swapped) for u, v, c in self.edges))
+        return ColoredGraph(self.n, ((u, v, _BIT_COLOR[not self.blue >> k & 1])
+                                     for k, (u, v) in enumerate(self.pairs)))
 
     # -- dunder -----------------------------------------------------------
 
@@ -158,9 +155,9 @@ def alternating_cycle(length: int = 6) -> ColoredGraph:
 
 # -- automorphisms ----------------------------------------------------------
 
-# Largest pattern or certificate graph on which anything here searches by brute
-# force: the automorphism search (8! maps), count tables, pulled densities, the
-# batched kernel (Bell(8) = 4140 quotients), and the certificate loader's cap.
+# Largest graph searched by brute force, refused in three places: hosts in
+# ``shape_maps`` (8! maps), patterns in the kernel's partitions (Bell(8) = 4140
+# quotients) and every graph in the certificate loader.
 MAX_PATTERN_N = 8
 # Most template pairs whose 2^pairs colourings are listed or tabulated.
 MAX_TABLE_PAIRS = 16
@@ -185,20 +182,22 @@ def pair_actions(maps: Iterable[Sequence[int]], edges: Sequence, pairs: Sequence
 
 
 def shape_maps(k: int, shape: Sequence, n: int, pairs: Sequence, pinned: Sequence = ()) -> list:
-    """Injective maps of a k-vertex edge shape onto host pairs, as pair positions.
+    """Injective maps of a k-vertex edge shape onto host pairs, listed by brute force.
 
-    The host has vertices 0..n-1 and the labelled ``pairs``.  Every map of
-    0..k-1 into the host that sends each edge of ``shape`` onto a pair, and
-    each pinned (shape vertex, host vertex) as given, yields the row of
-    ``pair_actions``: entry e is the position in ``pairs`` of edge e's image.
-    A shape with no such map is refused here, for every reader; the readers
-    cache what they build from the rows, one entry per shape.
+    The host has vertices 0..n-1 and the labelled ``pairs``.  Each map of
+    0..k-1 into it that sends every edge of ``shape`` onto a pair, and each
+    pinned (shape vertex, host vertex) as given, yields ``pair_actions``'
+    ``(map, row)``: row[e] is the position in ``pairs`` of edge e's image.
+    Refused here, for every reader: a host over ``MAX_PATTERN_N`` vertices,
+    before any permutation is drawn, and a shape with no map.
     """
+    if n > MAX_PATTERN_N:
+        raise ValueError(f"host with {n} vertices rejected: limit is {MAX_PATTERN_N} vertices")
     maps = (m for m in permutations(range(n), k) if all(m[a] == b for a, b in pinned))
-    rows = [row for _, row in pair_actions(maps, shape, pairs)]
-    if not rows:
+    actions = pair_actions(maps, shape, pairs)
+    if not actions:
         raise ValueError("pattern does not embed in the template")
-    return rows
+    return actions
 
 
 # The verifier reads the 26 class codes per edge shape (the builtin's 73
@@ -206,8 +205,8 @@ def shape_maps(k: int, shape: Sequence, n: int, pairs: Sequence, pinned: Sequenc
 @lru_cache(maxsize=64)
 def _pulled_counts(k: int, shape: tuple, n: int, pairs: tuple, codes: tuple) -> tuple:
     """Maps of a k-vertex edge shape onto host pairs, and per code the words they pull it to."""
-    rows = shape_maps(k, shape, n, pairs)
-    return len(rows), tuple(Counter(_pull(code, row) for row in rows) for code in codes)
+    actions = shape_maps(k, shape, n, pairs)
+    return len(actions), tuple(Counter(_pull(code, row) for _, row in actions) for code in codes)
 
 
 def _pull(code: int, row: Sequence[int]) -> int:
@@ -228,12 +227,10 @@ def pulled_densities(h: ColoredGraph, n: int, pairs: Sequence, codes: Sequence[i
     ``row`` (see ``shape_maps``), pulls a code back to the word whose bit e
     is bit row[e] of the code.  Returns ``(maps, counts)``: the number of
     maps, and per code in ``codes`` the number that pull it back to
-    ``h.blue``, so h's density in that colouring is count / maps.  Hosts over
-    ``MAX_PATTERN_N`` vertices are refused before any enumeration, and
-    ``shape_maps`` refuses a pattern with no map.
+    ``h.blue``, so h's density in that colouring is count / maps.
+    ``shape_maps`` refuses a host over ``MAX_PATTERN_N`` vertices before any
+    enumeration, and a pattern with no map.
     """
-    if n > MAX_PATTERN_N:
-        raise ValueError(f"host with {n} vertices rejected: limit is {MAX_PATTERN_N} vertices")
     maps, counts = _pulled_counts(h.n, h.pairs, n, tuple(pairs), tuple(codes))
     return maps, tuple(words.get(h.blue, 0) for words in counts)
 
@@ -241,12 +238,10 @@ def pulled_densities(h: ColoredGraph, n: int, pairs: Sequence, codes: Sequence[i
 def underlying_automorphisms(g: ColoredGraph) -> list[tuple[int, ...]]:
     """All vertex permutations preserving adjacency, colours ignored.
 
-    Exhaustive over all n! permutations, each kept when it sends every pair
-    onto a pair; guarded to keep the factorial search honest.
+    The maps of g's pairs onto themselves that ``shape_maps`` lists, which
+    refuses a graph over ``MAX_PATTERN_N`` vertices before the n! search.
     """
-    if g.n > MAX_PATTERN_N:
-        raise ValueError(f"brute-force automorphism search limited to n <= {MAX_PATTERN_N}")
-    return [perm for perm, _ in pair_actions(permutations(range(g.n)), g.pairs, g.pairs)]
+    return [perm for perm, _ in shape_maps(g.n, g.pairs, g.n, g.pairs)]
 
 
 # -- canonical forms and classification -------------------------------------

@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagcert import builtin, counting, graphs
-from flagcert.certificate import builtin_certificate, expand_in_classes
+from flagcert.certificate import builtin_certificate, expand_in_classes, load_certificate
 from flagcert.counting import (
     CLOSED_FORM_MAX_N,
     MAX_PATTERN_N,
@@ -42,6 +43,7 @@ from flagcert.graphs import (
 )
 from flagcert.oracle import _random_clique_matrices, random_clique_coloring
 
+from test_certificate import _edited, _shifted
 from test_graphs import PATH4, complete_graph
 
 
@@ -420,13 +422,26 @@ class TestTBip:
         # in either order; one order per middle keeps the colours
         assert t_bip(path, j) == Fraction(2, 4) == _backtracking_t_bip(path, j)
 
-    def test_refuses_a_large_template_before_enumerating(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "search, n",
+        [
+            (lambda n: t_bip(TARGET, complete_graph(n, Color.RED)), 40),
+            (lambda n: t_bip(TARGET, complete_graph(n, Color.RED)), 9),
+            (lambda n: subcube_count_table(PATH4, n, (*K6_PAIRS, (6, n - 1))), 9),
+            (lambda n: graphs.underlying_automorphisms(ColoredGraph(n, [(0, 1, Color.RED)])), 9),
+        ],
+        ids=["t_bip-40", "t_bip-9", "subcube_count_table-9", "underlying_automorphisms-9"],
+    )
+    def test_refuses_a_large_template_before_enumerating(self, monkeypatch, search, n):
+        # shape_maps refuses every host over 8 vertices before drawing a permutation
         def refuse(*args):
             raise AssertionError("maps were enumerated")
 
-        monkeypatch.setattr(graphs, "shape_maps", refuse)
-        with pytest.raises(ValueError, match="^host with 40 vertices rejected: limit is 8 vertices$"):
-            t_bip(TARGET, complete_graph(40, Color.RED))
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs, "permutations", refuse)
+            with pytest.raises(ValueError, match=f"^host with {n} vertices rejected: limit is 8 vertices$"):
+                search(n)
+        search(8)  # no refusal is cached: the largest host is still searched
 
 
 class TestSubcubeCountTable:
@@ -525,7 +540,7 @@ class TestSubcubeCountTable:
 
     def test_eight_vertex_host_is_the_largest_accepted(self):
         _assert_sixteen_pair_table(8, (*K6_PAIRS, (6, 7)))
-        with pytest.raises(ValueError, match="^count tables are limited to 16 pairs on 8 vertices$"):
+        with pytest.raises(ValueError, match="^host with 9 vertices rejected: limit is 8 vertices$"):
             subcube_count_table(PATH4, 9, (*K6_PAIRS, (6, 8)))
 
 
@@ -870,6 +885,17 @@ class TestBatchedKernel:
 
 
 K6_PAIRS = tuple((u, v) for u in range(6) for v in range(u + 1, 6))
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _walsh(table: np.ndarray) -> np.ndarray:
+    """Integer Walsh-Hadamard transform of a K6 table: coefficient S sums the table
+    with sign (-1)^(blue pairs in S), one butterfly stage per pair (axis 1 is bit k)."""
+    w = table.astype(np.int64)
+    for k in range(15):  # |w| <= 720 * 2^15 stays far inside int64
+        w = w.reshape(-1, 2, 1 << k)
+        w = np.stack([w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]], axis=1).ravel()
+    return w
 
 
 class TestSixSubsetLinearity:
@@ -915,10 +941,7 @@ class TestWalshSpectrum:
     the coefficients are those of the target's density on K6, 1/64 at level 0."""
 
     def test_target_table_has_only_even_levels(self):
-        w = subcube_count_table(TARGET, 6, K6_PAIRS).astype(np.int64)
-        for k in range(15):  # one butterfly stage per pair (axis 1 is bit k); |w| <= 720 * 2^9
-            w = w.reshape(-1, 2, 1 << k)
-            w = np.stack([w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]], axis=1).ravel()
+        w = _walsh(subcube_count_table(TARGET, 6, K6_PAIRS))
         levels = np.array([s.bit_count() for s in range(1 << 15)])
         spectrum = {level: Counter(w[(levels == level) & (w != 0)].tolist()) for level in range(16)}
         assert all(not spectrum[level] for level in range(1, 16, 2))
@@ -932,6 +955,50 @@ class TestWalshSpectrum:
         assert densities == {0: {Fraction(1, 64)}, 2: {Fraction(-1, 640), Fraction(1, 960)},
                              4: {Fraction(-1, 1920), Fraction(1, 3840), Fraction(1, 1920)},
                              6: {Fraction(-1, 3840)}}
+
+    @pytest.mark.parametrize("sigma", [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)], ids=["swap01", "cycle012345"])
+    def test_coefficients_are_constant_on_s6_orbits(self, sigma):
+        # relabelling the host by sigma leaves every count alone and sends pair k to
+        # pair dest[k], so coefficient S equals the coefficient of S's image
+        dest = [K6_PAIRS.index(tuple(sorted((sigma[u], sigma[v])))) for u, v in K6_PAIRS]
+        masks = np.arange(1 << 15)
+        image = sum(((masks >> k) & 1) << d for k, d in enumerate(dest))
+        assert sorted(image.tolist()) == masks.tolist()
+        table = builtin.class_table()
+        for h in (TARGET, *(table.representative(l) for l in table.indices)):
+            w = _walsh(subcube_count_table(h, 6, K6_PAIRS))
+            assert np.array_equal(w[image], w), h
+
+
+class TestCertificateOnK6Hosts:
+    """On K6 a valid certificate is a polynomial identity on {+1, -1}^15: the target's
+    density plus the weighted product densities is exactly 1/64 on every host.  With
+    D the lcm of the weight denominators, 64 (D T + sum num (D / den) P) = 720 D, T
+    and P the target's and each flag product's table of injective counts (720 maps)."""
+
+    @staticmethod
+    def _holds(cert) -> tuple[int, np.ndarray]:
+        weights = [(num, den, product) for *_, (num, den), product in cert.flag_pairs]
+        d = math.lcm(*(den for _, den, _ in weights))
+        total = d * subcube_count_table(cert.target, 6, K6_PAIRS)
+        for num, den, product in weights:
+            assert product.n == 6
+            total += num * (d // den) * subcube_count_table(product, 6, K6_PAIRS)
+        return d, 64 * total == 720 * d
+
+    @pytest.mark.parametrize(
+        "text, lcm",
+        [(None, 128), ((FIXTURES / "cert_rootswap.json").read_text(encoding="utf-8"), 256)],
+        ids=["builtin", "rootswap"],
+    )
+    def test_holds_on_every_host(self, text, lcm):
+        cert = builtin_certificate() if text is None else load_certificate(text)
+        d, holds = self._holds(cert)
+        assert d == lcm and holds.all()
+
+    def test_a_shifted_entry_breaks_it(self):
+        d, holds = self._holds(load_certificate(_edited(_shifted(0, 2, 3, Fraction(1, 128)))))
+        assert d == 128 and int(holds.sum()) == 10136
 
 
 class TestBlowUp:

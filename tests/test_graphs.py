@@ -83,11 +83,6 @@ class TestColor:
     def test_two_values(self):
         assert len(Color) == 2
 
-    def test_swap_is_involution(self):
-        for c in Color:
-            assert c.swapped != c
-            assert c.swapped.swapped == c
-
 
 class TestColoredGraph:
     def test_rejects_loop(self):
