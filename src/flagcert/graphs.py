@@ -193,7 +193,9 @@ def shape_maps(k: int, shape: Sequence, n: int, pairs: Sequence, pinned: Sequenc
     """
     if n > MAX_PATTERN_N:
         raise ValueError(f"host with {n} vertices rejected: limit is {MAX_PATTERN_N} vertices")
-    maps = (m for m in permutations(range(n), k) if all(m[a] == b for a, b in pinned))
+    maps = permutations(range(n), k)
+    if pinned:
+        maps = (m for m in maps if all(m[a] == b for a, b in pinned))
     actions = pair_actions(maps, shape, pairs)
     if not actions:
         raise ValueError("pattern does not embed in the template")

@@ -521,6 +521,16 @@ class TestSubcubeCountTable:
         with pytest.raises(ValueError):
             subcube_count_table(TARGET, 7, pairs)
 
+    def test_seventeen_pairs_are_refused_before_listing_maps(self, monkeypatch):
+        # a uint16 index holds 16 pairs: the 17th bit would shift to 0
+        def refuse(*args):
+            raise AssertionError("maps were listed")
+
+        pairs = tuple((u, v) for u in range(7) for v in range(u + 1, 7))[:17]
+        monkeypatch.setattr(counting, "shape_maps", refuse)
+        with pytest.raises(ValueError, match="^count tables are limited to 16 pairs$"):
+            subcube_count_table(PATH4, 7, pairs)
+
     @settings(max_examples=40, deadline=None)
     @given(colored_patterns(max_n=6))
     def test_colour_swap_reverses_the_table(self, h):

@@ -7,7 +7,7 @@ flipped (``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``is``/``is not``,
 dropped, or an integer constant raised by 1.  The script copies ``src/``,
 ``tests/`` and ``pyproject.toml`` into a work directory, writes each mutant
 there and runs pytest on the copy with ``-x``; the checkout is never written.
-A mutant that fails a test (or runs past ``--timeout``) is killed; one that
+A mutant that fails a test (or runs past ``TIMEOUT`` seconds) is killed; one that
 passes every test survives and needs a test that kills it, or an entry in
 ``EQUIVALENT`` saying why no test can.
 
@@ -33,6 +33,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Seconds before a test run counts as killed: a mutant that loops never ends.
+TIMEOUT = 600.0
 
 # Mutants no test can kill, keyed as ``site`` prints them, each with its reason.
 EQUIVALENT = {
@@ -138,7 +140,7 @@ def _copy(work: Path) -> Path:
     return work
 
 
-def _run(work: Path, file: Path, text: str, tests: list[str], timeout: float) -> str:
+def _run(work: Path, file: Path, text: str, tests: list[str]) -> str:
     """Write one mutant into ``work``, run the tests, restore the module: KILLED or SURVIVED."""
     target = work / file.relative_to(ROOT)
     original = target.read_text(encoding="utf-8")
@@ -147,7 +149,7 @@ def _run(work: Path, file: Path, text: str, tests: list[str], timeout: float) ->
     try:
         done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
                               cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                              timeout=timeout)
+                              timeout=TIMEOUT)
         verdict = "SURVIVED" if done.returncode == 0 else "KILLED"
     except subprocess.TimeoutExpired:
         verdict = "KILLED (timeout)"
@@ -161,8 +163,6 @@ def main(argv=None) -> int:
     parser.add_argument("functions", nargs="+", help="module.function or module.Class.method")
     parser.add_argument("--tests", nargs="+", default=["tests"], help="pytest paths, run in order")
     parser.add_argument("--jobs", type=int, default=1, help="mutants run at once, each in its own copy")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds before a run counts as killed")
-    parser.add_argument("--work", help="directory for the copies (default: a new temporary one)")
     parser.add_argument("--list", action="store_true", help="print the sites and run nothing")
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -174,17 +174,17 @@ def main(argv=None) -> int:
             print(site)
         return 0
     todo = [m for m in found if m[0] not in EQUIVALENT]
-    work = Path(args.work or tempfile.mkdtemp(prefix="flagcert-mutate-"))
-    copies = [_copy(work / f"copy{j}") for j in range(args.jobs)]
     results = {site: f"EQUIVALENT ({EQUIVALENT[site]})" for site, *_ in found if site in EQUIVALENT}
+    with tempfile.TemporaryDirectory(prefix="flagcert-mutate-") as work:
+        copies = [_copy(Path(work) / f"copy{j}") for j in range(args.jobs)]
 
-    def job(j):
-        for site, file, text in todo[j :: args.jobs]:
-            results[site] = _run(copies[j], file, text, args.tests, args.timeout)
-            print(f"{results[site]:<9} {site}", flush=True)
+        def job(j):
+            for site, file, text in todo[j :: args.jobs]:
+                results[site] = _run(copies[j], file, text, args.tests)
+                print(f"{results[site]:<9} {site}", flush=True)
 
-    with ThreadPoolExecutor(args.jobs) as pool:
-        list(pool.map(job, range(args.jobs)))
+        with ThreadPoolExecutor(args.jobs) as pool:
+            list(pool.map(job, range(args.jobs)))
     killed = sum(v.startswith("KILLED") for v in results.values())
     survived = [site for site, v in results.items() if v == "SURVIVED"]
     print(f"{len(found)} mutants: {killed} killed, {len(found) - killed - len(survived)} equivalent, "
