@@ -12,11 +12,12 @@ text is the one pinned in tests/fixtures/cert_rootswap.json.  Nothing is
 written to disk.
 """
 
-import dataclasses
 from itertools import permutations
 from pathlib import Path
 
 from flagcert.certificate import (
+    Certificate,
+    FlagFamily,
     SymMatrix,
     builtin_certificate,
     psd_check,
@@ -60,7 +61,7 @@ for family in cert.families:
     rows = family.matrix.rows
     mean = SymMatrix([[(rows[i][j] + rows[pi[i]][pi[j]]) / 2 for j in range(len(pi))] for i in range(len(pi))])
     print(f"  PMP == M: {SymMatrix([[rows[i][j] for j in pi] for i in pi]) == family.matrix}")
-    families.append(dataclasses.replace(family, matrix=mean))
+    families.append(FlagFamily(family.root_edge_color, family.flags, mean))
 
 # the symmetric basis: flags that pi fixes, then the sums and differences of its 2-cycles
 basis = [{0: 1}, {1: 1}, {6: 1}, {7: 1}, {2: 1, 4: 1}, {3: 1, 5: 1}, {2: 1, 4: -1}, {3: 1, 5: -1}]
@@ -78,7 +79,9 @@ for name, block in (("6x6", [row[:6] for row in b[:6]]), ("2x2", [row[6:] for ro
     report = psd_check(SymMatrix(block))
     print(f"  {name} block: psd {report.is_psd}, kernel dimension {len(report.kernel_basis)}")
 
-averaged = dataclasses.replace(cert, families=tuple(families))
+averaged = Certificate(
+    cert.name, cert.template_parts, cert.target, cert.base, tuple(families), cert.bound, cert.classes
+)
 report = verify_certificate(averaged)
 print("\nverify_certificate on the averaged certificate:")
 for check in report.checks:

@@ -11,15 +11,14 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import builtin
-from .graphs import MAX_PATTERN_N, ClassTable, Color, ColoredGraph, Flag
+from .graphs import MAX_PATTERN_N, ClassTable, Color, ColoredGraph, Flag, Frozen
 
 
 class SchemaError(ValueError):
@@ -33,14 +32,13 @@ class SchemaError(ValueError):
 # -- symmetric matrices and PSD checking --------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SymMatrix:
+class SymMatrix(Frozen):
     """Dense symmetric matrix of exact rationals."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in self.rows)
+    def __init__(self, rows: Sequence[Sequence]):
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
         m = len(rows)
         for i, row in enumerate(rows):
             if len(row) != m:
@@ -52,13 +50,20 @@ class SymMatrix:
             raise ValueError(f"matrix not symmetric at ({i},{j})")
         object.__setattr__(self, "rows", rows)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
     @property
     def order(self) -> int:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class PsdReport:
+class PsdReport(NamedTuple):
     """Outcome of exact LDL^T elimination with diagonal pivoting."""
 
     is_psd: bool
@@ -181,43 +186,56 @@ def expand_in_classes(p: ColoredGraph, table: ClassTable) -> dict[int, Fraction]
 # -- the certificate -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlagFamily:
+class FlagFamily(Frozen):
     """An ordered flag list sharing a root-edge colour, plus its matrix."""
 
-    root_edge_color: Color
-    flags: tuple[Flag, ...]
-    matrix: SymMatrix
-
-    def __post_init__(self):
-        if self.matrix.order != len(self.flags):
+    def __init__(self, root_edge_color: Color, flags: tuple[Flag, ...], matrix: SymMatrix):
+        if matrix.order != len(flags):
             raise ValueError("matrix order must match the number of flags")
-        for k, f in enumerate(self.flags):
+        for k, f in enumerate(flags):
             if len(f.roots) != 2:
                 raise ValueError(f"flag {k} must have exactly two roots")
             c = f.graph.edge_color(*f.roots)
-            if c != self.root_edge_color:
+            if c != root_edge_color:
                 letter = None if c is None else c.value
                 raise ValueError(f"flag {k} root edge colour {letter} does not match family")
+        object.__setattr__(self, "root_edge_color", root_edge_color)
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.root_edge_color, self.flags, self.matrix)
+                == (other.root_edge_color, other.flags, other.matrix))
+
+    def __hash__(self) -> int:
+        return hash((self.root_edge_color, self.flags, self.matrix))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """Serializable proof object for one density bound; ``base`` is stored as a read-only copy.
 
-    Not slotted, so ``flag_pairs`` caches in ``__dict__``; equality compares the fields alone.
+    Not slotted, so ``flag_pairs`` caches in ``__dict__``; equality compares the fields alone; no hash.
     """
 
-    name: str
-    template_parts: tuple[int, int]
-    target: ColoredGraph
-    base: Mapping[int, Fraction]
-    families: tuple[FlagFamily, ...]
-    bound: Fraction
-    classes: Optional[tuple[ColoredGraph, ...]] = None
+    def __init__(self, name: str, template_parts: tuple[int, int], target: ColoredGraph,
+                 base: Mapping[int, Fraction], families: tuple[FlagFamily, ...], bound: Fraction,
+                 classes: Optional[tuple[ColoredGraph, ...]] = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "template_parts", template_parts)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "base", MappingProxyType(dict(base)))
+        object.__setattr__(self, "families", families)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "classes", classes)
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", MappingProxyType(dict(self.base)))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.template_parts, self.target, self.base, self.families, self.bound, self.classes)
+                == (other.name, other.template_parts, other.target, other.base, other.families, other.bound,
+                    other.classes))
 
     @cached_property
     def flag_pairs(self) -> tuple:
@@ -292,15 +310,13 @@ def certificate_coefficients(
 # -- verification -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     certificate_name: str
     checks: tuple[CheckResult, ...]
     coefficients: dict[int, Fraction]

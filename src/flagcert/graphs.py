@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
 class Color(enum.Enum):
@@ -32,8 +31,19 @@ class Color(enum.Enum):
 _BIT_COLOR = (Color.RED, Color.BLUE)  # bit k of a colouring word -> colour of pair k
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class ColoredGraph:
+class Frozen:
+    """Base of the immutable value types: an attribute write or delete raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ColoredGraph(Frozen):
     """A loopless graph with red/blue edges and possibly missing pairs.
 
     ``n`` and the endpoints are plain ints (not bools).  ``edges`` may be any
@@ -45,9 +55,6 @@ class ColoredGraph:
     """
 
     __slots__ = ("n", "pairs", "blue", "_hash")
-    n: int
-    pairs: tuple[tuple[int, int], ...]
-    blue: int
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, Color]] = ()):
         if type(n) is not int or n < 0:
@@ -99,6 +106,11 @@ class ColoredGraph:
 
     # -- dunder -----------------------------------------------------------
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.pairs, self.blue) == (other.n, other.pairs, other.blue)
+
     def __hash__(self) -> int:
         # cached: every expansion and product lookup hashes graphs
         return self._hash
@@ -108,23 +120,26 @@ class ColoredGraph:
         return f"ColoredGraph(n={self.n}, [{body}])"
 
 
-@dataclass(frozen=True, slots=True)
-class Flag:
+class Flag(Frozen):
     """A coloured graph with an ordered tuple of distinct root vertices, each a plain int."""
 
-    graph: ColoredGraph
-    roots: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("graph", "roots", "_hash")
 
-    def __post_init__(self):
-        roots = tuple(self.roots)
+    def __init__(self, graph: ColoredGraph, roots: Iterable[int]):
+        roots = tuple(roots)
         for r in roots:
-            if type(r) is not int or not 0 <= r < self.graph.n:
-                raise ValueError(f"root {r!r} is not a vertex of the {self.graph.n}-vertex graph")
+            if type(r) is not int or not 0 <= r < graph.n:
+                raise ValueError(f"root {r!r} is not a vertex of the {graph.n}-vertex graph")
         if len(set(roots)) != len(roots):
             raise ValueError("duplicate root indices")
+        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "_hash", hash((self.graph, roots)))
+        object.__setattr__(self, "_hash", hash((graph, roots)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.roots) == (other.graph, other.roots)
 
     def __hash__(self) -> int:
         # cached: every flag_product lookup hashes both flags
@@ -278,8 +293,7 @@ def enumerate_template_colorings(template: ColoredGraph) -> list[ColoredGraph]:
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class ClassEntry:
+class ClassEntry(NamedTuple):
     """One isomorphism class: published index, representative, symmetries."""
 
     index: int
@@ -288,8 +302,7 @@ class ClassEntry:
     multiplicity: int
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class ClassTable:
+class ClassTable(Frozen):
     """Isomorphism classes of template colourings, in a fixed reference order.
 
     Built by ``classify``; read-only, hashed by identity.  The read-only
@@ -298,10 +311,14 @@ class ClassTable:
     its class index.  The table owns the pattern expansions over its classes.
     """
 
-    classes: tuple[ClassEntry, ...]
-    lookup: Mapping[int, int]
-    n: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("classes", "lookup", "n", "pairs")
+
+    def __init__(self, classes: tuple[ClassEntry, ...], lookup: Mapping[int, int], n: int,
+                 pairs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "lookup", lookup)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return len(self.classes)

@@ -11,9 +11,9 @@ of a 64-bit seed and an index, so results never depend on iteration order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,8 +99,7 @@ def _random_clique_matrices(n: int, seed: int):
 # -- reports ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleRecord:
+class OracleRecord(NamedTuple):
     check: str
     instance: str
     lhs: Fraction
@@ -108,8 +107,7 @@ class OracleRecord:
     holds: bool
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     records: tuple[OracleRecord, ...]
 
     @property
@@ -297,8 +295,7 @@ def check_flagged_inequality(g: ColoredGraph) -> OracleReport:
 # tables, which ``sum_to_one`` rests on, are counted directly.
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     hosts: int
     failures: dict[str, int]
     min_inequality_slack: Fraction
@@ -389,8 +386,7 @@ def exhaustive_k6_sweep() -> SweepReport:
 # -- Monte Carlo -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(NamedTuple):
     n: int
     trials: int
     seed: int

@@ -1,10 +1,10 @@
 """Flag products, expansions, PSD checking, the coefficient engine, file I/O."""
 
-import dataclasses
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -34,7 +34,7 @@ from flagcert.certificate import (
     verify_certificate,
 )
 from flagcert.counting import subcube_count_table, t_bip
-from flagcert.graphs import Color, ColoredGraph, Flag, pulled_densities
+from flagcert.graphs import ClassTable, Color, ColoredGraph, Flag, pulled_densities
 
 from test_graphs import SWAP_INVOLUTION, complete_graph
 
@@ -299,8 +299,109 @@ class TestFlagProduct:
         assert p.n == 6
 
 
+def _certificate(**changes) -> Certificate:
+    """A new certificate with the builtin's fields, except for ``changes``."""
+    c = builtin_certificate()
+    fields = dict(name=c.name, template_parts=c.template_parts, target=c.target, base=c.base,
+                  families=c.families, bound=c.bound, classes=c.classes)
+    return Certificate(**fields | changes)
+
+
+def _family(color=Color.RED, flags=None, scale=1) -> FlagFamily:
+    """The builtin red flags, or ``flags``, with the builtin matrix times ``scale``."""
+    flags = builtin.red_flags() if flags is None else flags
+    rows = [[scale * x for x in row[: len(flags)]] for row in builtin.matrix_rows()[: len(flags)]]
+    return FlagFamily(color, flags, SymMatrix(rows))
+
+
+_RED01 = [(0, 1, Color.RED)]
+_PATH3 = ColoredGraph(3, [(0, 1, Color.RED), (1, 2, Color.BLUE)])
+
+# The compared fields of each hand-written value type; a class table compares by identity.
+COMPARED = {
+    ColoredGraph: ("n", "pairs", "blue"),
+    Flag: ("graph", "roots"),
+    SymMatrix: ("rows",),
+    FlagFamily: ("root_edge_color", "flags", "matrix"),
+    Certificate: ("name", "template_parts", "target", "base", "families", "bound", "classes"),
+    ClassTable: ("classes", "lookup", "n", "pairs"),
+}
+
+# Per compared field, two builders of objects that differ in that field alone.
+ONE_FIELD_APART = {
+    "ColoredGraph.n": (lambda: ColoredGraph(3, _RED01), lambda: ColoredGraph(4, _RED01)),
+    "ColoredGraph.pairs": (lambda: ColoredGraph(3, _RED01), lambda: ColoredGraph(3, [(0, 2, Color.RED)])),
+    "ColoredGraph.blue": (lambda: ColoredGraph(3, _RED01), lambda: ColoredGraph(3, [(0, 1, Color.BLUE)])),
+    "Flag.graph": (lambda: Flag(_PATH3, (0, 1)), lambda: Flag(_PATH3.swap_colors(), (0, 1))),
+    "Flag.roots": (lambda: Flag(_PATH3, (0, 1)), lambda: Flag(_PATH3, (1, 0))),
+    "SymMatrix.rows": (lambda: SymMatrix([[1, 2], [2, 1]]), lambda: SymMatrix([[1, 2], [2, 3]])),
+    # no flags, so that the colour can change alone
+    "FlagFamily.root_edge_color": (lambda: _family(flags=()), lambda: _family(Color.BLUE, flags=())),
+    "FlagFamily.flags": (_family, lambda: _family(flags=builtin.red_flags()[::-1])),
+    "FlagFamily.matrix": (_family, lambda: _family(scale=2)),
+    "Certificate.name": (_certificate, lambda: _certificate(name="other")),
+    "Certificate.template_parts": (_certificate, lambda: _certificate(template_parts=(2, 4))),
+    "Certificate.target": (_certificate, lambda: _certificate(target=builtin.target().swap_colors())),
+    "Certificate.base": (_certificate, lambda: _certificate(base={})),
+    "Certificate.families": (_certificate, lambda: _certificate(families=builtin_certificate().families[:1])),
+    "Certificate.bound": (_certificate, lambda: _certificate(bound=Fraction(1, 32))),
+    "Certificate.classes": (_certificate, lambda: _certificate(classes=None)),
+}
+
+# One builder per hand-written value type.
+VALUES = {
+    "ColoredGraph": lambda: _PATH3,
+    "Flag": lambda: Flag(_PATH3, (0, 1)),
+    "SymMatrix": lambda: SymMatrix([[1, 2], [2, 1]]),
+    "FlagFamily": _family,
+    "Certificate": _certificate,
+    "ClassTable": builtin.class_table,
+}
+
+
 class TestValueTypes:
-    """Flags and matrices built from equal data are equal, hash equal and frozen."""
+    """Value types are equal exactly when their compared fields are, hash alike when equal, and frozen."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_FIELD_APART))
+    def test_equal_exactly_when_every_compared_field_is(self, name):
+        make, other = ONE_FIELD_APART[name]
+        a, b, c = make(), make(), other()
+        fields = COMPARED[type(a)]
+        assert a is not b and a == b and not a != b
+        if type(a) is not Certificate:
+            assert hash(a) == hash(b)
+        assert [getattr(c, f) == getattr(a, f) for f in fields] == [f != name.split(".")[1] for f in fields]
+        assert a != c and c != a and not a == c
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_fields_refuse_writes_and_deletes(self, name):
+        obj = VALUES[name]()
+        for field in (*COMPARED[type(obj)], "extra"):
+            before = getattr(obj, field, None)
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+            assert getattr(obj, field, None) is before
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_another_type_is_not_implemented(self, name):
+        obj = VALUES[name]()
+        fields = tuple(getattr(obj, f) for f in COMPARED[type(obj)])
+        for other in (object(), fields, *fields):
+            assert obj.__eq__(other) is NotImplemented
+            assert obj != other
+
+    def test_a_certificate_has_no_hash(self):
+        with pytest.raises(TypeError, match="unhashable type: 'Certificate'"):
+            hash(_certificate())
+
+    def test_a_class_table_compares_and_hashes_by_identity(self):
+        table = builtin.class_table()
+        copy = ClassTable(table.classes, table.lookup, table.n, table.pairs)
+        assert table == table and hash(table) == object.__hash__(table)
+        assert copy != table and table.__eq__(copy) is NotImplemented
+        assert [getattr(copy, f) is getattr(table, f) for f in COMPARED[ClassTable]] == [True] * 4
 
     def test_equal_flags_share_one_cached_product(self):
         f, g = builtin.red_flags()[1], builtin.red_flags()[6]
@@ -336,6 +437,14 @@ class TestValueTypes:
     def test_matrix_rows_must_be_square(self):
         with pytest.raises(ValueError, match=r"^row 1 has length 1, expected 2$"):
             SymMatrix([[Fraction(0), Fraction(1)], [Fraction(1)]])
+
+    @pytest.mark.parametrize("rows, pair", [
+        ([[0, 1, 5], [1, 0, 0], [6, 0, 0]], "(0,2)"),
+        ([[0, 1, 1], [1, 0, 3], [1, 4, 0]], "(1,2)"),
+    ])
+    def test_matrix_names_its_first_asymmetric_pair(self, rows, pair):
+        with pytest.raises(ValueError, match=f"^matrix not symmetric at {re.escape(pair)}$"):
+            SymMatrix(rows)
 
 
 def _count_table_expansion(p: ColoredGraph, table) -> dict[int, Fraction]:
@@ -450,7 +559,8 @@ class TestDerivedTables:
 
     def test_loaded_products_are_the_builtin_objects(self):
         # a fresh copy of the builtin glues now, so the product cache holds its products
-        cert = dataclasses.replace(builtin_certificate())
+        b = builtin_certificate()
+        cert = Certificate(b.name, b.template_parts, b.target, b.base, b.families, b.bound, b.classes)
         loaded = load_certificate(save_certificate(cert))
         ours = [product for *_, product in cert.flag_pairs]
         theirs = [product for *_, product in loaded.flag_pairs]
@@ -459,7 +569,9 @@ class TestDerivedTables:
     def test_equality_ignores_the_cached_pairs(self):
         cert = builtin_certificate()
         loaded = load_certificate(save_certificate(cert))
-        stripped = dataclasses.replace(cert, classes=None)
+        stripped = Certificate(
+            cert.name, cert.template_parts, cert.target, cert.base, cert.families, cert.bound, None
+        )
         for c in (cert, loaded, stripped):
             assert c.flag_pairs
         assert "flag_pairs" in vars(loaded)
@@ -571,7 +683,10 @@ class TestCoefficients:
         table = builtin.class_table()
         swap = table.swap_involution()
         red, blue = (
-            certificate_coefficients(dataclasses.replace(cert, families=(f,), base={}), table)
+            certificate_coefficients(
+                Certificate(cert.name, cert.template_parts, cert.target, {}, (f,), cert.bound, cert.classes),
+                table,
+            )
             for f in cert.families
         )
         assert [f.root_edge_color for f in cert.families] == [Color.RED, Color.BLUE]
@@ -604,8 +719,11 @@ class TestCoefficients:
         mean = SymMatrix([[(a + b) / 2 for a, b in zip(*rows)] for rows in zip(m.rows, pmp.rows)])
         assert pmp != m
         for matrix in (m, pmp, mean):
-            families = tuple(dataclasses.replace(family, matrix=matrix) for family in cert.families)
-            coeffs = certificate_coefficients(dataclasses.replace(cert, families=families), table)
+            families = tuple(FlagFamily(family.root_edge_color, family.flags, matrix) for family in cert.families)
+            same = Certificate(
+                cert.name, cert.template_parts, cert.target, cert.base, families, cert.bound, cert.classes
+            )
+            coeffs = certificate_coefficients(same, table)
             assert coeffs == {l: BOUND for l in table.indices}
         report = psd_check(mean)
         assert report.is_psd and len(report.kernel_basis) == 1
@@ -712,7 +830,9 @@ def shifted_builtins(draw):
         matrix = _with_entry(matrix, i, j, _entry(matrix, i, j) + Fraction(k, 128))
     families = list(cert.families)
     families[fam] = FlagFamily(families[fam].root_edge_color, families[fam].flags, matrix)
-    return dataclasses.replace(cert, families=tuple(families))
+    return Certificate(
+        cert.name, cert.template_parts, cert.target, cert.base, tuple(families), cert.bound, cert.classes
+    )
 
 
 class TestCoefficientReference:
@@ -733,12 +853,17 @@ class TestCoefficientReference:
     @given(symmetric_matrices(), symmetric_matrices())
     def test_unordered_pairs_match_the_ordered_double_sum(self, red, blue):
         cert = builtin_certificate()
-        drawn = dataclasses.replace(
-            cert,
-            families=tuple(
+        drawn = Certificate(
+            cert.name,
+            cert.template_parts,
+            cert.target,
+            cert.base,
+            tuple(
                 FlagFamily(f.root_edge_color, f.flags, matrix)
                 for f, matrix in zip(cert.families, (red, blue))
             ),
+            cert.bound,
+            cert.classes,
         )
         table = builtin.class_table()
         assert certificate_coefficients(drawn, table) == ordered_coefficients(drawn, table)
@@ -950,7 +1075,7 @@ class TestVerification:
 
     def test_shared_builtins_refuse_writes(self):
         # the class table and certificate serve every later caller in the process
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             builtin.class_table().classes[0].multiplicity = 0
         with pytest.raises(TypeError):
             builtin_certificate().base[1] = Fraction(5)
@@ -980,7 +1105,9 @@ class TestVerification:
     def test_base_is_a_copy_of_the_mapping_given(self):
         cert = builtin_certificate()
         base = dict(cert.base)
-        copy = dataclasses.replace(cert, base=base)
+        copy = Certificate(
+            cert.name, cert.template_parts, cert.target, base, cert.families, cert.bound, cert.classes
+        )
         base[1] = Fraction(5)
         assert copy.base == cert.base and 1 not in copy.base
         assert save_certificate(copy) == save_certificate(cert)
@@ -1144,8 +1271,9 @@ class TestWarmVerify:
         cert = builtin_certificate()
         matrix = cert.families[1].matrix
         doubled = SymMatrix([[2 * x for x in row] for row in matrix.rows])
-        blue = dataclasses.replace(cert.families[1], matrix=doubled)
-        two = dataclasses.replace(cert, families=(cert.families[0], blue))
+        blue = FlagFamily(cert.families[1].root_edge_color, cert.families[1].flags, doubled)
+        families = (cert.families[0], blue)
+        two = Certificate(cert.name, cert.template_parts, cert.target, cert.base, families, cert.bound, cert.classes)
         red_report, blue_report = verify_certificate(two).psd_reports
         assert red_report == psd_check(matrix)
         assert blue_report == psd_check(doubled)
